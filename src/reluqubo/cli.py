@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence, TextIO
 
@@ -165,6 +166,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     points = verify_cfg["m_points"]
     if not isinstance(points, list) or not points:
         raise ConfigError("verify.m_points", "expected a non-empty array of numbers")
+    for m in points:
+        try:
+            finite = not isinstance(m, bool) and math.isfinite(m)
+        except (TypeError, OverflowError):  # null, strings, arrays, ints past float range
+            finite = False
+        if not finite:
+            raise ConfigError("verify.m_points", f"expected finite numbers, got {m!r}")
     target, scale = _cost_params(cfg)
     tol = _verify_tolerance(built)
     rows = []

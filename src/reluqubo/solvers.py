@@ -1,7 +1,11 @@
 """Minimum-energy search: exact exhaustive enumeration and simulated annealing.
 
 Exhaustive search is the desk-scale ground truth (capped at 30 free bits
-by default, RELUQUBO_BIT_CAP overrides).  Simulated annealing is a
+by default, RELUQUBO_BIT_CAP overrides).  It splits the free bits into
+halves and meets in the middle (Horowitz & Sahni, JACM 1974), in memory
+O(2^ceil(n/2) * n) plus one 2^18-entry chunk.  Float-exact ties go to the
+lowest assignment integer; mathematically tied t states may resolve
+differently from earlier versions.  Simulated annealing is a
 single-bit-flip Metropolis walk with a geometric inverse-temperature
 schedule and independently seeded restarts; it is fully reproducible
 given (model, config).
@@ -9,6 +13,7 @@ given (model, config).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -22,7 +27,6 @@ from .algebra import QuboModel, energy
 
 DEFAULT_BIT_CAP = 30
 _CHUNK_BITS = 18
-_CACHE_BITS = 17
 
 
 class BitCapExceeded(RuntimeError):
@@ -87,13 +91,11 @@ def _default_bit_cap() -> int:
         raise ValueError(f"RELUQUBO_BIT_CAP must be an integer, got {raw!r}") from None
 
 
-def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, list[int]]:
-    """Substitute fixed bits into the model.
-
-    Returns the reduced model over the remaining variables (original
-    order preserved) and the list mapping reduced index -> original
-    index.
-    """
+def _substitute(model: QuboModel, fixed: Mapping[int, int]
+                ) -> tuple[list[int], float, dict[tuple[int, int], float]]:
+    """Fold fixed bits into the model's terms in one pass: (free indices,
+    offset, upper-triangular terms keyed by position in free, with the
+    linear part on the diagonal since b*b = b)."""
     for i, b in fixed.items():
         if not 0 <= i < model.n_vars:
             raise ValueError(f"fixed index {i} out of range [0, {model.n_vars})")
@@ -103,58 +105,76 @@ def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, lis
     pos = {orig: k for k, orig in enumerate(free)}
 
     offset = model.offset
-    linear: dict[int, float] = {}
-    for i, c in model.linear.items():
-        if i in fixed:
-            if fixed[i]:
-                offset += c
-        else:
-            linear[pos[i]] = linear.get(pos[i], 0.0) + c
-    quadratic: dict[tuple[int, int], float] = {}
-    for (i, j), c in model.quadratic.items():
-        fi, fj = i in fixed, j in fixed
+    terms: dict[tuple[int, int], float] = {}
+    diagonal = (((i, i), c) for i, c in model.linear.items())
+    for (i, j), c in itertools.chain(diagonal, model.quadratic.items()):
+        fi, fj = fixed.get(i), fixed.get(j)
+        if fi == 0 or fj == 0:
+            continue
         if fi and fj:
-            if fixed[i] and fixed[j]:
-                offset += c
-        elif fi:
-            if fixed[i]:
-                linear[pos[j]] = linear.get(pos[j], 0.0) + c
-        elif fj:
-            if fixed[j]:
-                linear[pos[i]] = linear.get(pos[i], 0.0) + c
-        else:
-            quadratic[(pos[i], pos[j])] = c
+            offset += c
+            continue
+        key = (pos[j],) * 2 if fi else (pos[i],) * 2 if fj else (pos[i], pos[j])
+        terms[key] = terms.get(key, 0.0) + c
+    return free, offset, terms
+
+
+def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, list[int]]:
+    """Substitute fixed bits into the model.
+
+    Returns the reduced model over the remaining variables (original
+    order preserved) and the list mapping reduced index -> original
+    index.
+    """
+    free, offset, terms = _substitute(model, fixed)
+    linear = {i: c for (i, j), c in terms.items() if i == j}
+    quadratic = {(i, j): c for (i, j), c in terms.items() if i != j}
     labels = [model.labels[i] for i in free]
     return QuboModel(len(free), linear, quadratic, offset, labels=labels), free
 
 
-def _dense_upper(model: QuboModel) -> np.ndarray:
-    """Upper-triangular coefficient matrix with the linear part on the
-    diagonal (valid because b*b = b)."""
-    n = model.n_vars
-    Q = np.zeros((n, n))
-    for i, c in model.linear.items():
-        Q[i, i] = c
-    for (i, j), c in model.quadratic.items():
-        Q[i, j] = c
-    return Q
+def _subset_sums(V: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Row k = start + the sum of the rows V[i] with bit i of k set (LSB = row 0),
+    by additive doubling: BLAS threads stall on such small products."""
+    S = np.empty((1 << len(V),) + start.shape)
+    S[0] = start
+    for i, v in enumerate(V):
+        np.add(S[:1 << i], v, out=S[1 << i:2 << i])
+    return S
 
 
-_bit_matrix_cache: dict[int, np.ndarray] = {}
+def _energies(Q: np.ndarray) -> np.ndarray:
+    """b·Q·bᵀ of all 2^n states b in integer order, Q upper-triangular."""
+    F = _subset_sums(Q, np.zeros(len(Q)))  # F[k, j] = sum_{i<j} b_i Q_ij for k < 2^j
+    E = np.zeros(len(F))
+    for j in range(len(Q)):
+        np.add(E[:1 << j], Q[j, j] + F[:1 << j, j], out=E[1 << j:2 << j])
+    return E
 
 
-def _bit_matrix(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows k = start..stop-1 of the full 2^n assignment table (LSB = var 0)."""
-    if n <= _CACHE_BITS and start == 0 and stop == (1 << n):
-        cached = _bit_matrix_cache.get(n)
-        if cached is None:
-            ks = np.arange(1 << n, dtype=np.int64)
-            cached = ((ks[:, None] >> np.arange(n)) & 1).astype(np.float64)
-            _bit_matrix_cache.clear()
-            _bit_matrix_cache[n] = cached
-        return cached
-    ks = np.arange(start, stop, dtype=np.int64)
-    return ((ks[:, None] >> np.arange(n)) & 1).astype(np.float64)
+def _split_argmin(Q: np.ndarray) -> int:
+    """Lowest assignment integer among the minima of b·Q·bᵀ, Q upper-triangular.
+
+    Meet in the middle over lo = the low ceil(n/2) bits and hi = the rest:
+    E(hi, lo) = E_hi[hi] + E_lo[lo] + sum_{j in hi} b_j G[lo, j], scanned in
+    (hi, lo) row chunks of 2^_CHUNK_BITS entries (one row, if longer).  Flat
+    argmins and a strict comparison across chunks keep the lowest integer.
+    """
+    nl = (len(Q) + 1) // 2
+    nh = len(Q) - nl
+    E_lo, E_hi = _energies(Q[:nl, :nl]), _energies(Q[nl:, nl:])
+    G = _subset_sums(Q[:nl, nl:], np.zeros(nh))
+    r = min(nh, max(0, _CHUNK_BITS - nl))  # hi bits enumerated inside a chunk
+    best_k, best_e = 0, math.inf
+    for c in range(1 << (nh - r)):
+        upper = ((c >> np.arange(nh - r)) & 1).astype(bool)
+        block = _subset_sums(G.T[:r], E_lo + G[:, r:][:, upper].sum(axis=1))
+        block += E_hi[c << r:(c + 1) << r, None]
+        local = int(np.argmin(block))
+        if block.flat[local] < best_e:
+            best_e = float(block.flat[local])
+            best_k = (c << (r + nl)) + local
+    return best_k
 
 
 def exhaustive_solve(model: QuboModel,
@@ -162,45 +182,25 @@ def exhaustive_solve(model: QuboModel,
                      bit_cap: int | None = None) -> SolveResult:
     """Global minimum by enumeration of every free-bit assignment.
 
-    Deterministic: exact energy ties go to the lowest assignment integer
-    (LSB = variable 0).  Raises BitCapExceeded when the free-bit count
-    exceeds the cap (default 30, env RELUQUBO_BIT_CAP).
+    Deterministic: float-exact energy ties go to the lowest assignment
+    integer (LSB = lowest free variable).  Fixed bits are folded into the
+    free bits' block in O(|E| + nf^2).  Raises BitCapExceeded when the
+    free-bit count exceeds the cap (default 30, env RELUQUBO_BIT_CAP).
     """
     t0 = time.perf_counter()
     cap = _default_bit_cap() if bit_cap is None else bit_cap
-    if fixed:
-        sub, free = fix_bits(model, fixed)
-    else:
-        sub, free = model, list(range(model.n_vars))
-    nf = sub.n_vars
-    if nf > cap:
-        raise BitCapExceeded(f"{nf} free bits exceeds the exhaustive cap of {cap}")
+    free, _, terms = _substitute(model, fixed or {})
+    if len(free) > cap:
+        raise BitCapExceeded(f"{len(free)} free bits exceeds the exhaustive cap of {cap}")
 
-    if nf == 0:
-        best_k = 0
-        best_e = sub.offset
-    else:
-        Q = _dense_upper(sub)
-        total = 1 << nf
-        chunk = 1 << min(nf, _CHUNK_BITS)
-        best_k = -1
-        best_e = math.inf
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            B = _bit_matrix(nf, start, stop)
-            E = np.einsum("ij,ij->i", B @ Q, B)
-            local = int(np.argmin(E))
-            if E[local] < best_e:
-                best_e = float(E[local])
-                best_k = start + local
-        best_e += sub.offset
-
-    bits = dict(fixed) if fixed else {}
-    for k, orig in enumerate(free):
-        bits[orig] = (best_k >> k) & 1
+    Q = np.zeros((len(free), len(free)))
+    for (i, j), c in terms.items():
+        Q[i, j] = c
+    best_k = _split_argmin(Q)
+    bits = dict(fixed or {})
+    bits.update((orig, (best_k >> k) & 1) for k, orig in enumerate(free))
     assignment = tuple(bits[i] for i in range(model.n_vars))
-    exact = energy(model, assignment)
-    return SolveResult(assignment, exact, [], "exhaustive",
+    return SolveResult(assignment, energy(model, assignment), [], "exhaustive",
                        time.perf_counter() - t0)
 
 

@@ -205,6 +205,16 @@ class TestVerify:
         assert code == 2
         assert "verify.m_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [None, "x", True])
+    def test_non_number_point_is_input_error(self, tmp_path, capsys, bad):
+        cfg = config_negative_range()
+        cfg["verify"] = {"m_points": [0.0, bad]}
+        code = main(["verify", write_config(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "verify.m_points" in captured.err
+        assert captured.out == ""
+
     def test_multi_dim_model_rejected(self, tmp_path, capsys):
         cfg = config_negative_range()
         cfg["model"]["inputs"] = [1.0, 1.0]

@@ -1,9 +1,13 @@
 """Tests for exhaustive enumeration and simulated annealing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reluqubo.algebra import AffineExpr, QuadraticExpr, QuboModel, energy
+from reluqubo.algebra import AffineExpr, QuadraticExpr, QuboModel, all_assignments, energy
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu
 from reluqubo.solvers import (
@@ -111,6 +115,94 @@ class TestExhaustive:
         with pytest.raises(BitCapExceeded):
             exhaustive_solve(m)
         assert exhaustive_solve(m, fixed={0: 0}).energy == 0.0
+
+
+def naive_minimum(model, fixed):
+    """(energy, assignment) of the lowest free-bit integer among the minima,
+    by plain enumeration and energy()."""
+    free = [i for i in range(model.n_vars) if i not in fixed]
+    best = None
+    for free_bits in all_assignments(len(free)):
+        bits = dict(fixed)
+        bits.update(zip(free, free_bits))
+        pattern = tuple(bits[i] for i in range(model.n_vars))
+        e = energy(model, pattern)
+        if best is None or e < best[0]:
+            best = (e, pattern)
+    return best
+
+
+@st.composite
+def models_with_fixed(draw):
+    """Random dense-ish QUBOs over n in [0, 12] with a random pinned subset;
+    integer coefficients (exact float sums) or arbitrary reals."""
+    n = draw(st.integers(0, 12))
+    integer = draw(st.booleans())
+    coeff = (st.integers(-3, 3).map(float) if integer
+             else st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    linear = {i: draw(coeff) for i in range(n) if draw(st.booleans())}
+    quadratic = {p: draw(coeff) for p in pairs if draw(st.booleans())}
+    fixed = {i: draw(st.integers(0, 1)) for i in range(n) if draw(st.booleans())}
+    return QuboModel(n, linear, quadratic, draw(coeff)), fixed, integer
+
+
+class TestSplitKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(models_with_fixed())
+    def test_matches_naive_enumeration(self, case):
+        model, fixed, integer = case
+        res = exhaustive_solve(model, fixed=fixed)
+        naive_e, naive_pattern = naive_minimum(model, fixed)
+        coeffs = [model.offset, *model.linear.values(), *model.quadratic.values()]
+        scale = 1.0 + sum(map(abs, coeffs))
+        assert abs(res.energy - naive_e) <= 1e-9 * scale
+        assert all(res.assignment[i] == b for i, b in fixed.items())
+        if integer:  # float sums are exact, so ties are exact too
+            assert res.assignment == naive_pattern
+            assert res.energy == naive_e
+
+    def test_planted_tie_across_chunks_prefers_lower_integer(self):
+        # 20 free bits: lo = bits 0..9, hi = bits 10..19, chunks of 2^8 hi rows.
+        # Bits 1..18 are pinned to a target by their linear terms; bits 0 and
+        # 19 tie between (1, 0) and (0, 1), which sit in hi chunks 0 and 2.
+        n = 20
+        rng = np.random.default_rng(11)
+        target = [int(b) for b in rng.integers(0, 2, size=n)]
+        linear = {i: (1.0 if target[i] == 0 else -1.0) for i in range(1, n - 1)}
+        linear[0] = linear[n - 1] = -1.0
+        model = QuboModel(n, linear, {(0, n - 1): 2.0}, 0.0)
+        res = exhaustive_solve(model)
+        assert res.assignment == (1, *target[1:n - 1], 0)
+        assert res.energy == -1.0 - sum(target[1:n - 1])
+
+    def test_pinned_large_sparse_chain(self):
+        # 20,000-variable chain, all but 10 bits pinned: the pinned solve must
+        # agree with fix_bits + naive enumeration and stay far below the
+        # n_vars^2 floats (3.2 GB) a dense full-model matrix would take.
+        n = 20_000
+        rng = np.random.default_rng(12)
+        linear = {i: float(c) for i, c in enumerate(rng.integers(-3, 4, size=n))}
+        quadratic = {(i, i + 1): float(c)
+                     for i, c in enumerate(rng.integers(-3, 4, size=n - 1))}
+        model = QuboModel(n, linear, quadratic, 0.5)
+        free = [0, 1, 2, 5000, 5001, 9999, 12345, 15000, 19998, 19999]
+        fixed = {i: int(b) for i, b in enumerate(rng.integers(0, 2, size=n))
+                 if i not in free}
+
+        tracemalloc.start()
+        try:
+            res = exhaustive_solve(model, fixed=fixed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+        sub, sub_free = fix_bits(model, fixed)
+        assert sub_free == free
+        naive_e, naive_bits = naive_minimum(sub, {})
+        assert res.energy == naive_e
+        assert tuple(res.assignment[i] for i in free) == naive_bits
 
 
 class TestFixBits:
