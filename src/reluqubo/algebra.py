@@ -235,6 +235,48 @@ def _check_finite(value: float, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value!r}")
 
 
+def _validated(n: int, linear: Mapping[int, float],
+               quadratic: Mapping[tuple[int, int], float], offset: float,
+               labels: Sequence[str] | None, names: tuple[str, str, str]
+               ) -> tuple[dict[int, float], dict[tuple[int, int], float], float, list[str]]:
+    """Checked, canonical (linear, quadratic, offset, labels) of a model.
+
+    names gives the model's field names for its size, linear and pair
+    terms, used in error messages.  Indices must lie in [0, n) with i < j
+    for pairs, and every value must be finite.  Zero coefficients are
+    pruned, and labels default to b0..b{n-1} and must be unique.
+    """
+    size, lin_name, quad_name = names
+    if n < 0:
+        raise ValueError(f"{size} must be >= 0")
+    lin: dict[int, float] = {}
+    for i, c in linear.items():
+        if not 0 <= i < n:
+            raise ValueError(f"{lin_name} index {i} out of range [0, {n})")
+        _check_finite(c, f"{lin_name} coefficient for {i}")
+        if c != 0.0:
+            lin[int(i)] = float(c)
+    quad: dict[tuple[int, int], float] = {}
+    for (i, j), c in quadratic.items():
+        if not (0 <= i < j < n):
+            raise ValueError(f"{quad_name} key ({i}, {j}) must satisfy 0 <= i < j < n")
+        _check_finite(c, f"{quad_name} coefficient for ({i}, {j})")
+        if c != 0.0:
+            quad[(int(i), int(j))] = float(c)
+    _check_finite(offset, "offset")
+    if labels is None:
+        labels = [f"b{i}" for i in range(n)]
+    else:
+        labels = [str(s) for s in labels]
+    if len(labels) != n:
+        raise ValueError(f"expected {n} labels, got {len(labels)}")
+    if len(set(labels)) != n:
+        raise ValueError("labels must be unique")
+    # canonical key order makes energy sums reproducible across models
+    # that merely inserted their terms differently
+    return dict(sorted(lin.items())), dict(sorted(quad.items())), float(offset), labels
+
+
 @dataclass
 class QuboModel:
     """Sparse QUBO over variables 0..n_vars-1.
@@ -252,37 +294,9 @@ class QuboModel:
     labels: list[str] | None = None
 
     def __post_init__(self) -> None:
-        n = self.n_vars
-        if n < 0:
-            raise ValueError("n_vars must be >= 0")
-        lin: dict[int, float] = {}
-        for i, c in self.linear.items():
-            if not 0 <= i < n:
-                raise ValueError(f"linear index {i} out of range [0, {n})")
-            _check_finite(c, f"linear coefficient for {i}")
-            if c != 0.0:
-                lin[int(i)] = float(c)
-        quad: dict[tuple[int, int], float] = {}
-        for (i, j), c in self.quadratic.items():
-            if not (0 <= i < j < n):
-                raise ValueError(f"quadratic key ({i}, {j}) must satisfy 0 <= i < j < n")
-            _check_finite(c, f"coupling for ({i}, {j})")
-            if c != 0.0:
-                quad[(int(i), int(j))] = float(c)
-        _check_finite(self.offset, "offset")
-        # canonical key order makes energy sums reproducible across models
-        # that merely inserted their terms differently
-        self.linear = dict(sorted(lin.items()))
-        self.quadratic = dict(sorted(quad.items()))
-        self.offset = float(self.offset)
-        if self.labels is None:
-            self.labels = [f"b{i}" for i in range(n)]
-        else:
-            self.labels = [str(s) for s in self.labels]
-        if len(self.labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(self.labels)}")
-        if len(set(self.labels)) != n:
-            raise ValueError("labels must be unique")
+        self.linear, self.quadratic, self.offset, self.labels = _validated(
+            self.n_vars, self.linear, self.quadratic, self.offset, self.labels,
+            ("n_vars", "linear", "quadratic"))
 
     def energy(self, assignment: Sequence[int]) -> float:
         return energy(self, assignment)
@@ -347,30 +361,8 @@ class IsingModel:
     labels: list[str] | None = None
 
     def __post_init__(self) -> None:
-        n = self.n_spins
-        if n < 0:
-            raise ValueError("n_spins must be >= 0")
-        J: dict[tuple[int, int], float] = {}
-        for (i, j), c in self.J.items():
-            if not (0 <= i < j < n):
-                raise ValueError(f"J key ({i}, {j}) must satisfy 0 <= i < j < n")
-            _check_finite(c, f"J[{i},{j}]")
-            if c != 0.0:
-                J[(int(i), int(j))] = float(c)
-        h: dict[int, float] = {}
-        for i, c in self.h.items():
-            if not 0 <= i < n:
-                raise ValueError(f"h index {i} out of range [0, {n})")
-            _check_finite(c, f"h[{i}]")
-            if c != 0.0:
-                h[int(i)] = float(c)
-        self.J = dict(sorted(J.items()))
-        self.h = dict(sorted(h.items()))
-        self.offset = float(self.offset)
-        if self.labels is None:
-            self.labels = [f"b{i}" for i in range(n)]
-        if len(self.labels) != n or len(set(self.labels)) != n:
-            raise ValueError("labels must be unique and cover all spins")
+        self.h, self.J, self.offset, self.labels = _validated(
+            self.n_spins, self.h, self.J, self.offset, self.labels, ("n_spins", "h", "J"))
 
     def energy(self, spins: Sequence[int]) -> float:
         """H(s) = offset - sum J_ij s_i s_j - sum h_i s_i for s in {-1, +1}."""

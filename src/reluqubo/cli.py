@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence, TextIO
 
 from .algebra import QuboModel, QuboParseError, export_qubo, parse_qubo
-from .formulation import BuiltModel, ConfigError, build_from_config
+from .formulation import BuiltModel, ConfigError, _number, build_from_config
 from .oracle import Grid1D, relu_reference
 from .solvers import (
     AnnealConfig,
     BitCapExceeded,
-    SolveResult,
     exhaustive_solve,
-    fix_bits,
+    fix_bits,  # noqa: F401  unused here; perfbench/tracing.py wraps reluqubo.cli.fix_bits
     simulated_anneal,
 )
 
@@ -96,21 +94,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     fixes = _parse_fixes(model, args.fix)
     if args.solver == "exhaustive":
-        result = exhaustive_solve(model, fixed=fixes or None)
-    elif fixes:
-        # Anneal the reduced model; fixed contributions are folded into
-        # its offset, so sub energies are already full-model energies.
-        sub, free = fix_bits(model, fixes)
-        sub_result = simulated_anneal(sub, _anneal_config(args))
-        bits = dict(fixes)
-        for k, orig in enumerate(free):
-            bits[orig] = sub_result.assignment[k]
-        assignment = tuple(bits[i] for i in range(model.n_vars))
-        result = SolveResult(assignment, model.energy(assignment),
-                             sub_result.restart_energies, sub_result.solver,
-                             sub_result.wall_time_s)
+        result = exhaustive_solve(model, fixed=fixes)
     else:
-        result = simulated_anneal(model, _anneal_config(args))
+        result = simulated_anneal(model, _anneal_config(args), fixed=fixes)
     print(json.dumps(result.to_json_dict()))
     print(f"solved in {result.wall_time_s:.3f}s", file=sys.stderr)
     return EXIT_OK
@@ -123,8 +109,7 @@ def _verify_tolerance(built: BuiltModel) -> float:
     return res_z * (1.0 + spec.M * res_z) + res_z
 
 
-def _report_row(built: BuiltModel, m: float, cost_target: float,
-                cost_scale: float) -> tuple[float, float, float, float, float]:
+def _report_row(built: BuiltModel, m: float) -> tuple[float, float, float, float, float]:
     """Solve with m pinned; returns (m, qubo_min, reference, abs_err, residual).
 
     qubo_min excludes the configured quadratic cost at the pinned m, so
@@ -139,6 +124,7 @@ def _report_row(built: BuiltModel, m: float, cost_target: float,
     fixes = {idx: w_bits[k] for k, idx in enumerate(w_range)}
     result = exhaustive_solve(built.model, fixed=fixes)
     m_hat = built.decode_m(result.assignment)
+    cost_target, cost_scale = built.cost_params
     cost_at_m = cost_scale * (m_hat - cost_target) ** 2
     qubo_min = result.energy - cost_at_m
     reference = relu_reference(m)
@@ -152,11 +138,6 @@ def _emit_tsv(rows: Sequence[tuple[float, ...]], out: TextIO) -> None:
         out.write("\t".join(repr(v) for v in row) + "\n")
 
 
-def _cost_params(cfg: dict) -> tuple[float, float]:
-    cost = cfg.get("cost", {})
-    return float(cost.get("target", 0.0)), float(cost.get("scale", 0.0))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     built = build_from_config(cfg)
@@ -166,19 +147,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     points = verify_cfg["m_points"]
     if not isinstance(points, list) or not points:
         raise ConfigError("verify.m_points", "expected a non-empty array of numbers")
-    for m in points:
-        try:
-            finite = not isinstance(m, bool) and math.isfinite(m)
-        except (TypeError, OverflowError):  # null, strings, arrays, ints past float range
-            finite = False
-        if not finite:
-            raise ConfigError("verify.m_points", f"expected finite numbers, got {m!r}")
-    target, scale = _cost_params(cfg)
+    points = [_number(m, "verify.m_points") for m in points]
     tol = _verify_tolerance(built)
     rows = []
     failures = 0
     for m in points:
-        row = _report_row(built, float(m), target, scale)
+        row = _report_row(built, m)
         rows.append(row)
         if row[3] > tol:
             failures += 1
@@ -203,8 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     built = build_from_config(cfg)
     grid = _parse_grid(args.grid)
-    target, scale = _cost_params(cfg)
-    rows = [_report_row(built, float(m), target, scale) for m in grid.points()]
+    rows = [_report_row(built, float(m)) for m in grid.points()]
     if args.out is None:
         _emit_tsv(rows, sys.stdout)
     else:

@@ -1,14 +1,18 @@
-"""Builders for two-body models embedding the hinge penalty -min(0, m).
+"""Builders for two-body models embedding ReLU-type penalties.
 
-The construction minimizes, jointly over m's bits and fresh auxiliary
-variables t in [-1, 0], z1 >= 0, z2 >= 0,
+A ReLU-type f(m) = max(a*m, b*m) is the Legendre form max over t in
+[a, b] of m*t.  The Wolfe multipliers z1, z2 >= 0 of the constraints
+t >= a and t <= b turn it into one gadget, minimized jointly over m's
+bits and fresh auxiliary variables t, z1, z2:
 
-    C(m) + m*t + z1*(t + 1) - z2*t + M * (-m - z1 + z2)^2 .
+    C(m) + m*t + z1*(t - a) + z2*(b - t) + M * (-m - z1 + z2)^2 .
 
-With the residual r = -m - z1 + z2 driven to zero by a large M, the
-penalty part reduces to z1 - t*r + M*r^2 = z1, whose minimum over the
-feasible z grid is max(0, -m): the hinge penalty.  t is degenerate at
-feasibility, so any t assignment is optimal once r = 0.
+With the residual r = -m - z1 + z2 the penalty part equals
+-a*z1 + b*z2 - t*r + M*r^2; once a large M drives r to zero, its
+minimum over the feasible z grid is max(a*m, b*m).  The t bounds select
+the function: [-1, 0] gives the hinge penalty max(0, -m)
+(ReluPenaltySpec), [-1, 1] gives |m| (AbsPenaltySpec).  t is degenerate
+at feasibility, so any t assignment is optimal once r = 0.
 
 All continuous quantities are binary-expanded; every product here is
 affine times affine, so the result is structurally two-body.  Builders
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .algebra import (
     AffineExpr,
@@ -46,27 +50,11 @@ class ConfigError(ValueError):
 class ReluPenaltySpec:
     """Expansions for t, z1, z2 plus the constraint weight M.
 
-    t must cover exactly [-1, 0]; z1 and z2 must start at 0 so the
-    inequality constraints hold by construction.
+    t must cover exactly T_BOUNDS, [-1, 0] for the hinge; z1 and z2 must
+    start at 0 so the inequality constraints hold by construction.
     """
 
-    t_exp: BinaryExpansion
-    z1_exp: BinaryExpansion
-    z2_exp: BinaryExpansion
-    M: float
-
-    def __post_init__(self) -> None:
-        if self.t_exp.bounds != (-1.0, 0.0):
-            raise ValueError(f"t expansion must cover exactly [-1, 0], got {self.t_exp.bounds}")
-        _check_z_bounds(self.z1_exp, "z1")
-        _check_z_bounds(self.z2_exp, "z2")
-        if not (math.isfinite(self.M) and self.M > 0):
-            raise ValueError(f"penalty weight M must be positive, got {self.M!r}")
-
-
-@dataclass(frozen=True)
-class AbsPenaltySpec:
-    """Like ReluPenaltySpec but with t covering [-1, 1] for the |m| gadget."""
+    T_BOUNDS: ClassVar[tuple[float, float]] = (-1.0, 0.0)
 
     t_exp: BinaryExpansion
     z1_exp: BinaryExpansion
@@ -74,12 +62,20 @@ class AbsPenaltySpec:
     M: float
 
     def __post_init__(self) -> None:
-        if self.t_exp.bounds != (-1.0, 1.0):
-            raise ValueError(f"t expansion must cover exactly [-1, 1], got {self.t_exp.bounds}")
+        if self.t_exp.bounds != self.T_BOUNDS:
+            lo, hi = self.T_BOUNDS
+            raise ValueError(f"t expansion must cover exactly [{lo:g}, {hi:g}], "
+                             f"got {self.t_exp.bounds}")
         _check_z_bounds(self.z1_exp, "z1")
         _check_z_bounds(self.z2_exp, "z2")
         if not (math.isfinite(self.M) and self.M > 0):
             raise ValueError(f"penalty weight M must be positive, got {self.M!r}")
+
+
+class AbsPenaltySpec(ReluPenaltySpec):
+    """ReluPenaltySpec with t covering [-1, 1], for the |m| gadget."""
+
+    T_BOUNDS: ClassVar[tuple[float, float]] = (-1.0, 1.0)
 
 
 def _check_z_bounds(exp: BinaryExpansion, name: str) -> None:
@@ -124,13 +120,15 @@ class BuiltModel:
 
     var_ranges maps a group name ('w[0]', 't', 'z1', 'z2') to the range
     of model indices realizing it; the ranges are disjoint and cover all
-    variables.
+    variables.  cost_params is the (target, scale) of the quadratic cost
+    scale*(m - target)^2 when the model was built from a config.
     """
 
     model: QuboModel
     var_ranges: dict[str, range]
     penalty_spec: ReluPenaltySpec
     linear_spec: LinearModelSpec | None = None
+    cost_params: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         covered: list[int] = []
@@ -196,47 +194,24 @@ def build_relu_penalty(m_expr: AffineExpr,
                        t_bits: Sequence[BitVar],
                        z1_bits: Sequence[BitVar],
                        z2_bits: Sequence[BitVar]) -> QuadraticExpr:
-    """Two-body form of m*t + z1*(t+1) - z2*t + M*(-m - z1 + z2)^2.
+    """Two-body form of m*t + z1*(t - a) + z2*(b - t) + M*(-m - z1 + z2)^2.
 
-    Minimized jointly over the fresh t/z bits this equals the hinge
-    penalty of the decoded m, up to the z-grid resolution.  The t/z bits
-    must be disjoint from m's bits.
+    [a, b] are the spec's t bounds.  Minimized jointly over the fresh t/z
+    bits this equals max(a*m, b*m) of the decoded m, up to the z-grid
+    resolution: the hinge penalty max(0, -m) for ReluPenaltySpec, |m| for
+    AbsPenaltySpec.  The t/z bits must be disjoint from m's bits.
     """
     _check_disjoint({"m": sorted(m_expr.variables(), key=lambda v: v.id),
                      "t": t_bits, "z1": z1_bits, "z2": z2_bits})
+    a, b = spec.t_exp.bounds
     t = spec.t_exp.to_affine(t_bits)
     z1 = spec.z1_exp.to_affine(z1_bits)
     z2 = spec.z2_exp.to_affine(z2_bits)
     residual = -m_expr - z1 + z2
 
     penalty = affine_mul(m_expr, t)
-    penalty = quad_scale_add(penalty, affine_mul(z1, t + 1.0), 1.0)
-    penalty = quad_scale_add(penalty, affine_mul(z2, t), -1.0)
-    penalty = quad_scale_add(penalty, affine_mul(residual, residual), spec.M)
-    return penalty
-
-
-def build_abs_qubo(m_expr: AffineExpr,
-                   spec: AbsPenaltySpec,
-                   t_bits: Sequence[BitVar],
-                   z1_bits: Sequence[BitVar],
-                   z2_bits: Sequence[BitVar]) -> QuadraticExpr:
-    """Two-body form whose minimum over t/z reproduces |m| on the z grid.
-
-    Minimizes m*t + z1*(t+1) + z2*(1-t) + M*(-m - z1 + z2)^2 with t in
-    [-1, 1]: at zero residual the objective collapses to z1 + z2 subject
-    to z2 - z1 = m, whose minimum is |m|.
-    """
-    _check_disjoint({"m": sorted(m_expr.variables(), key=lambda v: v.id),
-                     "t": t_bits, "z1": z1_bits, "z2": z2_bits})
-    t = spec.t_exp.to_affine(t_bits)
-    z1 = spec.z1_exp.to_affine(z1_bits)
-    z2 = spec.z2_exp.to_affine(z2_bits)
-    residual = -m_expr - z1 + z2
-
-    penalty = affine_mul(m_expr, t)
-    penalty = quad_scale_add(penalty, affine_mul(z1, t + 1.0), 1.0)
-    penalty = quad_scale_add(penalty, affine_mul(z2, (-t) + 1.0), 1.0)
+    penalty = quad_scale_add(penalty, affine_mul(z1, t - a), 1.0)
+    penalty = quad_scale_add(penalty, affine_mul(z2, b - t), 1.0)
     penalty = quad_scale_add(penalty, affine_mul(residual, residual), spec.M)
     return penalty
 
@@ -246,7 +221,7 @@ def build_cost_plus_relu(cost: QuadraticExpr,
                          spec: ReluPenaltySpec,
                          m_groups: Mapping[str, Sequence[BitVar]] | None = None,
                          linear_spec: LinearModelSpec | None = None) -> BuiltModel:
-    """Assemble C(m) + hinge penalty into one model.
+    """Assemble C(m) + the spec's ReLU-type penalty into one model.
 
     The cost may only touch m's bits (plus constants).  m's bits must
     have dense ids 0..k-1; fresh t, z1, z2 bits are allocated after them
@@ -290,42 +265,6 @@ def build_cost_plus_relu(cost: QuadraticExpr,
     return BuiltModel(model, ranges, spec, linear_spec)
 
 
-def default_intervals(alpha_w: float,
-                      d_w: int, d_t: int, d_z1: int, d_z2: int,
-                      alpha_z1: float, alpha_z2: float,
-                      ) -> tuple[BinaryExpansion, BinaryExpansion,
-                                 BinaryExpansion, BinaryExpansion]:
-    """Standard intervals: w on [1 - a/2, 1 + a/2], t on [-1, 0], z on [0, a_z].
-
-    Weights center at 1; the t and z offsets make the dual constraints
-    hold for every bit pattern.
-    """
-    for name, a in (("alpha_w", alpha_w), ("alpha_z1", alpha_z1), ("alpha_z2", alpha_z2)):
-        if not (math.isfinite(a) and a > 0):
-            raise ValueError(f"{name} must be positive, got {a!r}")
-    for name, d in (("d_w", d_w), ("d_t", d_t), ("d_z1", d_z1), ("d_z2", d_z2)):
-        if not (isinstance(d, int) and d >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {d!r}")
-    return (BinaryExpansion(d_w, alpha_w, 1.0 - alpha_w / 2.0),
-            BinaryExpansion(d_t, 1.0, -1.0),
-            BinaryExpansion(d_z1, alpha_z1, 0.0),
-            BinaryExpansion(d_z2, alpha_z2, 0.0))
-
-
-def recommend_z_ranges(m_lo: float, m_hi: float) -> tuple[float, float]:
-    """z ranges wide enough for the dual optimum over m in [m_lo, m_hi].
-
-    The optimum sits at z1 = max(0, -m), z2 = max(0, m); each range is
-    the relevant peak rounded up to an integer, floored at 1 so both
-    grids keep a usable span.
-    """
-    if m_lo > m_hi:
-        raise ValueError(f"m_lo {m_lo} > m_hi {m_hi}")
-    alpha_z1 = max(1.0, float(math.ceil(max(0.0, -m_lo))))
-    alpha_z2 = max(1.0, float(math.ceil(max(0.0, m_hi))))
-    return (alpha_z1, alpha_z2)
-
-
 def recommend_M(m_lo: float, m_hi: float,
                 z1_exp: BinaryExpansion, z2_exp: BinaryExpansion) -> float:
     """Constraint weight M = max(1, 4*max(|m_lo|, |m_hi|) / min z resolution).
@@ -363,9 +302,13 @@ def _require(cfg: Mapping, key: str, path: str) -> object:
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # JSON integers past float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(path, "must be finite")
-    return float(value)
+    return number
 
 
 def _expansion_from_config(cfg: object, path: str) -> BinaryExpansion:
@@ -439,5 +382,7 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
 
     shifted = m_expr - target
     cost = quad_scale_add(QuadraticExpr(), affine_mul(shifted, shifted), scale)
-    return build_cost_plus_relu(cost, m_expr, pen_spec,
-                                m_groups=groups, linear_spec=lin_spec)
+    built = build_cost_plus_relu(cost, m_expr, pen_spec,
+                                 m_groups=groups, linear_spec=lin_spec)
+    built.cost_params = (target, scale)
+    return built

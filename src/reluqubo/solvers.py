@@ -8,7 +8,8 @@ lowest assignment integer; mathematically tied t states may resolve
 differently from earlier versions.  Simulated annealing is a
 single-bit-flip Metropolis walk with a geometric inverse-temperature
 schedule and independently seeded restarts; it is fully reproducible
-given (model, config).
+given (model, config).  Both solvers take fixed= to pin bits, and both
+return an assignment of the full model with its energy re-evaluated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -133,6 +134,14 @@ def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, lis
     return QuboModel(len(free), linear, quadratic, offset, labels=labels), free
 
 
+def _lift(model: QuboModel, fixed: Mapping[int, int], free: Sequence[int],
+          free_bits: Iterable[int]) -> tuple[int, ...]:
+    """Full-model assignment from the fixed bits and the free bits' values."""
+    bits = dict(fixed)
+    bits.update(zip(free, free_bits))
+    return tuple(bits[i] for i in range(model.n_vars))
+
+
 def _subset_sums(V: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Row k = start + the sum of the rows V[i] with bit i of k set (LSB = row 0),
     by additive doubling: BLAS threads stall on such small products."""
@@ -197,9 +206,7 @@ def exhaustive_solve(model: QuboModel,
     for (i, j), c in terms.items():
         Q[i, j] = c
     best_k = _split_argmin(Q)
-    bits = dict(fixed or {})
-    bits.update((orig, (best_k >> k) & 1) for k, orig in enumerate(free))
-    assignment = tuple(bits[i] for i in range(model.n_vars))
+    assignment = _lift(model, fixed or {}, free, ((best_k >> k) & 1 for k in range(len(free))))
     return SolveResult(assignment, energy(model, assignment), [], "exhaustive",
                        time.perf_counter() - t0)
 
@@ -228,7 +235,8 @@ def _assignment_int(bits: Sequence[int]) -> int:
 
 def simulated_anneal(model: QuboModel,
                      config: AnnealConfig,
-                     record_best_trace: bool = False) -> SolveResult:
+                     record_best_trace: bool = False,
+                     fixed: Mapping[int, int] | None = None) -> SolveResult:
     """Best assignment found by Metropolis single-bit-flip annealing.
 
     Each restart r runs an independent walk seeded with seed + r; within
@@ -237,9 +245,18 @@ def simulated_anneal(model: QuboModel,
     the result is order-independent.  The reported energy is re-evaluated
     from scratch, so it equals energy(model, assignment) exactly.  With
     record_best_trace, the per-sweep best-so-far of every restart is
-    attached to the result.
+    attached to the result.  With fixed, the walk runs on the reduced
+    model from fix_bits, whose offset carries the fixed contributions, so
+    its restart energies are full-model energies; the best assignment is
+    lifted back to the full model.
     """
     t0 = time.perf_counter()
+    if fixed:
+        sub, free = fix_bits(model, fixed)
+        result = simulated_anneal(sub, config, record_best_trace)
+        assignment = _lift(model, fixed, free, result.assignment)
+        return SolveResult(assignment, energy(model, assignment), result.restart_energies,
+                           "sa", time.perf_counter() - t0, best_trace=result.best_trace)
     n = model.n_vars
     if n == 0:
         return SolveResult((), model.offset, [model.offset] * config.restarts,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from reluqubo.algebra import parse_qubo
+from reluqubo.algebra import energy, parse_qubo
 from reluqubo.cli import main
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import build_from_config, recommend_M
@@ -81,6 +81,18 @@ class TestBuild:
         assert code == 2
         assert "penalty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,path", [("cost", "target", "cost.target"),
+                                                  ("penalty", "M", "penalty.M"),
+                                                  ("model", "inputs", "model.inputs[0]")])
+    def test_integer_past_float_range_is_input_error(self, tmp_path, capsys,
+                                                     section, key, path):
+        cfg = config_negative_range()
+        huge = 10 ** 400  # json writes it as a 401-digit integer
+        cfg[section][key] = [huge] if key == "inputs" else huge
+        code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{ nope")
@@ -131,6 +143,21 @@ class TestSolve:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+    def test_sa_with_fixed_bits_keeps_pins(self, tmp_path, capsys):
+        cfg = config_negative_range()
+        model_path = self.build_model(tmp_path, cfg)
+        built = build_from_config(cfg)
+        w_bits = built.linear_spec.w_exp.quantize(-2.0)
+        args = ["solve", str(model_path), "--solver", "sa", "--sweeps", "200",
+                "--restarts", "4", "--seed", "3"]
+        args += [f"--fix=w[0][{k}]={b}" for k, b in enumerate(w_bits)]
+        capsys.readouterr()
+        assert main(args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assignment = tuple(int(c) for c in payload["assignment"])
+        assert [assignment[i] for i in built.var_ranges["w[0]"]] == list(w_bits)
+        assert payload["energy"] == energy(built.model, assignment)
 
     def test_unparseable_model_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "junk.qubo"
@@ -205,7 +232,7 @@ class TestVerify:
         assert code == 2
         assert "verify.m_points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [None, "x", True])
+    @pytest.mark.parametrize("bad", [None, "x", True, 10 ** 400])
     def test_non_number_point_is_input_error(self, tmp_path, capsys, bad):
         cfg = config_negative_range()
         cfg["verify"] = {"m_points": [0.0, bad]}

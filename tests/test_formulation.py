@@ -22,15 +22,12 @@ from reluqubo.formulation import (
     AbsPenaltySpec,
     LinearModelSpec,
     ReluPenaltySpec,
-    build_abs_qubo,
     build_cost_plus_relu,
     build_from_config,
     build_linear_model_expr,
     build_relu_penalty,
-    default_intervals,
     make_bits,
     recommend_M,
-    recommend_z_ranges,
     ConfigError,
 )
 from reluqubo.solvers import exhaustive_solve
@@ -297,34 +294,7 @@ class TestBuildCostPlusRelu:
         assert built.var_ranges["z2"] == range(8, 10)
 
 
-class TestDefaultIntervals:
-    def test_weight_interval_centered_at_one(self):
-        w, t, z1, z2 = default_intervals(2.0, 3, 2, 4, 4, 4.0, 4.0)
-        assert w.bounds == (0.0, 2.0)
-        assert t.bounds == (-1.0, 0.0)
-        assert z1.bounds == (0.0, 4.0)
-        assert z2.bounds == (0.0, 4.0)
-
-    def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            default_intervals(0.0, 3, 2, 4, 4, 4.0, 4.0)
-        with pytest.raises(ValueError):
-            default_intervals(2.0, 0, 2, 4, 4, 4.0, 4.0)
-
-
 class TestRecommendations:
-    def test_symmetric_range(self):
-        assert recommend_z_ranges(-4.0, 4.0) == (4.0, 4.0)
-
-    def test_positive_only_range_floors_z1(self):
-        assert recommend_z_ranges(0.0, 3.0) == (1.0, 3.0)
-
-    def test_negative_only_range_floors_z2(self):
-        assert recommend_z_ranges(-1.0, 0.0) == (1.0, 1.0)
-
-    def test_fractional_rounds_up(self):
-        assert recommend_z_ranges(-2.5, 0.25) == (3.0, 1.0)
-
     def test_recommend_m_reference_case(self):
         z = BinaryExpansion(6, 4.0, 0.0)
         assert recommend_M(-4.0, 4.0, z, z) == pytest.approx(252.0)
@@ -343,7 +313,7 @@ class TestBuildAbsQubo:
     def build(self, m, z1_exp, z2_exp, M=64.0, d_t=2):
         spec = AbsPenaltySpec(BinaryExpansion(d_t, 2.0, -1.0), z1_exp, z2_exp, M)
         t, z1, z2 = penalty_bits(spec)
-        expr = build_abs_qubo(AffineExpr.from_constant(m), spec, t, z1, z2)
+        expr = build_relu_penalty(AffineExpr.from_constant(m), spec, t, z1, z2)
         model = quadratic_to_model(expr, t + z1 + z2)
         return exhaustive_solve(model)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from reluqubo.algebra import AffineExpr, QuadraticExpr, QuboModel, all_assignments, energy
 from reluqubo.encoding import BinaryExpansion
-from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu
+from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu, build_from_config
 from reluqubo.solvers import (
     AnnealConfig,
     BitCapExceeded,
@@ -328,6 +328,31 @@ class TestSimulatedAnneal:
         m = random_model(rng, 9)
         res = simulated_anneal(m, AnnealConfig(sweeps=50, restarts=2, seed=0))
         assert res.energy == energy(m, res.assignment)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fixed_matches_reduce_anneal_lift(self, seed):
+        """fixed= equals fix_bits, then annealing the reduced model, then lifting."""
+        built = build_from_config({   # the README config: 22 vars, w on [-4, 4]
+            "cost": {"kind": "quadratic", "target": 0.0, "scale": 0.0},
+            "model": {"inputs": [1.0], "w": {"depth": 6, "alpha": 8.0, "beta": -4.0}},
+            "penalty": {"t": {"depth": 4, "alpha": 1.0, "beta": -1.0},
+                        "z1": {"depth": 6, "alpha": 4.0, "beta": 0.0},
+                        "z2": {"depth": 6, "alpha": 4.0, "beta": 0.0},
+                        "M": "auto"}})
+        model, w_range = built.model, built.var_ranges["w[0]"]
+        cfg = AnnealConfig(sweeps=100, restarts=3, seed=seed)
+        for k in (0, 21, 40, 63):
+            fixed = {i: (k >> b) & 1 for b, i in enumerate(w_range)}
+            sub, free = fix_bits(model, fixed)
+            ref = simulated_anneal(sub, cfg)
+            bits = dict(fixed)
+            bits.update(zip(free, ref.assignment))
+            ref_assignment = tuple(bits[i] for i in range(model.n_vars))
+
+            res = simulated_anneal(model, cfg, fixed=fixed)
+            assert res.assignment == ref_assignment
+            assert res.energy == energy(model, ref_assignment)
+            assert res.restart_energies == ref.restart_energies
 
     def test_json_dict_excludes_wall_time(self):
         m = QuboModel(2, {0: 1.0}, {}, 0.0)
