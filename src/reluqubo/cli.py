@@ -19,6 +19,7 @@ from .solvers import (
     AnnealConfig,
     BitCapExceeded,
     exhaustive_solve,
+    exhaustive_solve_many,
     fix_bits,  # noqa: F401  unused here; perfbench/tracing.py wraps reluqubo.cli.fix_bits
     simulated_anneal,
 )
@@ -109,27 +110,30 @@ def _verify_tolerance(built: BuiltModel) -> float:
     return res_z * (1.0 + spec.M * res_z) + res_z
 
 
-def _report_row(built: BuiltModel, m: float) -> tuple[float, float, float, float, float]:
-    """Solve with m pinned; returns (m, qubo_min, reference, abs_err, residual).
+def _report_rows(built: BuiltModel, ms: Sequence[float]
+                 ) -> list[tuple[float, float, float, float, float]]:
+    """Solve with each m pinned; rows of (m, qubo_min, reference, abs_err, residual).
 
-    qubo_min excludes the configured quadratic cost at the pinned m, so
-    the row isolates the penalty part against the hinge reference.
+    Every m pins the same w bits, so one family solve covers them all and
+    each distinct w pattern is folded and enumerated once.  qubo_min
+    excludes the configured quadratic cost at the pinned m, so the row
+    isolates the penalty part against the hinge reference.
     """
     lin = built.linear_spec
     if lin is None or lin.dim != 1 or lin.inputs != (1.0,):
         raise ConfigError("model.inputs", "verify/sweep need D=1 with inputs [1] "
                           "so m maps one-to-one onto the weight grid")
-    w_bits = lin.w_exp.quantize(m)
     w_range = built.var_ranges["w[0]"]
-    fixes = {idx: w_bits[k] for k, idx in enumerate(w_range)}
-    result = exhaustive_solve(built.model, fixed=fixes)
-    m_hat = built.decode_m(result.assignment)
+    fixes = [dict(zip(w_range, lin.w_exp.quantize(m))) for m in ms]
     cost_target, cost_scale = built.cost_params
-    cost_at_m = cost_scale * (m_hat - cost_target) ** 2
-    qubo_min = result.energy - cost_at_m
-    reference = relu_reference(m)
-    return (m, qubo_min, reference, abs(qubo_min - reference),
-            built.residual(result.assignment))
+    rows = []
+    for m, result in zip(ms, exhaustive_solve_many(built.model, fixes)):
+        m_hat = built.decode_m(result.assignment)
+        qubo_min = result.energy - cost_scale * (m_hat - cost_target) ** 2
+        reference = relu_reference(m)
+        rows.append((m, qubo_min, reference, abs(qubo_min - reference),
+                     built.residual(result.assignment)))
+    return rows
 
 
 def _emit_tsv(rows: Sequence[tuple[float, ...]], out: TextIO) -> None:
@@ -149,13 +153,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("verify.m_points", "expected a non-empty array of numbers")
     points = [_number(m, "verify.m_points") for m in points]
     tol = _verify_tolerance(built)
-    rows = []
-    failures = 0
-    for m in points:
-        row = _report_row(built, m)
-        rows.append(row)
-        if row[3] > tol:
-            failures += 1
+    rows = _report_rows(built, points)
+    failures = sum(row[3] > tol for row in rows)
     _emit_tsv(rows, sys.stdout)
     print(f"verify: {len(rows) - failures}/{len(rows)} points within "
           f"tolerance {tol!r}", file=sys.stderr)
@@ -177,7 +176,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     built = build_from_config(cfg)
     grid = _parse_grid(args.grid)
-    rows = [_report_row(built, float(m)) for m in grid.points()]
+    rows = _report_rows(built, [float(m) for m in grid.points()])
     if args.out is None:
         _emit_tsv(rows, sys.stdout)
     else:

@@ -16,6 +16,11 @@ import numpy as np
 
 from .algebra import AffineExpr, BitVar
 
+# j / (2^depth - 1) is formed in doubles, whose 53-bit significand holds
+# every j exactly only up to depth 53; past it, neighbouring grid values
+# stop being distinct and 2^depth - 1 soon overflows a float.
+MAX_DEPTH = 53
+
 
 def delta(k: int, depth: int) -> float:
     """Bit weight 2^(k-1) / (2^depth - 1) for k in 1..depth."""
@@ -35,6 +40,8 @@ class BinaryExpansion:
     def __post_init__(self) -> None:
         if not isinstance(self.depth, int) or self.depth < 1:
             raise ValueError(f"depth must be a positive integer, got {self.depth!r}")
+        if self.depth > MAX_DEPTH:
+            raise ValueError(f"depth must be at most {MAX_DEPTH}, got {self.depth}")
         if not math.isfinite(self.alpha) or not math.isfinite(self.beta):
             raise ValueError("alpha and beta must be finite")
         if self.alpha < 0:

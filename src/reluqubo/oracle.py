@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+MAX_GRID_POINTS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -30,12 +32,18 @@ class Grid1D:
             raise ValueError(f"lo {self.lo} > hi {self.hi}")
         if not self.step > 0:
             raise ValueError(f"step must be positive, got {self.step}")
+        # compared before n_points floors it: the quotient may be inf
+        if not self._last_index() < MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+
+    def _last_index(self) -> float:
+        # 1e-9 slack keeps hi on the grid when (hi-lo)/step is an integer
+        # up to float rounding.
+        return (self.hi - self.lo) / self.step + 1e-9
 
     @property
     def n_points(self) -> int:
-        # 1e-9 slack keeps hi on the grid when (hi-lo)/step is an integer
-        # up to float rounding.
-        return int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
+        return int(math.floor(self._last_index())) + 1
 
     def points(self) -> np.ndarray:
         return self.lo + self.step * np.arange(self.n_points)

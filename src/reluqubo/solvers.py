@@ -10,6 +10,10 @@ single-bit-flip Metropolis walk with a geometric inverse-temperature
 schedule and independently seeded restarts; it is fully reproducible
 given (model, config).  Both solvers take fixed= to pin bits, and both
 return an assignment of the full model with its energy re-evaluated.
+exhaustive_solve_many solves a family of patterns over one pinned index
+set: the model is folded once (a shared free-bit block, one diagonal per
+pattern) and each distinct pattern is enumerated once; exhaustive_solve
+is its one-pattern case.
 """
 
 from __future__ import annotations
@@ -92,23 +96,32 @@ def _default_bit_cap() -> int:
         raise ValueError(f"RELUQUBO_BIT_CAP must be an integer, got {raw!r}") from None
 
 
-def _substitute(model: QuboModel, fixed: Mapping[int, int]
-                ) -> tuple[list[int], float, dict[tuple[int, int], float]]:
-    """Fold fixed bits into the model's terms in one pass: (free indices,
-    offset, upper-triangular terms keyed by position in free, with the
-    linear part on the diagonal since b*b = b)."""
+def _check_fixed(model: QuboModel, fixed: Mapping[int, int]) -> None:
     for i, b in fixed.items():
         if not 0 <= i < model.n_vars:
             raise ValueError(f"fixed index {i} out of range [0, {model.n_vars})")
         if b not in (0, 1):
             raise ValueError(f"fixed value for {i} must be 0 or 1, got {b!r}")
+
+
+def _terms(model: QuboModel) -> Iterable[tuple[tuple[int, int], float]]:
+    """Linear terms as (i, i) pairs, then the couplings, in key order."""
+    diagonal = (((i, i), c) for i, c in model.linear.items())
+    return itertools.chain(diagonal, model.quadratic.items())
+
+
+def _substitute(model: QuboModel, fixed: Mapping[int, int]
+                ) -> tuple[list[int], float, dict[tuple[int, int], float]]:
+    """Fold fixed bits into the model's terms in one pass: (free indices,
+    offset, upper-triangular terms keyed by position in free, with the
+    linear part on the diagonal since b*b = b)."""
+    _check_fixed(model, fixed)
     free = [i for i in range(model.n_vars) if i not in fixed]
     pos = {orig: k for k, orig in enumerate(free)}
 
     offset = model.offset
     terms: dict[tuple[int, int], float] = {}
-    diagonal = (((i, i), c) for i, c in model.linear.items())
-    for (i, j), c in itertools.chain(diagonal, model.quadratic.items()):
+    for (i, j), c in _terms(model):
         fi, fj = fixed.get(i), fixed.get(j)
         if fi == 0 or fj == 0:
             continue
@@ -186,6 +199,31 @@ def _split_argmin(Q: np.ndarray) -> int:
     return best_k
 
 
+def _fold_family(model: QuboModel, free: Sequence[int], pinned: Sequence[int],
+                 patterns: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Fold each pattern of values for the pinned indices into the model in
+    one pass over the terms: (the free x free upper triangle shared by all
+    patterns, one diagonal per pattern).  Each diagonal is summed in
+    _substitute's order, so each pattern's block is bit-identical to the one
+    a single _substitute builds."""
+    pos = {orig: k for k, orig in enumerate(free)}
+    col = {orig: k for k, orig in enumerate(pinned)}
+    bits = np.array(patterns, dtype=float).reshape(len(patterns), len(pinned))
+    Q = np.zeros((len(free), len(free)))
+    diagonals = np.zeros((len(patterns), len(free)))
+    for (i, j), c in _terms(model):
+        if i in pos and j in pos:
+            if i == j:
+                diagonals[:, pos[i]] += c
+            else:
+                Q[pos[i], pos[j]] += c
+        elif i in pos:   # c * 0.0 leaves a sum unchanged, so a 0 pin adds nothing
+            diagonals[:, pos[i]] += c * bits[:, col[j]]
+        elif j in pos:
+            diagonals[:, pos[j]] += c * bits[:, col[i]]
+    return Q, diagonals
+
+
 def exhaustive_solve(model: QuboModel,
                      fixed: Mapping[int, int] | None = None,
                      bit_cap: int | None = None) -> SolveResult:
@@ -196,19 +234,49 @@ def exhaustive_solve(model: QuboModel,
     free bits' block in O(|E| + nf^2).  Raises BitCapExceeded when the
     free-bit count exceeds the cap (default 30, env RELUQUBO_BIT_CAP).
     """
+    return exhaustive_solve_many(model, [fixed or {}], bit_cap)[0]
+
+
+def exhaustive_solve_many(model: QuboModel, fixes: Sequence[Mapping[int, int]],
+                          bit_cap: int | None = None) -> list[SolveResult]:
+    """exhaustive_solve(model, fixed=p, bit_cap) for every pattern p in fixes.
+
+    Every pattern must pin the same indices.  The model is folded once:
+    the free x free block is shared, and each distinct pattern gets its
+    own diagonal, summed in the same order as a single solve sums it, so
+    each result equals the single solve's exactly.  Each distinct pattern
+    is enumerated once; duplicate patterns share one result, and every
+    result carries the wall time of the whole call.
+    """
     t0 = time.perf_counter()
+    if not fixes:
+        return []
+    pinned = list(fixes[0])
+    for n, fixed in enumerate(fixes):
+        _check_fixed(model, fixed)
+        if fixed.keys() != fixes[0].keys():
+            raise ValueError(f"every pattern must pin the same indices; "
+                             f"pattern {n} differs from pattern 0")
+    free = [i for i in range(model.n_vars) if i not in fixes[0]]
     cap = _default_bit_cap() if bit_cap is None else bit_cap
-    free, _, terms = _substitute(model, fixed or {})
     if len(free) > cap:
         raise BitCapExceeded(f"{len(free)} free bits exceeds the exhaustive cap of {cap}")
 
-    Q = np.zeros((len(free), len(free)))
-    for (i, j), c in terms.items():
-        Q[i, j] = c
-    best_k = _split_argmin(Q)
-    assignment = _lift(model, fixed or {}, free, ((best_k >> k) & 1 for k in range(len(free))))
-    return SolveResult(assignment, energy(model, assignment), [], "exhaustive",
-                       time.perf_counter() - t0)
+    slot: dict[tuple[int, ...], int] = {}
+    slots = [slot.setdefault(tuple(fixed[i] for i in pinned), len(slot)) for fixed in fixes]
+    Q, diagonals = _fold_family(model, free, pinned, list(slot))
+
+    solved = []
+    diag = np.diag_indices(len(free))
+    for key, d in zip(slot, diagonals):
+        Q[diag] = d
+        best_k = _split_argmin(Q)
+        assignment = _lift(model, dict(zip(pinned, key)), free,
+                           ((best_k >> k) & 1 for k in range(len(free))))
+        solved.append((assignment, energy(model, assignment)))
+    wall = time.perf_counter() - t0
+    results = [SolveResult(a, e, [], "exhaustive", wall) for a, e in solved]
+    return [results[k] for k in slots]
 
 
 def energy_delta(model: QuboModel, assignment: Sequence[int], i: int) -> float:

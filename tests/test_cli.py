@@ -2,15 +2,19 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import reluqubo
 from reluqubo.algebra import energy, parse_qubo
 from reluqubo.cli import main
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import build_from_config, recommend_M
+from reluqubo.oracle import Grid1D, relu_reference
 from reluqubo.solvers import exhaustive_solve
 
 
@@ -93,6 +97,19 @@ class TestBuild:
         assert code == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["model.w", "penalty.z1"])
+    @pytest.mark.parametrize("depth", [54, 1100])
+    def test_depth_past_double_precision_is_input_error(self, tmp_path, capsys,
+                                                        path, depth):
+        cfg = config_negative_range()
+        cfg["penalty"]["M"] = "auto"
+        section, key = path.split(".")
+        cfg[section][key]["depth"] = depth
+        code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert path in err and "at most 53" in err
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{ nope")
@@ -139,8 +156,12 @@ class TestSolve:
         cmd = [sys.executable, "-m", "reluqubo", "solve", str(model_path),
                "--solver", "sa", "--sweeps", "200", "--restarts", "4",
                "--seed", "11"]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        # the child imports the same reluqubo as this process, however it was found
+        src = str(Path(reluqubo.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
 
@@ -289,3 +310,52 @@ class TestSweep:
     def test_bad_grid_is_input_error(self, tmp_path, capsys):
         cfg = config_negative_range()
         assert main(["sweep", write_config(tmp_path, cfg), "--grid", "0:1"]) == 2
+
+    def test_grid_over_point_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def points(self):
+            raise AssertionError("grid points built before the cap was checked")
+        monkeypatch.setattr(Grid1D, "points", points)
+        cfg = config_negative_range()
+        for grid in ("0:1:1e-10", "0:1000000:1", "-1e308:1e308:1e-300"):
+            assert main(["sweep", write_config(tmp_path, cfg), f"--grid={grid}"]) == 2
+            assert "--grid" in capsys.readouterr().err
+
+
+def pointwise_tsv(built, ms):
+    """The verify/sweep TSV built one exhaustive_solve per m."""
+    lin = built.linear_spec
+    w_range = built.var_ranges["w[0]"]
+    target, scale = built.cost_params
+    lines = ["m\tqubo_min\treference\tabs_error\tresidual_at_min"]
+    for m in ms:
+        fixed = {idx: b for idx, b in zip(w_range, lin.w_exp.quantize(m))}
+        res = exhaustive_solve(built.model, fixed=fixed)
+        qubo_min = res.energy - scale * (built.decode_m(res.assignment) - target) ** 2
+        ref = relu_reference(m)
+        row = (m, qubo_min, ref, abs(qubo_min - ref), built.residual(res.assignment))
+        lines.append("\t".join(repr(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestFamilyRows:
+    """verify and sweep rows equal rows solved point by point."""
+
+    def config(self):
+        cfg = config_negative_range()
+        cfg["cost"] = {"kind": "quadratic", "target": 0.75, "scale": 0.5}
+        cfg["model"]["w"] = expansion(5, 4.0, -2.0)  # spacing 4/31, off the z grid
+        return cfg
+
+    def test_sweep_rows(self, tmp_path, capsys):
+        cfg = self.config()
+        # 81 points onto a 32-point w grid: most are off-grid, many share a pattern
+        assert main(["sweep", write_config(tmp_path, cfg), "--grid=-2.5:2.5:0.0625"]) == 0
+        ms = [float(m) for m in Grid1D(-2.5, 2.5, 0.0625).points()]
+        assert capsys.readouterr().out == pointwise_tsv(build_from_config(cfg), ms)
+
+    def test_verify_rows(self, tmp_path, capsys):
+        cfg = self.config()
+        ms = [-1.0, 0.3, -1.0, 1.9, -0.06, 0.3, -2.0, 5.0]
+        cfg["verify"] = {"m_points": ms}
+        main(["verify", write_config(tmp_path, cfg)])
+        assert capsys.readouterr().out == pointwise_tsv(build_from_config(cfg), ms)

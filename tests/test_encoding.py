@@ -36,6 +36,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BinaryExpansion(0, 1.0, 0.0)
 
+    def test_depth_capped_at_double_precision(self):
+        top = BinaryExpansion(53, 1.0, 0.0)
+        assert top.resolution > 0.0
+        assert top.decode([0] + [1] * 52) < top.decode([1] * 53) == 1.0
+        for depth in (54, 1100):
+            with pytest.raises(ValueError, match="at most 53"):
+                BinaryExpansion(depth, 1.0, 0.0)
+
     def test_bounds_and_resolution(self):
         t = BinaryExpansion(4, 1.0, -1.0)
         assert t.bounds == (-1.0, 0.0)

@@ -16,6 +16,13 @@ from reluqubo.oracle import (
 
 
 class TestGrid1D:
+    def test_point_cap(self):
+        assert Grid1D(0.0, 999_999.0, 1.0).n_points == 10 ** 6
+        for lo, hi, step in ((0.0, 1e6, 1.0), (0.0, 1.0, 1e-10),
+                             (-1e308, 1e308, 1e-300), (0.0, 1.0, 5e-324)):
+            with pytest.raises(ValueError, match="more than 1000000 points"):
+                Grid1D(lo, hi, step)
+
     def test_point_count_and_endpoints(self):
         g = Grid1D(-4.0, 4.0, 0.5)
         pts = g.points()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reluqubo import solvers
 from reluqubo.algebra import AffineExpr, QuadraticExpr, QuboModel, all_assignments, energy
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu, build_from_config
@@ -15,6 +16,7 @@ from reluqubo.solvers import (
     BitCapExceeded,
     energy_delta,
     exhaustive_solve,
+    exhaustive_solve_many,
     fix_bits,
     simulated_anneal,
 )
@@ -203,6 +205,117 @@ class TestSplitKernel:
         naive_e, naive_bits = naive_minimum(sub, {})
         assert res.energy == naive_e
         assert tuple(res.assignment[i] for i in free) == naive_bits
+
+
+def assert_fold_matches_substitute(model, fixes):
+    """Each pattern's block from the family fold has the same bytes as the
+    dense block written from a single _substitute."""
+    pinned = list(fixes[0])
+    free = [i for i in range(model.n_vars) if i not in fixes[0]]
+    patterns = [tuple(fixed[i] for i in pinned) for fixed in fixes]
+    Q, diagonals = solvers._fold_family(model, free, pinned, patterns)
+    for fixed, d in zip(fixes, diagonals):
+        sub_free, _, terms = solvers._substitute(model, fixed)
+        ref = np.zeros((len(free), len(free)))
+        for (i, j), c in terms.items():
+            ref[i, j] = c
+        block = Q.copy()
+        np.fill_diagonal(block, d)
+        assert sub_free == free
+        assert block.tobytes() == ref.tobytes()
+
+
+@st.composite
+def models_with_families(draw):
+    """A random model, a random pinned set and 1-8 patterns over it, with
+    duplicates and each pattern's keys in a random order."""
+    model, fixed, _ = draw(models_with_fixed())
+    pinned = sorted(fixed)
+    distinct = draw(st.lists(st.lists(st.integers(0, 1), min_size=len(pinned),
+                                      max_size=len(pinned)), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
+    fixes = [dict(draw(st.permutations(list(zip(pinned, bits))))) for bits in picks]
+    return model, fixes
+
+
+class TestExhaustiveSolveMany:
+    @settings(max_examples=100, deadline=None)
+    @given(models_with_families())
+    def test_each_pattern_matches_single_solve(self, case):
+        model, fixes = case
+        results = exhaustive_solve_many(model, fixes)
+        assert len(results) == len(fixes)
+        for fixed, res in zip(fixes, results):
+            single = exhaustive_solve(model, fixed=fixed)
+            assert res.assignment == single.assignment
+            assert res.energy == single.energy
+        assert_fold_matches_substitute(model, fixes)
+
+    def test_readme_sweep_family_matches_single_solves(self):
+        built = build_from_config({
+            "cost": {"kind": "quadratic", "target": 0.5, "scale": 0.25},
+            "model": {"inputs": [1.0], "w": {"depth": 6, "alpha": 8.0, "beta": -4.0}},
+            "penalty": {"t": {"depth": 4, "alpha": 1.0, "beta": -1.0},
+                        "z1": {"depth": 6, "alpha": 4.0, "beta": 0.0},
+                        "z2": {"depth": 6, "alpha": 4.0, "beta": 0.0},
+                        "M": "auto"}})
+        w_range, w_exp = built.var_ranges["w[0]"], built.linear_spec.w_exp
+        fixes = [dict(zip(w_range, w_exp.quantize(m))) for m in np.arange(-4.0, 4.01, 0.1)]
+        assert_fold_matches_substitute(built.model, fixes)
+        for fixed, res in zip(fixes, exhaustive_solve_many(built.model, fixes)):
+            single = exhaustive_solve(built.model, fixed=fixed)
+            assert (res.assignment, res.energy) == (single.assignment, single.energy)
+
+    def test_duplicates_share_one_solve(self):
+        model = QuboModel(3, {0: 1.0, 1: -1.0, 2: 0.5}, {(0, 1): -2.0, (1, 2): 1.0}, 0.0)
+        results = exhaustive_solve_many(model, [{0: 1}, {0: 0}, {0: 1}])
+        assert results[0] is results[2]
+        assert results[0].assignment == (1, 1, 0)
+        assert results[1].assignment == (0, 1, 0)
+
+    def test_empty_family(self):
+        assert exhaustive_solve_many(QuboModel(2, {}, {}, 0.0), []) == []
+
+    def test_mismatched_pinned_sets_rejected(self):
+        model = QuboModel(3, {}, {}, 0.0)
+        with pytest.raises(ValueError, match="same indices"):
+            exhaustive_solve_many(model, [{0: 1, 1: 0}, {0: 1, 2: 0}])
+        with pytest.raises(ValueError, match="same indices"):
+            exhaustive_solve_many(model, [{0: 1}, {0: 1, 1: 1}])
+
+    @pytest.mark.parametrize("bad", [{5: 1}, {0: 2}, {1: 0, 0: "1"}, {-1: 0}])
+    def test_bad_pattern_message_matches_single_calls(self, bad):
+        model = QuboModel(2, {}, {}, 0.0)
+        with pytest.raises(ValueError) as single:
+            exhaustive_solve(model, fixed=bad)
+        with pytest.raises(ValueError) as reduced:
+            fix_bits(model, bad)
+        good = {i: 0 for i in bad}
+        with pytest.raises(ValueError) as family:
+            exhaustive_solve_many(model, [good, bad])
+        assert str(family.value) == str(single.value) == str(reduced.value)
+
+    def test_cap_checked_for_family(self):
+        model = QuboModel(10, {}, {}, 0.0)
+        with pytest.raises(BitCapExceeded):
+            exhaustive_solve_many(model, [{0: 0}, {0: 1}], bit_cap=8)
+        assert len(exhaustive_solve_many(model, [{0: 0}, {0: 1}], bit_cap=9)) == 2
+
+    def test_family_memory_stays_per_pattern(self):
+        # 64 patterns over 6 pinned bits, 20 free bits: a table of
+        # patterns x 2^20 energies would take 512 MB.
+        rng = np.random.default_rng(13)
+        model = random_model(rng, 26, density=0.3)
+        fixes = [{i: (k >> i) & 1 for i in range(6)} for k in range(64)]
+        tracemalloc.start()
+        try:
+            results = exhaustive_solve_many(model, fixes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        for k in (0, 37, 63):
+            assert results[k].assignment == exhaustive_solve(model, fixed=fixes[k]).assignment
 
 
 class TestFixBits:
