@@ -57,10 +57,6 @@ class AffineExpr:
         self.constant = float(self.constant)
 
     @classmethod
-    def from_bit(cls, v: BitVar, coeff: float = 1.0) -> "AffineExpr":
-        return cls({v: coeff})
-
-    @classmethod
     def from_constant(cls, c: float) -> "AffineExpr":
         return cls({}, c)
 
@@ -147,10 +143,6 @@ class QuadraticExpr:
         self.pairs = {k: c for k, c in norm.items() if c != 0.0}
         self.linear = _clean(lin)
         self.constant = float(self.constant)
-
-    @classmethod
-    def zero(cls) -> "QuadraticExpr":
-        return cls()
 
     def variables(self) -> set[BitVar]:
         out = set(self.linear)
@@ -429,6 +421,7 @@ def qubo_from_ising(model: IsingModel) -> QuboModel:
 # '#' starts a comment line; floats use shortest round-trip decimals.
 
 FORMAT_MAGIC = "qubo-v1"
+MAX_VARS = 10 ** 6  # parse_qubo refuses larger files before allocating per-variable labels
 
 
 def export_qubo(model: QuboModel) -> str:
@@ -471,6 +464,8 @@ def parse_qubo(text: str) -> QuboModel:
     if len(parts) != 2 or parts[0] != "vars" or not parts[1].isdigit():
         raise QuboParseError(f"line {ln1}: expected 'vars <n>', got {vars_line!r}")
     n = int(parts[1])
+    if n > MAX_VARS:
+        raise QuboParseError(f"line {ln1}: vars {n} exceeds the limit of {MAX_VARS}")
     parts = offset_line.split()
     if len(parts) != 2 or parts[0] != "offset":
         raise QuboParseError(f"line {ln2}: expected 'offset <float>', got {offset_line!r}")

@@ -1,6 +1,6 @@
 """Command-line front end: build, solve, verify, sweep.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 resource cap.
+Exit codes: 0 ok, 1 verification failure, 2 input or output error, 3 resource cap.
 stdout carries data (summaries, SolveResult JSON, TSV reports);
 diagnostics go to stderr.
 """
@@ -40,6 +40,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError(path, f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(path, "invalid JSON: nested too deeply") from None
 
 
 def _load_model(path: str) -> QuboModel:
@@ -78,7 +80,9 @@ def _parse_fixes(model: QuboModel, pairs: Sequence[str]) -> dict[int, int]:
                 idx = model.index_of(name)
             except KeyError:
                 raise QuboParseError(f"--fix: no variable labeled {name!r}") from None
-        fixes[idx] = int(value)
+        if fixes.setdefault(idx, int(value)) != int(value):
+            raise QuboParseError(f"--fix {item!r} conflicts with an earlier pin of "
+                                 f"variable {idx} to {fixes[idx]}")
     return fixes
 
 
@@ -126,13 +130,17 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     w_range = built.var_ranges["w[0]"]
     fixes = [dict(zip(w_range, lin.w_exp.quantize(m))) for m in ms]
     cost_target, cost_scale = built.cost_params
+    decoded: dict[tuple[int, ...], tuple[float, float]] = {}  # per distinct result
     rows = []
     for m, result in zip(ms, exhaustive_solve_many(built.model, fixes)):
-        m_hat = built.decode_m(result.assignment)
-        qubo_min = result.energy - cost_scale * (m_hat - cost_target) ** 2
+        a = result.assignment
+        if a not in decoded:
+            m_hat = built.decode_m(a)
+            decoded[a] = (result.energy - cost_scale * (m_hat - cost_target) ** 2,
+                          built.residual(a))
+        qubo_min, residual = decoded[a]
         reference = relu_reference(m)
-        rows.append((m, qubo_min, reference, abs(qubo_min - reference),
-                     built.residual(result.assignment)))
+        rows.append((m, qubo_min, reference, abs(qubo_min - reference), residual))
     return rows
 
 
@@ -232,7 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BitCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
-    except (ConfigError, QuboParseError, ValueError) as exc:
+    except (ConfigError, QuboParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -13,7 +13,8 @@ return an assignment of the full model with its energy re-evaluated.
 exhaustive_solve_many solves a family of patterns over one pinned index
 set: the model is folded once (a shared free-bit block, one diagonal per
 pattern) and each distinct pattern is enumerated once; exhaustive_solve
-is its one-pattern case.
+is its one-pattern case.  fix_bits, which annealing uses for fixed=, is
+the one-pattern case of the same fold.
 """
 
 from __future__ import annotations
@@ -96,12 +97,19 @@ def _default_bit_cap() -> int:
         raise ValueError(f"RELUQUBO_BIT_CAP must be an integer, got {raw!r}") from None
 
 
-def _check_fixed(model: QuboModel, fixed: Mapping[int, int]) -> None:
-    for i, b in fixed.items():
-        if not 0 <= i < model.n_vars:
-            raise ValueError(f"fixed index {i} out of range [0, {model.n_vars})")
-        if b not in (0, 1):
-            raise ValueError(f"fixed value for {i} must be 0 or 1, got {b!r}")
+def _free_bits(model: QuboModel, fixes: Sequence[Mapping[int, int]]) -> list[int]:
+    """Indices left free by a non-empty family of patterns, which must all
+    pin the same indices to 0 or 1."""
+    for n, fixed in enumerate(fixes):
+        for i, b in fixed.items():
+            if not 0 <= i < model.n_vars:
+                raise ValueError(f"fixed index {i} out of range [0, {model.n_vars})")
+            if b not in (0, 1):
+                raise ValueError(f"fixed value for {i} must be 0 or 1, got {b!r}")
+        if fixed.keys() != fixes[0].keys():
+            raise ValueError(f"every pattern must pin the same indices; "
+                             f"pattern {n} differs from pattern 0")
+    return [i for i in range(model.n_vars) if i not in fixes[0]]
 
 
 def _terms(model: QuboModel) -> Iterable[tuple[tuple[int, int], float]]:
@@ -110,27 +118,36 @@ def _terms(model: QuboModel) -> Iterable[tuple[tuple[int, int], float]]:
     return itertools.chain(diagonal, model.quadratic.items())
 
 
-def _substitute(model: QuboModel, fixed: Mapping[int, int]
-                ) -> tuple[list[int], float, dict[tuple[int, int], float]]:
-    """Fold fixed bits into the model's terms in one pass: (free indices,
-    offset, upper-triangular terms keyed by position in free, with the
-    linear part on the diagonal since b*b = b)."""
-    _check_fixed(model, fixed)
-    free = [i for i in range(model.n_vars) if i not in fixed]
+def _fold(model: QuboModel, free: Sequence[int], patterns: Sequence[Mapping[int, int]]
+          ) -> tuple[dict[tuple[int, int], float], list[list[float]], list[float]]:
+    """Fold a family of patterns over one pinned index set into the model in
+    one pass over its terms: (the couplings between free bits, keyed by
+    position in free and shared by all patterns; one diagonal per pattern,
+    holding the free bits' linear terms since b*b = b; one offset per
+    pattern).  Every sum runs in term order, linear terms first, and a term
+    whose pin is 0 adds nothing, so an offset of -0.0 keeps its sign."""
     pos = {orig: k for k, orig in enumerate(free)}
-
-    offset = model.offset
-    terms: dict[tuple[int, int], float] = {}
+    pinned = patterns[0]
+    couplings: dict[tuple[int, int], float] = {}
+    diagonals = [[0.0] * len(free) for _ in patterns]
+    offsets = [model.offset] * len(patterns)
+    numbered = list(enumerate(patterns))  # hoisted: pinned x pinned terms dominate large models
     for (i, j), c in _terms(model):
-        fi, fj = fixed.get(i), fixed.get(j)
-        if fi == 0 or fj == 0:
-            continue
-        if fi and fj:
-            offset += c
-            continue
-        key = (pos[j],) * 2 if fi else (pos[i],) * 2 if fj else (pos[i], pos[j])
-        terms[key] = terms.get(key, 0.0) + c
-    return free, offset, terms
+        if i in pinned and j in pinned:
+            for p, fixed in numbered:
+                if fixed[i] and fixed[j]:
+                    offsets[p] += c
+        elif i in pinned or j in pinned:
+            pin, k = (i, pos[j]) if i in pinned else (j, pos[i])
+            for d, fixed in zip(diagonals, patterns):
+                if fixed[pin]:
+                    d[k] += c
+        elif i == j:
+            for d in diagonals:
+                d[pos[i]] += c
+        else:
+            couplings[pos[i], pos[j]] = c
+    return couplings, diagonals, offsets
 
 
 def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, list[int]]:
@@ -140,11 +157,11 @@ def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, lis
     order preserved) and the list mapping reduced index -> original
     index.
     """
-    free, offset, terms = _substitute(model, fixed)
-    linear = {i: c for (i, j), c in terms.items() if i == j}
-    quadratic = {(i, j): c for (i, j), c in terms.items() if i != j}
+    free = _free_bits(model, [fixed])
+    couplings, diagonals, offsets = _fold(model, free, [fixed])
     labels = [model.labels[i] for i in free]
-    return QuboModel(len(free), linear, quadratic, offset, labels=labels), free
+    return QuboModel(len(free), dict(enumerate(diagonals[0])), couplings, offsets[0],
+                     labels=labels), free
 
 
 def _lift(model: QuboModel, fixed: Mapping[int, int], free: Sequence[int],
@@ -199,31 +216,6 @@ def _split_argmin(Q: np.ndarray) -> int:
     return best_k
 
 
-def _fold_family(model: QuboModel, free: Sequence[int], pinned: Sequence[int],
-                 patterns: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Fold each pattern of values for the pinned indices into the model in
-    one pass over the terms: (the free x free upper triangle shared by all
-    patterns, one diagonal per pattern).  Each diagonal is summed in
-    _substitute's order, so each pattern's block is bit-identical to the one
-    a single _substitute builds."""
-    pos = {orig: k for k, orig in enumerate(free)}
-    col = {orig: k for k, orig in enumerate(pinned)}
-    bits = np.array(patterns, dtype=float).reshape(len(patterns), len(pinned))
-    Q = np.zeros((len(free), len(free)))
-    diagonals = np.zeros((len(patterns), len(free)))
-    for (i, j), c in _terms(model):
-        if i in pos and j in pos:
-            if i == j:
-                diagonals[:, pos[i]] += c
-            else:
-                Q[pos[i], pos[j]] += c
-        elif i in pos:   # c * 0.0 leaves a sum unchanged, so a 0 pin adds nothing
-            diagonals[:, pos[i]] += c * bits[:, col[j]]
-        elif j in pos:
-            diagonals[:, pos[j]] += c * bits[:, col[i]]
-    return Q, diagonals
-
-
 def exhaustive_solve(model: QuboModel,
                      fixed: Mapping[int, int] | None = None,
                      bit_cap: int | None = None) -> SolveResult:
@@ -251,28 +243,25 @@ def exhaustive_solve_many(model: QuboModel, fixes: Sequence[Mapping[int, int]],
     t0 = time.perf_counter()
     if not fixes:
         return []
-    pinned = list(fixes[0])
-    for n, fixed in enumerate(fixes):
-        _check_fixed(model, fixed)
-        if fixed.keys() != fixes[0].keys():
-            raise ValueError(f"every pattern must pin the same indices; "
-                             f"pattern {n} differs from pattern 0")
-    free = [i for i in range(model.n_vars) if i not in fixes[0]]
+    free = _free_bits(model, fixes)
     cap = _default_bit_cap() if bit_cap is None else bit_cap
     if len(free) > cap:
         raise BitCapExceeded(f"{len(free)} free bits exceeds the exhaustive cap of {cap}")
 
     slot: dict[tuple[int, ...], int] = {}
-    slots = [slot.setdefault(tuple(fixed[i] for i in pinned), len(slot)) for fixed in fixes]
-    Q, diagonals = _fold_family(model, free, pinned, list(slot))
+    slots = [slot.setdefault(tuple(fixed[i] for i in fixes[0]), len(slot)) for fixed in fixes]
+    patterns = [dict(zip(fixes[0], key)) for key in slot]
+    couplings, diagonals, _ = _fold(model, free, patterns)
+    Q = np.zeros((len(free), len(free)))
+    for key, c in couplings.items():
+        Q[key] = c
 
     solved = []
     diag = np.diag_indices(len(free))
-    for key, d in zip(slot, diagonals):
+    for fixed, d in zip(patterns, diagonals):
         Q[diag] = d
         best_k = _split_argmin(Q)
-        assignment = _lift(model, dict(zip(pinned, key)), free,
-                           ((best_k >> k) & 1 for k in range(len(free))))
+        assignment = _lift(model, fixed, free, ((best_k >> k) & 1 for k in range(len(free))))
         solved.append((assignment, energy(model, assignment)))
     wall = time.perf_counter() - t0
     results = [SolveResult(a, e, [], "exhaustive", wall) for a, e in solved]

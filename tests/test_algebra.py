@@ -1,11 +1,13 @@
 """Tests for the bit-variable algebra, model containers, and file format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reluqubo.algebra import (
+    MAX_VARS,
     AffineExpr,
     BitVar,
     IsingModel,
@@ -282,6 +284,17 @@ class TestQuboFormat:
     def test_malformed_rejected(self, bad):
         with pytest.raises(QuboParseError):
             parse_qubo(bad)
+
+    @pytest.mark.parametrize("n", [MAX_VARS + 1, 10 ** 12])
+    def test_vars_over_cap_rejected_before_allocating(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuboParseError, match="exceeds the limit"):
+                parse_qubo(f"qubo-v1\nvars {n}\noffset 0.0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_model_energy_identical_after_roundtrip(self, seed):

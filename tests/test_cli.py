@@ -116,6 +116,21 @@ class TestBuild:
         code = main(["build", str(path), str(tmp_path / "m.qubo")])
         assert code == 2
 
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        code = main(["build", str(path), str(tmp_path / "m.qubo")])
+        assert code == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, config_negative_range())
+        code = main(["build", cfg, str(tmp_path / "missing" / "m.qubo")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "No such file or directory" in captured.err
+        assert captured.out == ""
+
 
 class TestSolve:
     def build_model(self, tmp_path, cfg):
@@ -204,6 +219,17 @@ class TestSolve:
         path.write_text("qubo-v1\nvars 1\noffset 0.0\n")
         assert main(["solve", str(path), "--fix", "b0=2"]) == 2
         assert main(["solve", str(path), "--fix", "nosuch=1"]) == 2
+
+    def test_conflicting_fixes_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 2\noffset 0.0\nlabel 0 w[0][0]\nlabel 1 t[0]\n")
+        for solver in ("exhaustive", "sa"):
+            args = ["solve", str(path), "--solver", solver, "--fix"]
+            assert main(args + ["w[0][0]=1", "--fix", "0=0"]) == 2
+            assert "conflicts" in capsys.readouterr().err
+            assert main(args + ["0=1", "--fix", "w[0][0]=1"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["assignment"][0] == "1"
 
 
 class TestVerify:
@@ -306,6 +332,13 @@ class TestSweep:
         assert code == 0
         rows = read_tsv(out.read_text())
         assert len(rows) == 3
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        cfg = config_negative_range()
+        code = main(["sweep", write_config(tmp_path, cfg), "--grid=-2:0:1",
+                     "--out", str(tmp_path / "missing" / "sweep.tsv")])
+        assert code == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_bad_grid_is_input_error(self, tmp_path, capsys):
         cfg = config_negative_range()

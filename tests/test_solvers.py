@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reluqubo import solvers
 from reluqubo.algebra import AffineExpr, QuadraticExpr, QuboModel, all_assignments, energy
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu, build_from_config
@@ -207,24 +206,6 @@ class TestSplitKernel:
         assert tuple(res.assignment[i] for i in free) == naive_bits
 
 
-def assert_fold_matches_substitute(model, fixes):
-    """Each pattern's block from the family fold has the same bytes as the
-    dense block written from a single _substitute."""
-    pinned = list(fixes[0])
-    free = [i for i in range(model.n_vars) if i not in fixes[0]]
-    patterns = [tuple(fixed[i] for i in pinned) for fixed in fixes]
-    Q, diagonals = solvers._fold_family(model, free, pinned, patterns)
-    for fixed, d in zip(fixes, diagonals):
-        sub_free, _, terms = solvers._substitute(model, fixed)
-        ref = np.zeros((len(free), len(free)))
-        for (i, j), c in terms.items():
-            ref[i, j] = c
-        block = Q.copy()
-        np.fill_diagonal(block, d)
-        assert sub_free == free
-        assert block.tobytes() == ref.tobytes()
-
-
 @st.composite
 def models_with_families(draw):
     """A random model, a random pinned set and 1-8 patterns over it, with
@@ -249,7 +230,6 @@ class TestExhaustiveSolveMany:
             single = exhaustive_solve(model, fixed=fixed)
             assert res.assignment == single.assignment
             assert res.energy == single.energy
-        assert_fold_matches_substitute(model, fixes)
 
     def test_readme_sweep_family_matches_single_solves(self):
         built = build_from_config({
@@ -261,7 +241,6 @@ class TestExhaustiveSolveMany:
                         "M": "auto"}})
         w_range, w_exp = built.var_ranges["w[0]"], built.linear_spec.w_exp
         fixes = [dict(zip(w_range, w_exp.quantize(m))) for m in np.arange(-4.0, 4.01, 0.1)]
-        assert_fold_matches_substitute(built.model, fixes)
         for fixed, res in zip(fixes, exhaustive_solve_many(built.model, fixes)):
             single = exhaustive_solve(built.model, fixed=fixed)
             assert (res.assignment, res.energy) == (single.assignment, single.energy)
@@ -334,6 +313,22 @@ class TestFixBits:
                 full[orig] = free_bits[k]
             pattern = tuple(full[i] for i in range(8))
             assert sub.energy(free_bits) == pytest.approx(energy(m, pattern), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(models_with_fixed(), st.data())
+    def test_reduced_energy_equals_lifted_energy(self, case, data):
+        model, fixed, integer = case
+        sub, free = fix_bits(model, fixed)
+        free_bits = data.draw(st.lists(st.integers(0, 1), min_size=len(free),
+                                       max_size=len(free)))
+        bits = dict(fixed)
+        bits.update(zip(free, free_bits))
+        full = energy(model, tuple(bits[i] for i in range(model.n_vars)))
+        if integer:  # float sums of small integers are exact
+            assert sub.energy(free_bits) == full
+        else:
+            coeffs = [model.offset, *model.linear.values(), *model.quadratic.values()]
+            assert abs(sub.energy(free_bits) - full) <= 1e-9 * (1.0 + sum(map(abs, coeffs)))
 
     def test_labels_follow_free_vars(self):
         m = QuboModel(3, {}, {}, 0.0, labels=["a", "b", "c"])
