@@ -446,6 +446,16 @@ def _parse_float(token: str, lineno: int) -> float:
     return value
 
 
+def _parse_index(token: str, lineno: int) -> int:
+    """A token that passed str.isdigit() as an int; int() still refuses
+    digits such as superscripts and more than sys.get_int_max_str_digits()."""
+    try:
+        return int(token)
+    except ValueError:
+        more = f"... ({len(token)} characters)" if len(token) > 20 else ""
+        raise QuboParseError(f"line {lineno}: bad integer {token[:20]!r}{more}") from None
+
+
 def parse_qubo(text: str) -> QuboModel:
     """Parse the qubo-v1 text format; inverse of export_qubo."""
     rows: list[tuple[int, str]] = []
@@ -463,7 +473,7 @@ def parse_qubo(text: str) -> QuboModel:
     parts = vars_line.split()
     if len(parts) != 2 or parts[0] != "vars" or not parts[1].isdigit():
         raise QuboParseError(f"line {ln1}: expected 'vars <n>', got {vars_line!r}")
-    n = int(parts[1])
+    n = _parse_index(parts[1], ln1)
     if n > MAX_VARS:
         raise QuboParseError(f"line {ln1}: vars {n} exceeds the limit of {MAX_VARS}")
     parts = offset_line.split()
@@ -481,7 +491,7 @@ def parse_qubo(text: str) -> QuboModel:
                 raise QuboParseError(f"line {lineno}: expected 'label <i> <string>'")
             if not parts[1].isdigit():
                 raise QuboParseError(f"line {lineno}: bad label index {parts[1]!r}")
-            i = int(parts[1])
+            i = _parse_index(parts[1], lineno)
             if not 0 <= i < n:
                 raise QuboParseError(f"line {lineno}: label index {i} out of range")
             if i in labels:
@@ -492,7 +502,7 @@ def parse_qubo(text: str) -> QuboModel:
             raise QuboParseError(f"line {lineno}: expected '<i> <j> <float>', got {line!r}")
         if not (parts[0].isdigit() and parts[1].isdigit()):
             raise QuboParseError(f"line {lineno}: bad indices in {line!r}")
-        i, j = int(parts[0]), int(parts[1])
+        i, j = _parse_index(parts[0], lineno), _parse_index(parts[1], lineno)
         if not (0 <= i < n and 0 <= j < n):
             raise QuboParseError(f"line {lineno}: index out of range in {line!r}")
         if i > j:

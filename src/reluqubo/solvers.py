@@ -14,7 +14,10 @@ exhaustive_solve_many solves a family of patterns over one pinned index
 set: the model is folded once (a shared free-bit block, one diagonal per
 pattern) and each distinct pattern is enumerated once; exhaustive_solve
 is its one-pattern case.  fix_bits, which annealing uses for fixed=, is
-the one-pattern case of the same fold.
+the one-pattern case of the same fold.  Annealing updates the local
+fields of a dense model (2|E| >= n * max(8, n // 16)) with one numpy add
+of an n x n coupling row per accepted flip, and of a sparser one with a
+loop over the neighbours; both give identical results.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import math
 import os
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +37,11 @@ from .algebra import QuboModel, energy
 
 DEFAULT_BIT_CAP = 30
 _CHUNK_BITS = 18
+# Mean coupling degree from which annealing updates the local fields with
+# one numpy row per accepted flip instead of a loop over the neighbours.
+# Measured on random models of 16-208 vars: equal speed at degree 8, the
+# rows 1.4-1.8x slower at degree 2-4 and 2-3x faster at degree 32-207.
+_DENSE_DEGREE = 8
 
 
 class BitCapExceeded(RuntimeError):
@@ -57,10 +66,17 @@ class AnnealConfig:
 
     def schedule(self) -> list[float]:
         """Geometric beta ladder from beta_initial to beta_final."""
+        return list(self._betas())
+
+    def _betas(self) -> Iterator[float]:
+        """schedule() one beta at a time, so a walk holds O(1) of it
+        whatever the sweep count."""
         if self.sweeps == 1:
-            return [self.beta_final]
+            yield self.beta_final
+            return
         ratio = (self.beta_final / self.beta_initial) ** (1.0 / (self.sweeps - 1))
-        return [self.beta_initial * ratio ** s for s in range(self.sweeps)]
+        for s in range(self.sweeps):
+            yield self.beta_initial * ratio ** s
 
 
 @dataclass
@@ -167,7 +183,7 @@ def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, lis
 def _lift(model: QuboModel, fixed: Mapping[int, int], free: Sequence[int],
           free_bits: Iterable[int]) -> tuple[int, ...]:
     """Full-model assignment from the fixed bits and the free bits' values."""
-    bits = dict(fixed)
+    bits = {i: int(b) for i, b in fixed.items()}  # pins may be 1.0 or True
     bits.update(zip(free, free_bits))
     return tuple(bits[i] for i in range(model.n_vars))
 
@@ -306,6 +322,15 @@ def simulated_anneal(model: QuboModel,
     model from fix_bits, whose offset carries the fixed contributions, so
     its restart energies are full-model energies; the best assignment is
     lifted back to the full model.
+
+    An accepted flip of bit i adds +-c to the local field of each
+    neighbour.  When 2|E| >= n * max(_DENSE_DEGREE, n // 16), that is one
+    numpy add or subtract of row i of an n x n coupling matrix, built once
+    per call; non-neighbours get +-0.0, which changes no field because a
+    field is never -0.0 (zero coefficients are pruned, and x + y rounds an
+    exact cancellation to +0.0).  Sparser models loop over the neighbours
+    and build no matrix.  The betas are computed one sweep at a time, so
+    memory does not grow with config.sweeps.
     """
     t0 = time.perf_counter()
     if fixed:
@@ -326,8 +351,14 @@ def simulated_anneal(model: QuboModel,
     for (i, j), c in model.quadratic.items():
         adj[i].append((j, c))
         adj[j].append((i, c))
-    betas = config.schedule()
-    exp = math.exp
+    rows: list[np.ndarray] | None = None
+    # the n*n matrix stays within a small multiple of adj's own memory
+    if 2 * len(model.quadratic) >= n * max(_DENSE_DEGREE, n // 16):
+        dense = np.zeros((n, n))
+        for (i, j), c in model.quadratic.items():
+            dense[i, j] = dense[j, i] = c
+        rows = list(dense)
+    exp, add, subtract = math.exp, np.add, np.subtract
 
     restart_best: list[tuple[float, tuple[int, ...]]] = []
     trace: list[list[float]] | None = [] if record_best_trace else None
@@ -336,10 +367,13 @@ def simulated_anneal(model: QuboModel,
         rnd = rng.random
         b = [rng.randrange(2) for _ in range(n)]
         f = [lin[i] + sum(c for j, c in adj[i] if b[j]) for i in range(n)]
+        if rows is not None:  # fv views f's memory; the scan reads f[i] as floats
+            f = array("d", f)
+            fv = np.frombuffer(f)
         e = energy(model, b)
         best_e, best_b = e, list(b)
         sweep_best: list[float] = []
-        for beta in betas:
+        for beta in config._betas():
             for i in range(n):
                 de = -f[i] if b[i] else f[i]
                 if de > 0.0:
@@ -350,8 +384,13 @@ def simulated_anneal(model: QuboModel,
                 s = -1 if b[i] else 1
                 b[i] ^= 1
                 e += de
-                for j, c in adj[i]:
-                    f[j] += s * c
+                if rows is None:
+                    for j, c in adj[i]:
+                        f[j] += s * c
+                elif s < 0:
+                    subtract(fv, rows[i], out=fv)
+                else:
+                    add(fv, rows[i], out=fv)
                 if e < best_e:
                     best_e = e
                     best_b = list(b)

@@ -296,6 +296,18 @@ class TestQuboFormat:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("qubo-v1\nvars {big}\noffset 0.0\n", 2),
+        ("qubo-v1\nvars 2\noffset 0.0\n{big} 1 1.0\n", 4),
+        ("qubo-v1\nvars 2\noffset 0.0\n0 {big} 1.0\n", 4),
+        ("qubo-v1\nvars 2\noffset 0.0\nlabel {big} x\n", 4),
+        ("qubo-v1\nvars 2\noffset 0.0\n0 \u00b9 1.0\n", 4),  # isdigit(), yet not int()
+    ], ids=["vars", "term-i", "term-j", "label", "superscript"])
+    def test_unreadable_integer_token_names_its_line(self, text, lineno):
+        # 5000 digits pass str.isdigit() but exceed int()'s default digit limit
+        with pytest.raises(QuboParseError, match=rf"^line {lineno}: "):
+            parse_qubo(text.format(big="7" * 5000))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_model_energy_identical_after_roundtrip(self, seed):
         rng = np.random.default_rng(100 + seed)

@@ -200,6 +200,12 @@ class TestSolve:
         path.write_text("not a model\n")
         assert main(["solve", str(path)]) == 2
 
+    def test_overlong_integer_in_model_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "long.qubo"
+        path.write_text(f"qubo-v1\nvars {'9' * 5000}\noffset 0.0\n")
+        assert main(["solve", str(path)]) == 2
+        assert "line 2: bad integer" in capsys.readouterr().err
+
     def test_bit_cap_is_resource_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RELUQUBO_BIT_CAP", "4")
         path = tmp_path / "wide.qubo"

@@ -1,5 +1,7 @@
 """Tests for exhaustive enumeration and simulated annealing."""
 
+import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu, build_fr
 from reluqubo.solvers import (
     AnnealConfig,
     BitCapExceeded,
+    SolveResult,
     energy_delta,
     exhaustive_solve,
     exhaustive_solve_many,
@@ -104,6 +107,15 @@ class TestExhaustive:
         res = exhaustive_solve(m, fixed={0: 1, 1: 1})
         assert res.assignment == (1, 1)
         assert res.energy == 2.5
+
+    def test_float_and_bool_pins_lift_as_int(self):
+        m = QuboModel(3, {1: -1.0}, {(0, 2): 1.0}, 0.0)
+        fixed = {0: 1.0, 2: True}
+        for res in (exhaustive_solve(m, fixed=fixed),
+                    simulated_anneal(m, AnnealConfig(sweeps=5, restarts=1), fixed=fixed)):
+            assert [type(b) for b in res.assignment] == [int, int, int]
+            assert res.to_json_dict()["assignment"] == "111"
+            assert res.energy == 0.0
 
     def test_cap_enforced(self):
         m = QuboModel(8, {}, {}, 0.0)
@@ -462,9 +474,141 @@ class TestSimulatedAnneal:
             assert res.energy == energy(model, ref_assignment)
             assert res.restart_energies == ref.restart_energies
 
+    def test_schedule_memory_independent_of_sweeps(self):
+        # 200,000 betas as a list take ~6 MB; drawn one at a time they take none
+        m = QuboModel(1, {0: 1.0}, {}, 0.0)
+        tracemalloc.start()
+        try:
+            res = simulated_anneal(m, AnnealConfig(sweeps=200_000, restarts=1, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.assignment == (0,)
+        assert peak < 2 ** 20
+
     def test_json_dict_excludes_wall_time(self):
         m = QuboModel(2, {0: 1.0}, {}, 0.0)
         res = simulated_anneal(m, AnnealConfig(sweeps=10, restarts=1, seed=0))
         d = res.to_json_dict()
         assert set(d) == {"solver", "n_vars", "energy", "assignment", "restart_energies"}
         assert d["assignment"] == res.assignment_str()
+
+
+def reference_anneal(model, config, record_best_trace=False, fixed=None):
+    """simulated_anneal with the local fields updated by a Python loop over
+    each flipped bit's neighbours: the reference for the dense-row update."""
+    if fixed:
+        sub, free = fix_bits(model, fixed)
+        result = reference_anneal(sub, config, record_best_trace)
+        bits = {i: int(b) for i, b in fixed.items()}
+        bits.update(zip(free, result.assignment))
+        assignment = tuple(bits[i] for i in range(model.n_vars))
+        return SolveResult(assignment, energy(model, assignment), result.restart_energies,
+                           "sa", 0.0, best_trace=result.best_trace)
+    n = model.n_vars
+    if n == 0:
+        return SolveResult((), model.offset, [model.offset] * config.restarts, "sa", 0.0)
+    lin = [0.0] * n
+    for i, c in model.linear.items():
+        lin[i] = c
+    adj = [[] for _ in range(n)]
+    for (i, j), c in model.quadratic.items():
+        adj[i].append((j, c))
+        adj[j].append((i, c))
+    restart_best = []
+    trace = [] if record_best_trace else None
+    for r in range(config.restarts):
+        rng = random.Random(config.seed + r)
+        b = [rng.randrange(2) for _ in range(n)]
+        f = [lin[i] + sum(c for j, c in adj[i] if b[j]) for i in range(n)]
+        e = energy(model, b)
+        best_e, best_b = e, list(b)
+        sweep_best = []
+        for beta in config.schedule():
+            for i in range(n):
+                de = -f[i] if b[i] else f[i]
+                if de > 0.0:
+                    bde = beta * de
+                    if bde > 40.0 or rng.random() >= math.exp(-bde):
+                        continue
+                s = -1 if b[i] else 1
+                b[i] ^= 1
+                e += de
+                for j, c in adj[i]:
+                    f[j] += s * c
+                if e < best_e:
+                    best_e = e
+                    best_b = list(b)
+            sweep_best.append(best_e)
+        if trace is not None:
+            trace.append(sweep_best)
+        restart_best.append((energy(model, best_b), tuple(best_b)))
+    best_e, best_b = min(restart_best,
+                         key=lambda p: (p[0], sum(bit << i for i, bit in enumerate(p[1]))))
+    return SolveResult(best_b, best_e, [e for e, _ in restart_best], "sa", 0.0,
+                       best_trace=trace)
+
+
+@st.composite
+def anneal_cases(draw):
+    """Models on both sides of the dense-row threshold (mean degree 8):
+    complete graphs over 9-40 vars, chains, rings, random graphs and n = 1;
+    integer coefficients (whose sums cancel to exact zeros) or reals; an
+    optional pinned subset; a short schedule.  Coefficients come from a
+    drawn seed, so a complete graph does not fill hypothesis's buffer."""
+    kind = draw(st.sampled_from(["complete", "chain", "ring", "random", "single"]))
+    n = draw({"complete": st.integers(9, 40), "chain": st.integers(2, 60),
+              "ring": st.integers(3, 60), "random": st.integers(2, 24),
+              "single": st.just(1)}[kind])
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        def coeff():
+            return float(rng.randint(-3, 3))
+    else:
+        def coeff():
+            return rng.uniform(-4.0, 4.0)
+    if kind == "complete":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif kind in ("chain", "ring"):
+        pairs = [(i, i + 1) for i in range(n - 1)] + ([(0, n - 1)] if kind == "ring" else [])
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    linear = {i: coeff() for i in range(n) if rng.random() < 0.7}
+    model = QuboModel(n, linear, {p: coeff() for p in pairs}, coeff())
+    fixed = {}
+    if draw(st.booleans()):
+        fixed = {i: rng.randrange(2) for i in range(n) if rng.random() < 0.3}
+    config = AnnealConfig(sweeps=draw(st.integers(1, 30)),
+                          beta_initial=draw(st.sampled_from([0.05, 0.1, 1.0])),
+                          beta_final=draw(st.sampled_from([1.0, 3.0, 10.0])),
+                          restarts=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10 ** 6)))
+    return model, fixed, config
+
+
+class TestDenseRows:
+    @settings(max_examples=80, deadline=None)
+    @given(anneal_cases())
+    def test_matches_neighbour_loop_reference(self, case):
+        model, fixed, config = case
+        res = simulated_anneal(model, config, record_best_trace=True, fixed=fixed)
+        ref = reference_anneal(model, config, record_best_trace=True, fixed=fixed)
+        assert res.to_json_dict() == ref.to_json_dict()
+        assert res.best_trace == ref.best_trace
+
+    def test_large_sparse_chain_builds_no_dense_matrix(self):
+        # a 20,000-variable chain has mean degree 2: the neighbour loop runs,
+        # and the 20,000^2 matrix (3.2 GB) is never allocated
+        n = 20_000
+        rng = np.random.default_rng(13)
+        linear = {i: float(c) for i, c in enumerate(rng.integers(-3, 4, size=n))}
+        quadratic = {(i, i + 1): float(c)
+                     for i, c in enumerate(rng.integers(-3, 4, size=n - 1))}
+        model = QuboModel(n, linear, quadratic, 0.5)
+        tracemalloc.start()
+        try:
+            res = simulated_anneal(model, AnnealConfig(sweeps=1, restarts=1, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert res.energy == energy(model, res.assignment)
