@@ -9,6 +9,13 @@ All values here are treated as immutable once built: every operation
 returns a new expression or model, so instances can be shared freely
 across threads without locking.
 
+A BitVar hashes by its id alone, which agrees with its (id, label)
+equality and spares each of the ~10^6 dict lookups of a wide build a
+tuple hash.  A QuadraticExpr built by hand is normalized in __post_init__
+(pair keys ordered by id, squares folded, zeros pruned); affine_mul and
+quad_scale_add already produce that form, so QuadraticExpr._normalized
+only prunes their zeros.
+
 Sign conventions
 ----------------
 QUBO energy:   E(b) = offset + sum_i q_i b_i + sum_{i<j} q_ij b_i b_j
@@ -36,6 +43,9 @@ class BitVar:
 
     id: int
     label: str
+
+    def __hash__(self) -> int:
+        return self.id
 
     def __repr__(self) -> str:
         return f"BitVar({self.id}, {self.label!r})"
@@ -144,6 +154,18 @@ class QuadraticExpr:
         self.linear = _clean(lin)
         self.constant = float(self.constant)
 
+    @classmethod
+    def _normalized(cls, pairs: dict[tuple[BitVar, BitVar], float],
+                    linear: dict[BitVar, float], constant: float) -> "QuadraticExpr":
+        """An expression over already normalized float terms, taken over
+        without a copy; zeros are pruned in place, keeping the key order."""
+        for terms in (pairs, linear):
+            for k in [k for k, c in terms.items() if c == 0.0]:
+                del terms[k]
+        expr = cls.__new__(cls)
+        expr.pairs, expr.linear, expr.constant = pairs, linear, constant
+        return expr
+
     def variables(self) -> set[BitVar]:
         out = set(self.linear)
         for u, v in self.pairs:
@@ -192,13 +214,15 @@ def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
     """
     pairs: dict[tuple[BitVar, BitVar], float] = {}
     linear: dict[BitVar, float] = {}
+    b_terms = [(v, v.id, cv) for v, cv in b.terms.items()]
     for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
+        uid = u.id
+        for v, vid, cv in b_terms:
             c = cu * cv
-            if u.id == v.id:
+            if uid == vid:
                 linear[u] = linear.get(u, 0.0) + c
             else:
-                k = _pair_key(u, v)
+                k = (u, v) if uid < vid else (v, u)
                 pairs[k] = pairs.get(k, 0.0) + c
     if b.constant != 0.0:
         for u, cu in a.terms.items():
@@ -206,25 +230,21 @@ def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
     if a.constant != 0.0:
         for v, cv in b.terms.items():
             linear[v] = linear.get(v, 0.0) + a.constant * cv
-    return QuadraticExpr(pairs, linear, a.constant * b.constant)
+    return QuadraticExpr._normalized(pairs, linear, a.constant * b.constant)
 
 
 def quad_scale_add(dst: QuadraticExpr, src: QuadraticExpr, scale: float) -> QuadraticExpr:
     """dst + scale * src as a new quadratic expression."""
+    scale = float(scale)
     if scale == 0.0:
-        return QuadraticExpr(dict(dst.pairs), dict(dst.linear), dst.constant)
+        return QuadraticExpr._normalized(dict(dst.pairs), dict(dst.linear), dst.constant)
     pairs = dict(dst.pairs)
     for k, c in src.pairs.items():
         pairs[k] = pairs.get(k, 0.0) + scale * c
     linear = dict(dst.linear)
     for v, c in src.linear.items():
         linear[v] = linear.get(v, 0.0) + scale * c
-    return QuadraticExpr(pairs, linear, dst.constant + scale * src.constant)
-
-
-def _check_finite(value: float, what: str) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+    return QuadraticExpr._normalized(pairs, linear, dst.constant + scale * src.constant)
 
 
 def _validated(n: int, linear: Mapping[int, float],
@@ -245,17 +265,21 @@ def _validated(n: int, linear: Mapping[int, float],
     for i, c in linear.items():
         if not 0 <= i < n:
             raise ValueError(f"{lin_name} index {i} out of range [0, {n})")
-        _check_finite(c, f"{lin_name} coefficient for {i}")
+        if not math.isfinite(c):  # the message is formatted only on failure
+            raise ValueError(f"{lin_name} coefficient for {i} must be finite, got {c!r}")
         if c != 0.0:
             lin[int(i)] = float(c)
     quad: dict[tuple[int, int], float] = {}
     for (i, j), c in quadratic.items():
         if not (0 <= i < j < n):
             raise ValueError(f"{quad_name} key ({i}, {j}) must satisfy 0 <= i < j < n")
-        _check_finite(c, f"{quad_name} coefficient for ({i}, {j})")
+        if not math.isfinite(c):
+            raise ValueError(f"{quad_name} coefficient for ({i}, {j}) must be finite, "
+                             f"got {c!r}")
         if c != 0.0:
             quad[(int(i), int(j))] = float(c)
-    _check_finite(offset, "offset")
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset!r}")
     if labels is None:
         labels = [f"b{i}" for i in range(n)]
     else:
@@ -484,6 +508,7 @@ def parse_qubo(text: str) -> QuboModel:
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
     labels: dict[int, str] = {}
+    isfinite = math.isfinite
     for lineno, line in rows[3:]:
         parts = line.split()
         if parts[0] == "label":
@@ -500,14 +525,24 @@ def parse_qubo(text: str) -> QuboModel:
             continue
         if len(parts) != 3:
             raise QuboParseError(f"line {lineno}: expected '<i> <j> <float>', got {line!r}")
-        if not (parts[0].isdigit() and parts[1].isdigit()):
+        si, sj, sc = parts
+        if not (si.isdigit() and sj.isdigit()):
             raise QuboParseError(f"line {lineno}: bad indices in {line!r}")
-        i, j = _parse_index(parts[0], lineno), _parse_index(parts[1], lineno)
+        # int() and float() inline; the helpers run only to word a failure
+        try:
+            i, j = int(si), int(sj)
+        except ValueError:
+            i, j = _parse_index(si, lineno), _parse_index(sj, lineno)
         if not (0 <= i < n and 0 <= j < n):
             raise QuboParseError(f"line {lineno}: index out of range in {line!r}")
         if i > j:
             raise QuboParseError(f"line {lineno}: i > j in {line!r}")
-        value = _parse_float(parts[2], lineno)
+        try:
+            value = float(sc)
+        except ValueError:
+            value = math.nan
+        if not isfinite(value):
+            _parse_float(sc, lineno)  # raises: a bad or non-finite float
         if i == j:
             if i in linear:
                 raise QuboParseError(f"line {lineno}: duplicate linear term for {i}")

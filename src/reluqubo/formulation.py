@@ -380,8 +380,10 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
         groups[f"w[{d}]"] = bits
     m_expr = build_linear_model_expr(lin_spec, bit_groups)
 
-    shifted = m_expr - target
-    cost = quad_scale_add(QuadraticExpr(), affine_mul(shifted, shifted), scale)
+    cost = QuadraticExpr()
+    if scale != 0.0:  # quad_scale_add would discard the whole product
+        shifted = m_expr - target
+        cost = quad_scale_add(cost, affine_mul(shifted, shifted), scale)
     built = build_cost_plus_relu(cost, m_expr, pen_spec,
                                  m_groups=groups, linear_spec=lin_spec)
     built.cost_params = (target, scale)

@@ -17,7 +17,9 @@ is its one-pattern case.  fix_bits, which annealing uses for fixed=, is
 the one-pattern case of the same fold.  Annealing updates the local
 fields of a dense model (2|E| >= n * max(8, n // 16)) with one numpy add
 of an n x n coupling row per accepted flip, and of a sparser one with a
-loop over the neighbours; both give identical results.
+loop over the neighbours; both give identical results.  A restart's
+initial fields and energies are numpy sums over arrays built once per
+call, added in the order of the Python loops they replace.
 """
 
 from __future__ import annotations
@@ -262,7 +264,12 @@ def exhaustive_solve_many(model: QuboModel, fixes: Sequence[Mapping[int, int]],
     free = _free_bits(model, fixes)
     cap = _default_bit_cap() if bit_cap is None else bit_cap
     if len(free) > cap:
-        raise BitCapExceeded(f"{len(free)} free bits exceeds the exhaustive cap of {cap}")
+        # 2^n as "2.1e9" from log10, since a float overflows past 2^1023
+        digits = len(free) * math.log10(2)
+        mantissa, shift = f"{10 ** (digits % 1):.1e}".split("e")
+        states = f"{mantissa}e{int(digits) + int(shift)}"
+        raise BitCapExceeded(f"{len(free)} free bits (2^{len(free)} = {states} states) exceeds "
+                             f"the exhaustive cap of {cap}; set RELUQUBO_BIT_CAP to raise it")
 
     slot: dict[tuple[int, ...], int] = {}
     slots = [slot.setdefault(tuple(fixed[i] for i in fixes[0]), len(slot)) for fixed in fixes]
@@ -306,6 +313,56 @@ def _assignment_int(bits: Sequence[int]) -> int:
     return k
 
 
+def _term_arrays(model: QuboModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, c) arrays of _terms(model): linear terms as (i, i), then the
+    couplings, in key order, which is the order energy() adds them in."""
+    n_lin, n_quad = len(model.linear), len(model.quadratic)
+    lin_i = np.fromiter(model.linear, np.intp, n_lin)
+    pairs = np.fromiter(itertools.chain.from_iterable(model.quadratic), np.intp, 2 * n_quad)
+    c = np.fromiter(itertools.chain(model.linear.values(), model.quadratic.values()),
+                    float, n_lin + n_quad)
+    return (np.concatenate((lin_i, pairs[0::2])), np.concatenate((lin_i, pairs[1::2])), c)
+
+
+def _energy(offset: float, terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+            bits: Sequence[int]) -> float:
+    """energy(model, bits) of a {0, 1} assignment, from _term_arrays(model)
+    and the model's offset.  np.add.accumulate adds the active terms one at
+    a time after the offset, in energy()'s order, so the two agree exactly
+    (np.sum would add them pairwise)."""
+    i, j, c = terms
+    on = np.array(bits, dtype=bool)
+    return float(np.add.accumulate(np.concatenate(([offset], c[on[i] & on[j]])))[-1])
+
+
+def _initial_fields(lin: Sequence[float], adj: Sequence[Sequence[tuple[int, float]]],
+                    b: Sequence[int]) -> list[float]:
+    """Local field lin[i] + the sum of i's couplings to set bits, for every i.
+    The couplings are added left to right in adj's (neighbour-ascending)
+    order; sum() would compensate them from Python 3.12 on."""
+    f = []
+    for i, neighbours in enumerate(adj):
+        s = 0.0
+        for j, c in neighbours:
+            if b[j]:
+                s += c
+        f.append(lin[i] + s)
+    return f
+
+
+def _initial_fields_dense(lin: np.ndarray, rows: Sequence[np.ndarray],
+                          b: Sequence[int]) -> np.ndarray:
+    """_initial_fields from the coupling rows: the rows of the set bits are
+    added in ascending order, so each field sums its neighbours as
+    _initial_fields does.  A non-neighbour adds +0.0, which changes no
+    partial sum: starting at +0.0 over nonzero couplings, none is -0.0."""
+    s = np.zeros(len(rows))
+    for j, bj in enumerate(b):
+        if bj:
+            np.add(s, rows[j], out=s)
+    return s + lin
+
+
 def simulated_anneal(model: QuboModel,
                      config: AnnealConfig,
                      record_best_trace: bool = False,
@@ -329,8 +386,10 @@ def simulated_anneal(model: QuboModel,
     per call; non-neighbours get +-0.0, which changes no field because a
     field is never -0.0 (zero coefficients are pruned, and x + y rounds an
     exact cancellation to +0.0).  Sparser models loop over the neighbours
-    and build no matrix.  The betas are computed one sweep at a time, so
-    memory does not grow with config.sweeps.
+    and build no matrix.  A restart's fields and energies are summed in
+    the same order on both (_initial_fields, _energy).  The betas are
+    computed one sweep at a time, so memory does not grow with
+    config.sweeps.
     """
     t0 = time.perf_counter()
     if fixed:
@@ -347,17 +406,22 @@ def simulated_anneal(model: QuboModel,
     lin = [0.0] * n
     for i, c in model.linear.items():
         lin[i] = c
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, j), c in model.quadratic.items():
-        adj[i].append((j, c))
-        adj[j].append((i, c))
+    terms = _term_arrays(model)
+    adj: list[list[tuple[int, float]]] | None = None
     rows: list[np.ndarray] | None = None
     # the n*n matrix stays within a small multiple of adj's own memory
     if 2 * len(model.quadratic) >= n * max(_DENSE_DEGREE, n // 16):
+        qi, qj, qc = (a[len(model.linear):] for a in terms)
         dense = np.zeros((n, n))
-        for (i, j), c in model.quadratic.items():
-            dense[i, j] = dense[j, i] = c
+        dense[qi, qj] = qc
+        dense[qj, qi] = qc
         rows = list(dense)
+        lin_v = np.array(lin)
+    else:
+        adj = [[] for _ in range(n)]
+        for (i, j), c in model.quadratic.items():
+            adj[i].append((j, c))
+            adj[j].append((i, c))
     exp, add, subtract = math.exp, np.add, np.subtract
 
     restart_best: list[tuple[float, tuple[int, ...]]] = []
@@ -366,11 +430,12 @@ def simulated_anneal(model: QuboModel,
         rng = random.Random(config.seed + r)
         rnd = rng.random
         b = [rng.randrange(2) for _ in range(n)]
-        f = [lin[i] + sum(c for j, c in adj[i] if b[j]) for i in range(n)]
-        if rows is not None:  # fv views f's memory; the scan reads f[i] as floats
-            f = array("d", f)
+        if adj is not None:
+            f = _initial_fields(lin, adj, b)
+        else:  # fv views f's memory; the scan reads f[i] as floats
+            f = array("d", _initial_fields_dense(lin_v, rows, b).tobytes())
             fv = np.frombuffer(f)
-        e = energy(model, b)
+        e = _energy(model.offset, terms, b)
         best_e, best_b = e, list(b)
         sweep_best: list[float] = []
         for beta in config._betas():
@@ -398,7 +463,7 @@ def simulated_anneal(model: QuboModel,
                 sweep_best.append(best_e)
         if trace is not None:
             trace.append(sweep_best)
-        exact = energy(model, best_b)
+        exact = _energy(model.offset, terms, best_b)
         restart_best.append((exact, tuple(best_b)))
 
     restart_energies = [e for e, _ in restart_best]

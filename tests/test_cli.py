@@ -212,6 +212,15 @@ class TestSolve:
         path.write_text("qubo-v1\nvars 8\noffset 0.0\n")
         assert main(["solve", str(path)]) == 3
 
+    def test_bit_cap_message_names_states_and_override(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("RELUQUBO_BIT_CAP", raising=False)
+        path = tmp_path / "wide.qubo"
+        path.write_text("qubo-v1\nvars 31\noffset 0.0\n")
+        assert main(["solve", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: 31 free bits (2^31 = 2.1e9 states) exceeds the exhaustive cap of 30; "
+            "set RELUQUBO_BIT_CAP to raise it\n")
+
     def test_fix_by_index(self, tmp_path, capsys):
         path = tmp_path / "m.qubo"
         path.write_text("qubo-v1\nvars 2\noffset 0.0\n0 0 -1.0\n1 1 -1.0\n")

@@ -5,15 +5,22 @@ variable values, enumerated over every bit assignment; the checked path
 is the coefficient algebra inside the built expressions and models.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reluqubo import formulation
 from reluqubo.algebra import (
     AffineExpr,
+    BitVar,
     QuadraticExpr,
     affine_mul,
     all_assignments,
     energy,
+    export_qubo,
     quad_scale_add,
     quadratic_to_model,
 )
@@ -381,3 +388,103 @@ class TestBuildFromConfig:
         assert set(built.var_ranges) == {"w[0]", "w[1]", "w[2]", "t", "z1", "z2"}
         assert built.model.labels[0] == "w[0][0]"
         assert built.model.labels[2] == "w[1][0]"
+
+
+def reference_affine_mul(a, b):
+    """affine_mul with its result normalized a second time by the
+    QuadraticExpr constructor: the reference for the single pass."""
+    pairs, linear = {}, {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            c = cu * cv
+            if u.id == v.id:
+                linear[u] = linear.get(u, 0.0) + c
+            else:
+                k = (u, v) if u.id < v.id else (v, u)
+                pairs[k] = pairs.get(k, 0.0) + c
+    if b.constant != 0.0:
+        for u, cu in a.terms.items():
+            linear[u] = linear.get(u, 0.0) + cu * b.constant
+    if a.constant != 0.0:
+        for v, cv in b.terms.items():
+            linear[v] = linear.get(v, 0.0) + a.constant * cv
+    return QuadraticExpr(pairs, linear, a.constant * b.constant)
+
+
+def reference_quad_scale_add(dst, src, scale):
+    """quad_scale_add through the normalizing QuadraticExpr constructor."""
+    if scale == 0.0:
+        return QuadraticExpr(dict(dst.pairs), dict(dst.linear), dst.constant)
+    pairs = dict(dst.pairs)
+    for k, c in src.pairs.items():
+        pairs[k] = pairs.get(k, 0.0) + scale * c
+    linear = dict(dst.linear)
+    for v, c in src.linear.items():
+        linear[v] = linear.get(v, 0.0) + scale * c
+    return QuadraticExpr(pairs, linear, dst.constant + scale * src.constant)
+
+
+def reference_build(cfg):
+    """build_from_config(cfg).model built with the reference algebra, the
+    cost product formed even at cost scale 0."""
+    built = build_from_config(cfg)
+    lin, spec = built.linear_spec, built.penalty_spec
+    target, scale = built.cost_params
+    depth = lin.w_exp.depth
+    groups = {f"w[{d}]": make_bits(f"w[{d}]", d * depth, depth) for d in range(lin.dim)}
+    m = build_linear_model_expr(lin, list(groups.values()))
+    shifted = m - target
+    cost = reference_quad_scale_add(QuadraticExpr(), reference_affine_mul(shifted, shifted),
+                                    scale)
+    with mock.patch.object(formulation, "affine_mul", reference_affine_mul), \
+            mock.patch.object(formulation, "quad_scale_add", reference_quad_scale_add):
+        return build_cost_plus_relu(cost, m, spec, m_groups=groups, linear_spec=lin).model
+
+
+@st.composite
+def build_configs(draw):
+    """Valid build configs: 1-6 nonzero inputs (a zero input drops its
+    weight bits from m, which the builder rejects), depths 1-6, integer or
+    real inputs and alphas, cost scale 0 (also -0.0) or not, M auto or
+    manual."""
+    def expansion(alpha, beta):
+        return {"depth": draw(st.integers(1, 6)), "alpha": alpha, "beta": beta}
+
+    real = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    number = st.one_of(st.integers(-3, 3).map(float), real)
+    positive = st.one_of(st.sampled_from([1.0, 2.0, 4.0, 8.0]), st.floats(0.1, 9.0))
+    scale = st.one_of(st.sampled_from([0.0, -0.0]), number)
+    return {
+        "cost": {"kind": "quadratic", "target": draw(number), "scale": draw(scale)},
+        "model": {"inputs": draw(st.lists(number.filter(bool), min_size=1, max_size=6)),
+                  "w": expansion(draw(positive), draw(number))},
+        "penalty": {"t": expansion(1.0, -1.0),
+                    "z1": expansion(draw(positive), 0.0),
+                    "z2": expansion(draw(positive), 0.0),
+                    "M": draw(st.one_of(st.just("auto"), st.floats(0.5, 300.0)))},
+    }
+
+
+class TestReferenceAlgebra:
+    @settings(max_examples=150, deadline=None)
+    @given(build_configs())
+    def test_build_matches_reference_bytes(self, cfg):
+        assert export_qubo(build_from_config(cfg).model) == export_qubo(reference_build(cfg))
+
+    def test_products_match_reference_in_key_order(self):
+        # export sorts the terms; the expressions themselves keep insertion order
+        u, v, w = BitVar(0, "a"), BitVar(1, "b"), BitVar(2, "c")
+        a = AffineExpr({u: 0.5, w: -1.5}, 0.25)
+        b = AffineExpr({w: 2.0, v: 1.5}, -3.0)
+        plus, minus = AffineExpr({u: 1.0, v: 1.0}), AffineExpr({u: 1.0, v: -1.0})
+        assert affine_mul(plus, minus).pairs == {}  # the (u, v) terms cancel and are pruned
+        for x, y in ((a, b), (b, a), (a, a), (plus, minus)):
+            got, ref = affine_mul(x, y), reference_affine_mul(x, y)
+            assert (got.pairs, got.linear, got.constant) == (ref.pairs, ref.linear, ref.constant)
+            assert list(got.pairs) == list(ref.pairs) and list(got.linear) == list(ref.linear)
+            for scale in (0.0, 1.0, -2.5):
+                got = quad_scale_add(ref, affine_mul(y, y), scale)
+                want = reference_quad_scale_add(ref, reference_affine_mul(y, y), scale)
+                assert (got.pairs, got.linear, got.constant) == \
+                    (want.pairs, want.linear, want.constant)
+                assert list(got.pairs) == list(want.pairs)

@@ -16,6 +16,8 @@ from reluqubo.solvers import (
     AnnealConfig,
     BitCapExceeded,
     SolveResult,
+    _energy,
+    _term_arrays,
     energy_delta,
     exhaustive_solve,
     exhaustive_solve_many,
@@ -520,7 +522,13 @@ def reference_anneal(model, config, record_best_trace=False, fixed=None):
     for r in range(config.restarts):
         rng = random.Random(config.seed + r)
         b = [rng.randrange(2) for _ in range(n)]
-        f = [lin[i] + sum(c for j, c in adj[i] if b[j]) for i in range(n)]
+        f = []
+        for i in range(n):
+            s = 0.0  # left to right: sum() compensates from Python 3.12 on
+            for j, c in adj[i]:
+                if b[j]:
+                    s += c
+            f.append(lin[i] + s)
         e = energy(model, b)
         best_e, best_b = e, list(b)
         sweep_best = []
@@ -612,3 +620,18 @@ class TestDenseRows:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         assert res.energy == energy(model, res.assignment)
+
+
+class TestEnergyTerms:
+    @settings(max_examples=100, deadline=None)
+    @given(anneal_cases(), st.sampled_from([None, 0.0, -0.0]), st.integers(0, 2 ** 32))
+    def test_matches_energy_exactly(self, case, offset, seed):
+        # the restart set-up's energy; hex() also tells -0.0 from 0.0
+        model = case[0]
+        if offset is not None:
+            model = QuboModel(model.n_vars, model.linear, model.quadratic, offset)
+        terms = _term_arrays(model)
+        rng = random.Random(seed)
+        for _ in range(5):
+            bits = [rng.randrange(2) for _ in range(model.n_vars)]
+            assert _energy(model.offset, terms, bits).hex() == energy(model, bits).hex()

@@ -1,16 +1,30 @@
-"""The benchmark's tracer wraps functions by name; each name must resolve."""
+"""The benchmark's tracer wraps functions by name; each name must resolve,
+and a benchmark worker must run a workload to the end, traced or not."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+import reluqubo
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_trace_target_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load("tracing")
     assert tracing.TARGETS
     for owner_path, attr, _, _ in tracing.TARGETS:
         module_name, _, cls = owner_path.partition(":")
@@ -18,3 +32,22 @@ def test_every_trace_target_resolves():
         if cls:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr, None)), f"{owner_path}.{attr} does not resolve"
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_worker_runs_anneal_wide_smoke(tmp_path, trace):
+    # the benchmark counts a worker that exits non-zero as a harness failure,
+    # and then measures nothing; tracing must not break a run either
+    workload = load("workloads").anneal_wide(1, smoke=True)
+    workload.write_inputs(tmp_path)
+    src = str(Path(reluqubo.__file__).resolve().parent.parent)
+    job = {"src": src, "commands": workload.commands, "trace": trace, "out": "result.json"}
+    (tmp_path / "job.json").write_text(json.dumps(job), encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), "job.json"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert [c["rc"] for c in result["commands"]] == [0] * len(workload.commands), \
+        [c["stderr"] for c in result["commands"]]
+    assert (result["spans"] is not None) == trace
+    assert workload.check(tmp_path, result["commands"]).failed == 0
