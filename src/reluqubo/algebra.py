@@ -28,9 +28,12 @@ hardware vendor convention is implied by this choice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class QuboParseError(ValueError):
@@ -301,6 +304,11 @@ class QuboModel:
     (i, j) pair with i < j to its coupling.  Zero coefficients are pruned
     at construction, so two models with identical energies on every
     assignment compare equal.
+
+    terms is the one term view that energy, export_qubo and the solvers
+    read: (i, j, c) arrays listing the linear terms as (i, i) in index
+    order, then the couplings in key order.  It is built once here; no
+    code changes a model after construction.
     """
 
     n_vars: int
@@ -308,11 +316,20 @@ class QuboModel:
     quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
     offset: float = 0.0
     labels: list[str] | None = None
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.linear, self.quadratic, self.offset, self.labels = _validated(
             self.n_vars, self.linear, self.quadratic, self.offset, self.labels,
             ("n_vars", "linear", "quadratic"))
+        n_lin, n_quad = len(self.linear), len(self.quadratic)
+        lin_i = np.fromiter(self.linear, np.intp, n_lin)
+        pairs = np.fromiter(itertools.chain.from_iterable(self.quadratic), np.intp, 2 * n_quad)
+        c = np.fromiter(itertools.chain(self.linear.values(), self.quadratic.values()),
+                        float, n_lin + n_quad)
+        self.terms = (np.concatenate((lin_i, pairs[0::2])),
+                      np.concatenate((lin_i, pairs[1::2])), c)
 
     def energy(self, assignment: Sequence[int]) -> float:
         return energy(self, assignment)
@@ -325,21 +342,22 @@ class QuboModel:
 
 
 def energy(model: QuboModel, assignment: Sequence[int]) -> float:
-    """QUBO energy of a {0, 1} assignment, offset included."""
+    """QUBO energy of a {0, 1} assignment, offset included.
+
+    The sum starts at the offset and adds the active terms one at a time
+    in model.terms order: linear terms by index, then couplings by key.
+    np.add.accumulate keeps that order (np.sum would add pairwise), so
+    the result does not depend on numpy's summation strategy.
+    """
     if len(assignment) != model.n_vars:
         raise ValueError(
             f"assignment length {len(assignment)} != n_vars {model.n_vars}")
     for b in assignment:
         if b not in (0, 1):
             raise ValueError(f"assignment entries must be 0 or 1, got {b!r}")
-    total = model.offset
-    for i, c in model.linear.items():
-        if assignment[i]:
-            total += c
-    for (i, j), c in model.quadratic.items():
-        if assignment[i] and assignment[j]:
-            total += c
-    return total
+    i, j, c = model.terms
+    on = np.array(assignment, dtype=bool)
+    return float(np.add.accumulate(np.concatenate(([model.offset], c[on[i] & on[j]])))[-1])
 
 
 def quadratic_to_model(expr: QuadraticExpr,
@@ -451,23 +469,10 @@ MAX_VARS = 10 ** 6  # parse_qubo refuses larger files before allocating per-vari
 def export_qubo(model: QuboModel) -> str:
     """Serialize to the qubo-v1 text format (deterministic byte-for-byte)."""
     lines = [FORMAT_MAGIC, f"vars {model.n_vars}", f"offset {model.offset!r}"]
-    entries: list[tuple[int, int, float]] = []
-    entries.extend((i, i, c) for i, c in model.linear.items())
-    entries.extend((i, j, c) for (i, j), c in model.quadratic.items())
-    entries.sort(key=lambda e: (e[0], e[1]))
-    lines.extend(f"{i} {j} {c!r}" for i, j, c in entries)
+    order = np.lexsort(model.terms[1::-1])  # keys (j, i): sorts by i, then j
+    lines.extend(f"{i} {j} {c!r}" for i, j, c in zip(*(a[order].tolist() for a in model.terms)))
     lines.extend(f"label {i} {s}" for i, s in enumerate(model.labels))
     return "\n".join(lines) + "\n"
-
-
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise QuboParseError(f"line {lineno}: bad float {token!r}") from None
-    if not math.isfinite(value):
-        raise QuboParseError(f"line {lineno}: non-finite value {token!r}")
-    return value
 
 
 def _parse_index(token: str, lineno: int) -> int:
@@ -503,12 +508,16 @@ def parse_qubo(text: str) -> QuboModel:
     parts = offset_line.split()
     if len(parts) != 2 or parts[0] != "offset":
         raise QuboParseError(f"line {ln2}: expected 'offset <float>', got {offset_line!r}")
-    offset = _parse_float(parts[1], ln2)
+    try:
+        offset = float(parts[1])
+    except ValueError:
+        raise QuboParseError(f"line {ln2}: bad float {parts[1]!r}") from None
+    if not math.isfinite(offset):
+        raise QuboParseError(f"line {ln2}: non-finite value {parts[1]!r}")
 
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
     labels: dict[int, str] = {}
-    isfinite = math.isfinite
     for lineno, line in rows[3:]:
         parts = line.split()
         if parts[0] == "label":
@@ -528,21 +537,16 @@ def parse_qubo(text: str) -> QuboModel:
         si, sj, sc = parts
         if not (si.isdigit() and sj.isdigit()):
             raise QuboParseError(f"line {lineno}: bad indices in {line!r}")
-        # int() and float() inline; the helpers run only to word a failure
+        # int() inline; _parse_index runs only to word a failure.  QuboModel
+        # checks each term's range, order and finiteness, naming its key.
         try:
             i, j = int(si), int(sj)
         except ValueError:
             i, j = _parse_index(si, lineno), _parse_index(sj, lineno)
-        if not (0 <= i < n and 0 <= j < n):
-            raise QuboParseError(f"line {lineno}: index out of range in {line!r}")
-        if i > j:
-            raise QuboParseError(f"line {lineno}: i > j in {line!r}")
         try:
             value = float(sc)
         except ValueError:
-            value = math.nan
-        if not isfinite(value):
-            _parse_float(sc, lineno)  # raises: a bad or non-finite float
+            raise QuboParseError(f"line {lineno}: bad float {sc!r}") from None
         if i == j:
             if i in linear:
                 raise QuboParseError(f"line {lineno}: duplicate linear term for {i}")

@@ -71,10 +71,8 @@ def _parse_fixes(model: QuboModel, pairs: Sequence[str]) -> dict[int, int]:
         name, sep, value = item.partition("=")
         if not sep or value not in ("0", "1"):
             raise QuboParseError(f"--fix expects NAME=0 or NAME=1, got {item!r}")
-        if name.isdigit():
+        if name.isdigit():  # the solvers check the range
             idx = int(name)
-            if not 0 <= idx < model.n_vars:
-                raise QuboParseError(f"--fix index {idx} out of range [0, {model.n_vars})")
         else:
             try:
                 idx = model.index_of(name)

@@ -346,6 +346,9 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     if not isinstance(inputs, Sequence) or isinstance(inputs, (str, bytes)) or not inputs:
         raise ConfigError("model.inputs", "expected a non-empty array of numbers")
     xs = tuple(_number(x, f"model.inputs[{d}]") for d, x in enumerate(inputs))
+    for d, x in enumerate(xs):
+        if x == 0.0:  # its weight's bits would drop out of m
+            raise ConfigError(f"model.inputs[{d}]", f"must be nonzero, got {x!r}")
     w_exp = _expansion_from_config(_require(model_cfg, "w", "model"), "model.w")
     try:
         lin_spec = LinearModelSpec(xs, w_exp)

@@ -17,14 +17,13 @@ is its one-pattern case.  fix_bits, which annealing uses for fixed=, is
 the one-pattern case of the same fold.  Annealing updates the local
 fields of a dense model (2|E| >= n * max(8, n // 16)) with one numpy add
 of an n x n coupling row per accepted flip, and of a sparser one with a
-loop over the neighbours; both give identical results.  A restart's
-initial fields and energies are numpy sums over arrays built once per
-call, added in the order of the Python loops they replace.
+loop over the neighbours; both give identical results.  The fold, the
+annealer's fields and every energy read the model's one term view,
+QuboModel.terms.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -130,12 +129,6 @@ def _free_bits(model: QuboModel, fixes: Sequence[Mapping[int, int]]) -> list[int
     return [i for i in range(model.n_vars) if i not in fixes[0]]
 
 
-def _terms(model: QuboModel) -> Iterable[tuple[tuple[int, int], float]]:
-    """Linear terms as (i, i) pairs, then the couplings, in key order."""
-    diagonal = (((i, i), c) for i, c in model.linear.items())
-    return itertools.chain(diagonal, model.quadratic.items())
-
-
 def _fold(model: QuboModel, free: Sequence[int], patterns: Sequence[Mapping[int, int]]
           ) -> tuple[dict[tuple[int, int], float], list[list[float]], list[float]]:
     """Fold a family of patterns over one pinned index set into the model in
@@ -150,7 +143,7 @@ def _fold(model: QuboModel, free: Sequence[int], patterns: Sequence[Mapping[int,
     diagonals = [[0.0] * len(free) for _ in patterns]
     offsets = [model.offset] * len(patterns)
     numbered = list(enumerate(patterns))  # hoisted: pinned x pinned terms dominate large models
-    for (i, j), c in _terms(model):
+    for i, j, c in zip(*(a.tolist() for a in model.terms)):
         if i in pinned and j in pinned:
             for p, fixed in numbered:
                 if fixed[i] and fixed[j]:
@@ -295,15 +288,9 @@ def energy_delta(model: QuboModel, assignment: Sequence[int], i: int) -> float:
     """Energy change from flipping bit i of the assignment."""
     if not 0 <= i < model.n_vars:
         raise ValueError(f"index {i} out of range [0, {model.n_vars})")
-    local = model.linear.get(i, 0.0)
-    for (a, b), c in model.quadratic.items():
-        if a == i:
-            if assignment[b]:
-                local += c
-        elif b == i:
-            if assignment[a]:
-                local += c
-    return local if not assignment[i] else -local
+    flipped = list(assignment)
+    flipped[i] = 1 - flipped[i]
+    return energy(model, flipped) - energy(model, assignment)
 
 
 def _assignment_int(bits: Sequence[int]) -> int:
@@ -311,28 +298,6 @@ def _assignment_int(bits: Sequence[int]) -> int:
     for i, b in enumerate(bits):
         k |= int(b) << i
     return k
-
-
-def _term_arrays(model: QuboModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, c) arrays of _terms(model): linear terms as (i, i), then the
-    couplings, in key order, which is the order energy() adds them in."""
-    n_lin, n_quad = len(model.linear), len(model.quadratic)
-    lin_i = np.fromiter(model.linear, np.intp, n_lin)
-    pairs = np.fromiter(itertools.chain.from_iterable(model.quadratic), np.intp, 2 * n_quad)
-    c = np.fromiter(itertools.chain(model.linear.values(), model.quadratic.values()),
-                    float, n_lin + n_quad)
-    return (np.concatenate((lin_i, pairs[0::2])), np.concatenate((lin_i, pairs[1::2])), c)
-
-
-def _energy(offset: float, terms: tuple[np.ndarray, np.ndarray, np.ndarray],
-            bits: Sequence[int]) -> float:
-    """energy(model, bits) of a {0, 1} assignment, from _term_arrays(model)
-    and the model's offset.  np.add.accumulate adds the active terms one at
-    a time after the offset, in energy()'s order, so the two agree exactly
-    (np.sum would add them pairwise)."""
-    i, j, c = terms
-    on = np.array(bits, dtype=bool)
-    return float(np.add.accumulate(np.concatenate(([offset], c[on[i] & on[j]])))[-1])
 
 
 def _initial_fields(lin: Sequence[float], adj: Sequence[Sequence[tuple[int, float]]],
@@ -386,9 +351,9 @@ def simulated_anneal(model: QuboModel,
     per call; non-neighbours get +-0.0, which changes no field because a
     field is never -0.0 (zero coefficients are pruned, and x + y rounds an
     exact cancellation to +0.0).  Sparser models loop over the neighbours
-    and build no matrix.  A restart's fields and energies are summed in
-    the same order on both (_initial_fields, _energy).  The betas are
-    computed one sweep at a time, so memory does not grow with
+    and build no matrix.  A restart's fields are summed in the same order
+    on both (_initial_fields), and its energies come from energy().  The
+    betas are computed one sweep at a time, so memory does not grow with
     config.sweeps.
     """
     t0 = time.perf_counter()
@@ -403,23 +368,22 @@ def simulated_anneal(model: QuboModel,
         return SolveResult((), model.offset, [model.offset] * config.restarts,
                            "sa", time.perf_counter() - t0)
 
-    lin = [0.0] * n
-    for i, c in model.linear.items():
-        lin[i] = c
-    terms = _term_arrays(model)
+    n_lin = len(model.linear)
+    lin_v = np.zeros(n)
+    lin_v[model.terms[0][:n_lin]] = model.terms[2][:n_lin]
+    qi, qj, qc = (a[n_lin:] for a in model.terms)
     adj: list[list[tuple[int, float]]] | None = None
     rows: list[np.ndarray] | None = None
     # the n*n matrix stays within a small multiple of adj's own memory
-    if 2 * len(model.quadratic) >= n * max(_DENSE_DEGREE, n // 16):
-        qi, qj, qc = (a[len(model.linear):] for a in terms)
+    if 2 * len(qc) >= n * max(_DENSE_DEGREE, n // 16):
         dense = np.zeros((n, n))
         dense[qi, qj] = qc
         dense[qj, qi] = qc
         rows = list(dense)
-        lin_v = np.array(lin)
     else:
+        lin = lin_v.tolist()
         adj = [[] for _ in range(n)]
-        for (i, j), c in model.quadratic.items():
+        for i, j, c in zip(qi.tolist(), qj.tolist(), qc.tolist()):
             adj[i].append((j, c))
             adj[j].append((i, c))
     exp, add, subtract = math.exp, np.add, np.subtract
@@ -435,7 +399,7 @@ def simulated_anneal(model: QuboModel,
         else:  # fv views f's memory; the scan reads f[i] as floats
             f = array("d", _initial_fields_dense(lin_v, rows, b).tobytes())
             fv = np.frombuffer(f)
-        e = _energy(model.offset, terms, b)
+        e = energy(model, b)
         best_e, best_b = e, list(b)
         sweep_best: list[float] = []
         for beta in config._betas():
@@ -463,8 +427,7 @@ def simulated_anneal(model: QuboModel,
                 sweep_best.append(best_e)
         if trace is not None:
             trace.append(sweep_best)
-        exact = _energy(model.offset, terms, best_b)
-        restart_best.append((exact, tuple(best_b)))
+        restart_best.append((energy(model, best_b), tuple(best_b)))
 
     restart_energies = [e for e, _ in restart_best]
     best_e, best_b = min(restart_best, key=lambda p: (p[0], _assignment_int(p[1])))

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reluqubo.algebra import (
+    FORMAT_MAGIC,
     MAX_VARS,
     AffineExpr,
     BitVar,
@@ -157,6 +160,37 @@ def random_model(rng, n, density=0.6):
                  for i in range(n) for j in range(i + 1, n)
                  if rng.random() < density}
     return QuboModel(n, linear, quadratic, float(rng.uniform(-1, 1)))
+
+
+@st.composite
+def qubo_models(draw):
+    """Models of 0-8 vars with any finite coefficients (subnormals and
+    -0.0 included) and default or drawn labels; a label is one or more
+    letters, digits, punctuation or symbols, so it has no whitespace."""
+    n = draw(st.integers(0, 8))
+    coeff = st.floats(allow_nan=False, allow_infinity=False)
+    linear = draw(st.dictionaries(st.integers(0, n - 1), coeff)) if n else {}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    quadratic = draw(st.dictionaries(st.sampled_from(pairs), coeff)) if pairs else {}
+    label = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_size=5)
+    labels = draw(st.one_of(st.none(), st.lists(label, min_size=n, max_size=n, unique=True)))
+    return QuboModel(n, linear, quadratic, draw(coeff), labels=labels)
+
+
+@st.composite
+def qubo_texts(draw):
+    """Arbitrary text, or a qubo-v1 header followed by lines of tokens
+    that the parser must accept or refuse one by one."""
+    if draw(st.booleans()):
+        return draw(st.text())
+    index = st.sampled_from(["0", "1", "2", "-1", "\u00b9", "7" * 5000])
+    value = st.sampled_from(["1.5", "-0.0", "0", "inf", "nan", "1e999", "x"])
+    token = st.one_of(index, value, st.sampled_from(["label", "#"]), st.text(max_size=4))
+    term = st.tuples(index, index, value).map(" ".join)
+    lines = draw(st.lists(st.one_of(term, st.lists(token, max_size=4).map(" ".join)),
+                          max_size=8))
+    n = draw(st.sampled_from(["0", "1", "2", "3", "x", "-1"]))
+    return "\n".join([FORMAT_MAGIC, f"vars {n}", "offset 0.0", *lines])
 
 
 def dense_energy(model, pattern):
@@ -322,6 +356,25 @@ class TestQuboFormat:
         once = export_qubo(parse_qubo(export_qubo(m)))
         twice = export_qubo(parse_qubo(once))
         assert once == twice == export_qubo(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(qubo_models())
+    def test_roundtrip_keeps_bytes_and_term_view(self, m):
+        text = export_qubo(m)
+        back = parse_qubo(text)
+        assert export_qubo(back) == text
+        for ours, theirs in zip(m.terms, back.terms):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+    @settings(max_examples=500, deadline=None)
+    @given(qubo_texts())
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            model = parse_qubo(text)
+        except QuboParseError:
+            return
+        assert isinstance(model, QuboModel)
 
 
 class TestQuadraticToModel:

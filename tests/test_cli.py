@@ -110,6 +110,16 @@ class TestBuild:
         err = capsys.readouterr().err
         assert path in err and "at most 53" in err
 
+    @pytest.mark.parametrize("inputs, path", [([1.0, 0.0], "model.inputs[1]"),
+                                              ([0.0, 1.0], "model.inputs[0]"),
+                                              ([1.0, -0.0], "model.inputs[1]")])
+    def test_zero_input_names_its_key(self, tmp_path, capsys, inputs, path):
+        cfg = config_negative_range()
+        cfg["model"]["inputs"] = inputs
+        code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
+        assert code == 2
+        assert f"'{path}': must be nonzero" in capsys.readouterr().err
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{ nope")
@@ -206,6 +216,12 @@ class TestSolve:
         assert main(["solve", str(path)]) == 2
         assert "line 2: bad integer" in capsys.readouterr().err
 
+    def test_term_out_of_order_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 2\noffset 0.0\n1 0 1.0\n")
+        assert main(["solve", str(path)]) == 2
+        assert "quadratic key (1, 0) must satisfy 0 <= i < j < n" in capsys.readouterr().err
+
     def test_bit_cap_is_resource_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RELUQUBO_BIT_CAP", "4")
         path = tmp_path / "wide.qubo"
@@ -234,6 +250,13 @@ class TestSolve:
         path.write_text("qubo-v1\nvars 1\noffset 0.0\n")
         assert main(["solve", str(path), "--fix", "b0=2"]) == 2
         assert main(["solve", str(path), "--fix", "nosuch=1"]) == 2
+
+    @pytest.mark.parametrize("solver", ["exhaustive", "sa"])
+    def test_fix_index_out_of_range_rejected(self, tmp_path, capsys, solver):
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 2\noffset 0.0\n")
+        assert main(["solve", str(path), "--solver", solver, "--fix", "7=1"]) == 2
+        assert "fixed index 7 out of range [0, 2)" in capsys.readouterr().err
 
     def test_conflicting_fixes_rejected(self, tmp_path, capsys):
         path = tmp_path / "m.qubo"

@@ -1,0 +1,49 @@
+"""Every module-level import in the package is used by its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import reluqubo
+
+PACKAGE = Path(reluqubo.__file__).resolve().parent
+# imports kept for code that looks them up under the importing module's name:
+# perfbench/tracing.py wraps reluqubo.cli.fix_bits
+KEPT = {("cli", "fix_bits")}
+
+
+def unused_imports(source):
+    """Names bound by module-level imports that no expression reads and
+    __all__ does not list, in source order."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_guard_flags_an_unused_import():
+    source = "import itertools\nimport math\nfrom typing import Iterable\nmath.pi\n"
+    assert unused_imports(source) == ["itertools", "Iterable"]
+
+
+def test_guard_counts_all_and_annotations_as_uses():
+    source = ("from __future__ import annotations\nfrom .a import f, g\n"
+              "import numpy as np\n__all__ = ['f']\ndef h(x: np.ndarray) -> g: ...\n")
+    assert unused_imports(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unused_module_imports(path):
+    unused = [name for name in unused_imports(path.read_text(encoding="utf-8"))
+              if (path.stem, name) not in KEPT]
+    assert unused == [], f"{path.name} imports {unused} without using them"

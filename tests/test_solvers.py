@@ -16,8 +16,6 @@ from reluqubo.solvers import (
     AnnealConfig,
     BitCapExceeded,
     SolveResult,
-    _energy,
-    _term_arrays,
     energy_delta,
     exhaustive_solve,
     exhaustive_solve_many,
@@ -622,16 +620,34 @@ class TestDenseRows:
         assert res.energy == energy(model, res.assignment)
 
 
+def loop_energy(model, bits):
+    """energy() as a Python loop: the offset, then the linear terms by
+    index, then the couplings by key, added one at a time."""
+    total = model.offset
+    for i, c in model.linear.items():
+        if bits[i]:
+            total += c
+    for (i, j), c in model.quadratic.items():
+        if bits[i] and bits[j]:
+            total += c
+    return total
+
+
 class TestEnergyTerms:
     @settings(max_examples=100, deadline=None)
     @given(anneal_cases(), st.sampled_from([None, 0.0, -0.0]), st.integers(0, 2 ** 32))
     def test_matches_energy_exactly(self, case, offset, seed):
-        # the restart set-up's energy; hex() also tells -0.0 from 0.0
+        # annealing's restart energies; hex() also tells -0.0 from 0.0
         model = case[0]
         if offset is not None:
             model = QuboModel(model.n_vars, model.linear, model.quadratic, offset)
-        terms = _term_arrays(model)
         rng = random.Random(seed)
         for _ in range(5):
             bits = [rng.randrange(2) for _ in range(model.n_vars)]
-            assert _energy(model.offset, terms, bits).hex() == energy(model, bits).hex()
+            assert energy(model, bits).hex() == loop_energy(model, bits).hex()
+
+    def test_view_lists_linear_then_couplings_in_key_order(self):
+        model = QuboModel(3, {2: 1.5, 0: -1.0}, {(1, 2): 3.0, (0, 2): 2.0, (0, 1): -0.5})
+        i, j, c = model.terms
+        assert list(zip(i.tolist(), j.tolist(), c.tolist())) == [
+            (0, 0, -1.0), (2, 2, 1.5), (0, 1, -0.5), (0, 2, 2.0), (1, 2, 3.0)]
