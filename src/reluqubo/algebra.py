@@ -186,27 +186,10 @@ class QuadraticExpr:
                 total += c
         return total
 
-    def __add__(self, other: "QuadraticExpr | AffineExpr | float") -> "QuadraticExpr":
-        other = _as_quadratic(other)
-        return quad_scale_add(self, other, 1.0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QuadraticExpr | AffineExpr | float") -> "QuadraticExpr":
-        return quad_scale_add(self, _as_quadratic(other), -1.0)
-
     def __mul__(self, scale: float) -> "QuadraticExpr":
         return quad_scale_add(QuadraticExpr(), self, float(scale))
 
     __rmul__ = __mul__
-
-
-def _as_quadratic(x: "QuadraticExpr | AffineExpr | float") -> QuadraticExpr:
-    if isinstance(x, QuadraticExpr):
-        return x
-    if isinstance(x, AffineExpr):
-        return QuadraticExpr({}, dict(x.terms), x.constant)
-    return QuadraticExpr({}, {}, float(x))
 
 
 def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
@@ -264,8 +247,10 @@ def _validated(n: int, linear: Mapping[int, float],
     size, lin_name, quad_name = names
     if n < 0:
         raise ValueError(f"{size} must be >= 0")
+    # canonical key order makes energy sums reproducible across models
+    # that merely inserted their terms differently
     lin: dict[int, float] = {}
-    for i, c in linear.items():
+    for i, c in sorted(linear.items()):
         if not 0 <= i < n:
             raise ValueError(f"{lin_name} index {i} out of range [0, {n})")
         if not math.isfinite(c):  # the message is formatted only on failure
@@ -273,7 +258,7 @@ def _validated(n: int, linear: Mapping[int, float],
         if c != 0.0:
             lin[int(i)] = float(c)
     quad: dict[tuple[int, int], float] = {}
-    for (i, j), c in quadratic.items():
+    for (i, j), c in sorted(quadratic.items()):
         if not (0 <= i < j < n):
             raise ValueError(f"{quad_name} key ({i}, {j}) must satisfy 0 <= i < j < n")
         if not math.isfinite(c):
@@ -291,9 +276,7 @@ def _validated(n: int, linear: Mapping[int, float],
         raise ValueError(f"expected {n} labels, got {len(labels)}")
     if len(set(labels)) != n:
         raise ValueError("labels must be unique")
-    # canonical key order makes energy sums reproducible across models
-    # that merely inserted their terms differently
-    return dict(sorted(lin.items())), dict(sorted(quad.items())), float(offset), labels
+    return lin, quad, float(offset), labels
 
 
 @dataclass
@@ -372,14 +355,16 @@ def quadratic_to_model(expr: QuadraticExpr,
         variables = sorted(expr.variables(), key=lambda v: v.id)
     variables = list(variables)
     n = len(variables)
-    ids = [v.id for v in variables]
-    if ids != list(range(n)):
+    index = {v: v.id for v in variables}
+    if list(index.values()) != list(range(n)):
         raise ValueError("variable ids must be dense 0..n-1 in id order")
-    missing = expr.variables().difference(variables)
-    if missing:
-        raise ValueError(f"expression uses bits outside the variable list: {sorted(missing)}")
-    linear = {v.id: c for v, c in expr.linear.items()}
-    quadratic = {(u.id, v.id): c for (u, v), c in expr.pairs.items()}
+    try:
+        linear = {index[v]: c for v, c in expr.linear.items()}
+        quadratic = {(index[u], index[v]): c for (u, v), c in expr.pairs.items()}
+    except KeyError:
+        missing = expr.variables().difference(variables)
+        raise ValueError(f"expression uses bits outside the variable list: "
+                         f"{sorted(missing)}") from None
     return QuboModel(n, linear, quadratic, expr.constant,
                      labels=[v.label for v in variables])
 

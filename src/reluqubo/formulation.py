@@ -35,7 +35,7 @@ from .algebra import (
     quad_scale_add,
     quadratic_to_model,
 )
-from .encoding import BinaryExpansion
+from .encoding import BinaryExpansion, delta
 
 
 class ConfigError(ValueError):
@@ -346,14 +346,20 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     if not isinstance(inputs, Sequence) or isinstance(inputs, (str, bytes)) or not inputs:
         raise ConfigError("model.inputs", "expected a non-empty array of numbers")
     xs = tuple(_number(x, f"model.inputs[{d}]") for d, x in enumerate(inputs))
-    for d, x in enumerate(xs):
-        if x == 0.0:  # its weight's bits would drop out of m
-            raise ConfigError(f"model.inputs[{d}]", f"must be nonzero, got {x!r}")
     w_exp = _expansion_from_config(_require(model_cfg, "w", "model"), "model.w")
-    try:
-        lin_spec = LinearModelSpec(xs, w_exp)
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from None
+    # bit k of w[d] enters m with coefficient (alpha * delta(k)) * x_d; one
+    # that is 0 drops the bit out of m.  The lowest bit's is the smallest.
+    step = w_exp.alpha * delta(1, w_exp.depth)
+    if step == 0.0:
+        raise ConfigError("model.w", f"alpha {w_exp.alpha!r} gives weight bits of "
+                                     f"coefficient 0, which drop out of m")
+    for d, x in enumerate(xs):
+        if x == 0.0:
+            raise ConfigError(f"model.inputs[{d}]", f"must be nonzero, got {x!r}")
+        if step * x == 0.0:
+            raise ConfigError(f"model.inputs[{d}]", f"{x!r} times the weight step {step!r} "
+                                                    f"is 0, so its weight bits drop out of m")
+    lin_spec = LinearModelSpec(xs, w_exp)
 
     pen_cfg = _require(cfg, "penalty", "")
     t_exp = _expansion_from_config(_require(pen_cfg, "t", "penalty"), "penalty.t")

@@ -14,12 +14,13 @@ exhaustive_solve_many solves a family of patterns over one pinned index
 set: the model is folded once (a shared free-bit block, one diagonal per
 pattern) and each distinct pattern is enumerated once; exhaustive_solve
 is its one-pattern case.  fix_bits, which annealing uses for fixed=, is
-the one-pattern case of the same fold.  Annealing updates the local
-fields of a dense model (2|E| >= n * max(8, n // 16)) with one numpy add
-of an n x n coupling row per accepted flip, and of a sparser one with a
-loop over the neighbours; both give identical results.  The fold, the
-annealer's fields and every energy read the model's one term view,
-QuboModel.terms.
+the one-pattern case of the same fold.  Annealing sets up each restart's
+local fields in one pass over the terms, as single-flip annealers do
+(Isakov et al., arXiv:1401.1084), then updates them per accepted flip:
+with one numpy add of an n x n coupling row on a dense model
+(2|E| >= n * max(8, n // 16)), with a loop over the neighbours on a
+sparser one; both give identical results.  The fold, the annealer's
+fields and every energy read the model's one term view, QuboModel.terms.
 """
 
 from __future__ import annotations
@@ -65,13 +66,9 @@ class AnnealConfig:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
-    def schedule(self) -> list[float]:
-        """Geometric beta ladder from beta_initial to beta_final."""
-        return list(self._betas())
-
-    def _betas(self) -> Iterator[float]:
-        """schedule() one beta at a time, so a walk holds O(1) of it
-        whatever the sweep count."""
+    def schedule(self) -> Iterator[float]:
+        """Geometric beta ladder from beta_initial to beta_final, one beta
+        at a time, so a walk holds O(1) of it whatever the sweep count."""
         if self.sweeps == 1:
             yield self.beta_final
             return
@@ -104,7 +101,7 @@ class SolveResult:
         }
 
 
-def _default_bit_cap() -> int:
+def _bit_cap() -> int:
     raw = os.environ.get("RELUQUBO_BIT_CAP")
     if raw is None:
         return DEFAULT_BIT_CAP
@@ -228,8 +225,7 @@ def _split_argmin(Q: np.ndarray) -> int:
 
 
 def exhaustive_solve(model: QuboModel,
-                     fixed: Mapping[int, int] | None = None,
-                     bit_cap: int | None = None) -> SolveResult:
+                     fixed: Mapping[int, int] | None = None) -> SolveResult:
     """Global minimum by enumeration of every free-bit assignment.
 
     Deterministic: float-exact energy ties go to the lowest assignment
@@ -237,12 +233,12 @@ def exhaustive_solve(model: QuboModel,
     free bits' block in O(|E| + nf^2).  Raises BitCapExceeded when the
     free-bit count exceeds the cap (default 30, env RELUQUBO_BIT_CAP).
     """
-    return exhaustive_solve_many(model, [fixed or {}], bit_cap)[0]
+    return exhaustive_solve_many(model, [fixed or {}])[0]
 
 
-def exhaustive_solve_many(model: QuboModel, fixes: Sequence[Mapping[int, int]],
-                          bit_cap: int | None = None) -> list[SolveResult]:
-    """exhaustive_solve(model, fixed=p, bit_cap) for every pattern p in fixes.
+def exhaustive_solve_many(model: QuboModel,
+                          fixes: Sequence[Mapping[int, int]]) -> list[SolveResult]:
+    """exhaustive_solve(model, fixed=p) for every pattern p in fixes.
 
     Every pattern must pin the same indices.  The model is folded once:
     the free x free block is shared, and each distinct pattern gets its
@@ -255,7 +251,7 @@ def exhaustive_solve_many(model: QuboModel, fixes: Sequence[Mapping[int, int]],
     if not fixes:
         return []
     free = _free_bits(model, fixes)
-    cap = _default_bit_cap() if bit_cap is None else bit_cap
+    cap = _bit_cap()
     if len(free) > cap:
         # 2^n as "2.1e9" from log10, since a float overflows past 2^1023
         digits = len(free) * math.log10(2)
@@ -300,32 +296,20 @@ def _assignment_int(bits: Sequence[int]) -> int:
     return k
 
 
-def _initial_fields(lin: Sequence[float], adj: Sequence[Sequence[tuple[int, float]]],
-                    b: Sequence[int]) -> list[float]:
-    """Local field lin[i] + the sum of i's couplings to set bits, for every i.
-    The couplings are added left to right in adj's (neighbour-ascending)
-    order; sum() would compensate them from Python 3.12 on."""
-    f = []
-    for i, neighbours in enumerate(adj):
-        s = 0.0
-        for j, c in neighbours:
-            if b[j]:
-                s += c
-        f.append(lin[i] + s)
+def _initial_fields(model: QuboModel, b: Sequence[int]) -> np.ndarray:
+    """Local field of every bit i: the sum of i's couplings to set bits, then
+    its linear term.  np.add.at adds in input order, and the term view lists
+    couplings in key order, so a field gets its lower neighbours, then its
+    upper ones, each ascending, and the linear term last."""
+    i, j, c = model.terms
+    n_lin = len(model.linear)
+    qi, qj, qc = i[n_lin:], j[n_lin:], c[n_lin:]
+    on = np.array(b, dtype=bool)
+    lo_set, hi_set = on[qi], on[qj]
+    f = np.zeros(model.n_vars)
+    np.add.at(f, np.concatenate((qj[lo_set], qi[hi_set], i[:n_lin])),
+              np.concatenate((qc[lo_set], qc[hi_set], c[:n_lin])))
     return f
-
-
-def _initial_fields_dense(lin: np.ndarray, rows: Sequence[np.ndarray],
-                          b: Sequence[int]) -> np.ndarray:
-    """_initial_fields from the coupling rows: the rows of the set bits are
-    added in ascending order, so each field sums its neighbours as
-    _initial_fields does.  A non-neighbour adds +0.0, which changes no
-    partial sum: starting at +0.0 over nonzero couplings, none is -0.0."""
-    s = np.zeros(len(rows))
-    for j, bj in enumerate(b):
-        if bj:
-            np.add(s, rows[j], out=s)
-    return s + lin
 
 
 def simulated_anneal(model: QuboModel,
@@ -350,11 +334,11 @@ def simulated_anneal(model: QuboModel,
     numpy add or subtract of row i of an n x n coupling matrix, built once
     per call; non-neighbours get +-0.0, which changes no field because a
     field is never -0.0 (zero coefficients are pruned, and x + y rounds an
-    exact cancellation to +0.0).  Sparser models loop over the neighbours
-    and build no matrix.  A restart's fields are summed in the same order
-    on both (_initial_fields), and its energies come from energy().  The
-    betas are computed one sweep at a time, so memory does not grow with
-    config.sweeps.
+    exact cancellation to +0.0).  Sparser models loop over the neighbours,
+    build no matrix and keep the fields in a Python list.  Either way a
+    restart starts from the fields of _initial_fields and the energy of
+    energy(), both read from the term view.  The betas are computed one
+    sweep at a time, so memory does not grow with config.sweeps.
     """
     t0 = time.perf_counter()
     if fixed:
@@ -369,8 +353,6 @@ def simulated_anneal(model: QuboModel,
                            "sa", time.perf_counter() - t0)
 
     n_lin = len(model.linear)
-    lin_v = np.zeros(n)
-    lin_v[model.terms[0][:n_lin]] = model.terms[2][:n_lin]
     qi, qj, qc = (a[n_lin:] for a in model.terms)
     adj: list[list[tuple[int, float]]] | None = None
     rows: list[np.ndarray] | None = None
@@ -381,7 +363,6 @@ def simulated_anneal(model: QuboModel,
         dense[qj, qi] = qc
         rows = list(dense)
     else:
-        lin = lin_v.tolist()
         adj = [[] for _ in range(n)]
         for i, j, c in zip(qi.tolist(), qj.tolist(), qc.tolist()):
             adj[i].append((j, c))
@@ -394,15 +375,16 @@ def simulated_anneal(model: QuboModel,
         rng = random.Random(config.seed + r)
         rnd = rng.random
         b = [rng.randrange(2) for _ in range(n)]
-        if adj is not None:
-            f = _initial_fields(lin, adj, b)
+        f = _initial_fields(model, b)
+        if rows is None:
+            f = f.tolist()
         else:  # fv views f's memory; the scan reads f[i] as floats
-            f = array("d", _initial_fields_dense(lin_v, rows, b).tobytes())
+            f = array("d", f.tobytes())
             fv = np.frombuffer(f)
         e = energy(model, b)
         best_e, best_b = e, list(b)
         sweep_best: list[float] = []
-        for beta in config._betas():
+        for beta in config.schedule():
             for i in range(n):
                 de = -f[i] if b[i] else f[i]
                 if de > 0.0:

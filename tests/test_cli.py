@@ -120,6 +120,22 @@ class TestBuild:
         assert code == 2
         assert f"'{path}': must be nonzero" in capsys.readouterr().err
 
+    def test_underflowing_input_names_its_key(self, tmp_path, capsys):
+        cfg = config_negative_range()
+        cfg["model"]["inputs"] = [1.0, 5e-324]
+        code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
+        assert code == 2
+        assert "'model.inputs[1]': 5e-324 times the weight step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [0.0, 5e-324])
+    def test_zero_weight_step_names_w(self, tmp_path, capsys, alpha):
+        cfg = config_negative_range()
+        cfg["model"]["w"]["alpha"] = alpha
+        code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
+        assert code == 2
+        assert f"'model.w': alpha {alpha!r} gives weight bits of coefficient 0" \
+            in capsys.readouterr().err
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{ nope")

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every module-level private function or class is referenced in the package."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,41 @@ def test_no_unused_module_imports(path):
     unused = [name for name in unused_imports(path.read_text(encoding="utf-8"))
               if (path.stem, name) not in KEPT]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+def private_definitions(source):
+    """Names of the module-level functions and classes whose names start
+    with an underscore, in source order."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")]
+
+
+def referenced_names(source):
+    """Every name the source reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_guard_flags_an_unreferenced_private_definition():
+    source = ("def _used(): ...\ndef _twin(): ...\nclass _Dead: ...\n"
+              "def public():\n    return _used()\n")
+    assert private_definitions(source) == ["_used", "_twin", "_Dead"]
+    assert referenced_names(source) >= {"_used"}
+    assert not {"_twin", "_Dead"} & referenced_names(source)
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    referenced = set().union(*map(referenced_names, sources.values()))
+    dead = [f"{stem}.{name}" for stem, source in sources.items()
+            for name in private_definitions(source) if name not in referenced]
+    assert dead == [], f"private definitions nothing in the package references: {dead}"

@@ -16,6 +16,7 @@ from reluqubo.solvers import (
     AnnealConfig,
     BitCapExceeded,
     SolveResult,
+    _initial_fields,
     energy_delta,
     exhaustive_solve,
     exhaustive_solve_many,
@@ -117,10 +118,11 @@ class TestExhaustive:
             assert res.to_json_dict()["assignment"] == "111"
             assert res.energy == 0.0
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("RELUQUBO_BIT_CAP", "7")
         m = QuboModel(8, {}, {}, 0.0)
         with pytest.raises(BitCapExceeded):
-            exhaustive_solve(m, bit_cap=7)
+            exhaustive_solve(m)
 
     def test_env_overrides_cap(self, monkeypatch):
         monkeypatch.setenv("RELUQUBO_BIT_CAP", "3")
@@ -286,11 +288,13 @@ class TestExhaustiveSolveMany:
             exhaustive_solve_many(model, [good, bad])
         assert str(family.value) == str(single.value) == str(reduced.value)
 
-    def test_cap_checked_for_family(self):
+    def test_cap_checked_for_family(self, monkeypatch):
         model = QuboModel(10, {}, {}, 0.0)
+        monkeypatch.setenv("RELUQUBO_BIT_CAP", "8")
         with pytest.raises(BitCapExceeded):
-            exhaustive_solve_many(model, [{0: 0}, {0: 1}], bit_cap=8)
-        assert len(exhaustive_solve_many(model, [{0: 0}, {0: 1}], bit_cap=9)) == 2
+            exhaustive_solve_many(model, [{0: 0}, {0: 1}])
+        monkeypatch.setenv("RELUQUBO_BIT_CAP", "9")
+        assert len(exhaustive_solve_many(model, [{0: 0}, {0: 1}])) == 2
 
     def test_family_memory_stays_per_pattern(self):
         # 64 patterns over 6 pinned bits, 20 free bits: a table of
@@ -391,7 +395,7 @@ class TestAnnealConfig:
 
     def test_geometric_schedule(self):
         cfg = AnnealConfig(sweeps=5, beta_initial=0.1, beta_final=10.0)
-        sched = cfg.schedule()
+        sched = list(cfg.schedule())
         assert sched[0] == pytest.approx(0.1)
         assert sched[-1] == pytest.approx(10.0)
         ratios = [b / a for a, b in zip(sched, sched[1:])]
@@ -618,6 +622,33 @@ class TestDenseRows:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         assert res.energy == energy(model, res.assignment)
+
+
+class TestInitialFields:
+    @settings(max_examples=100, deadline=None)
+    @given(anneal_cases(), st.integers(0, 2 ** 32))
+    def test_matches_neighbour_loop(self, case, seed):
+        # the loop both update rules used to start from: each field sums its
+        # couplings to set bits in neighbour-ascending order, then adds its
+        # linear term; hex() also tells -0.0 from 0.0
+        model = case[0]
+        n = model.n_vars
+        adj = [[] for _ in range(n)]
+        for (i, j), c in model.quadratic.items():
+            adj[i].append((j, c))
+            adj[j].append((i, c))
+        rng = random.Random(seed)
+        for _ in range(5):
+            b = [rng.randrange(2) for _ in range(n)]
+            want = []
+            for i in range(n):
+                s = 0.0
+                for j, c in adj[i]:
+                    if b[j]:
+                        s += c
+                want.append(model.linear.get(i, 0.0) + s)
+            assert [x.hex() for x in _initial_fields(model, b).tolist()] == \
+                [x.hex() for x in want]
 
 
 def loop_energy(model, bits):
