@@ -1,20 +1,23 @@
-"""Symbolic algebra over binary variables and QUBO/Ising model containers.
+"""Affine and quadratic forms over model bits, and QUBO/Ising model containers.
 
-Affine and quadratic expressions keep their coefficients in sparse maps
-keyed by bit variables.  Pair terms can only be created by multiplying two
-affine expressions, and a bit squared folds back into a linear term
-(b*b = b on {0, 1}), so everything stays two-body by construction.
+Forms are dense float64 arrays indexed by model bit.  An AffineExpr is a
+coefficient vector plus a constant; a QuadraticExpr is one upper-triangular
+matrix plus a constant, with the linear terms on its diagonal (b*b = b on
+{0, 1}) and the coupling of bits i < j at [i, j].  Pair terms can only be
+created by multiplying two affine forms, so everything stays two-body by
+construction.  A form shorter than another leaves the later bits out; the
+operations zero-pad both operands to one length.
+
+Built models equal, to the bit, those of the dict-keyed reference
+algebra in tests/test_formulation.py: every entry gets the same float
+additions in the same order.  A pair entry of a product sums at most two
+products, u*v and v*u, and IEEE addition commutes.  An entry a dict
+would not hold gets +-0.0 added, which changes no nonzero value, and a
+zero result is pruned when the model is built either way.
 
 All values here are treated as immutable once built: every operation
 returns a new expression or model, so instances can be shared freely
 across threads without locking.
-
-A BitVar hashes by its id alone, which agrees with its (id, label)
-equality and spares each of the ~10^6 dict lookups of a wide build a
-tuple hash.  A QuadraticExpr built by hand is normalized in __post_init__
-(pair keys ordered by id, squares folded, zeros pruned); affine_mul and
-quad_scale_add already produce that form, so QuadraticExpr._normalized
-only prunes their zeros.
 
 Sign conventions
 ----------------
@@ -40,60 +43,35 @@ class QuboParseError(ValueError):
     """Raised when a qubo-v1 text model cannot be parsed."""
 
 
-@dataclass(frozen=True, order=True)
-class BitVar:
-    """A single binary variable, identified by a dense integer id."""
-
-    id: int
-    label: str
-
-    def __hash__(self) -> int:
-        return self.id
-
-    def __repr__(self) -> str:
-        return f"BitVar({self.id}, {self.label!r})"
+def _aligned(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors or square matrices u and v, zero-padded to one size."""
+    n = max(len(u), len(v))
+    return np.pad(u, (0, n - len(u))), np.pad(v, (0, n - len(v)))
 
 
-def _clean(terms: Mapping[BitVar, float]) -> dict[BitVar, float]:
-    return {v: float(c) for v, c in terms.items() if c != 0.0}
-
-
-@dataclass
+@dataclass(eq=False)
 class AffineExpr:
-    """Degree <= 1 polynomial over bit variables: constant + sum coeff*b."""
+    """Degree <= 1 polynomial over model bits: constant + sum coeffs[i]*b_i."""
 
-    terms: dict[BitVar, float] = field(default_factory=dict)
+    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
     constant: float = 0.0
 
     def __post_init__(self) -> None:
-        self.terms = _clean(self.terms)
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
         self.constant = float(self.constant)
 
     @classmethod
     def from_constant(cls, c: float) -> "AffineExpr":
-        return cls({}, c)
-
-    def variables(self) -> set[BitVar]:
-        return set(self.terms)
-
-    def evaluate(self, values: Mapping[BitVar, int]) -> float:
-        """Value at a {0, 1} assignment given as a map BitVar -> bit."""
-        total = self.constant
-        for v, c in self.terms.items():
-            if values[v]:
-                total += c
-        return total
+        return cls(np.zeros(0), c)
 
     def scaled(self, scale: float) -> "AffineExpr":
-        if scale == 0.0:
-            return AffineExpr({}, 0.0)
-        return AffineExpr({v: c * scale for v, c in self.terms.items()},
-                          self.constant * scale)
+        return AffineExpr(self.coeffs * scale, self.constant * scale)
 
     def __add__(self, other: "AffineExpr | float") -> "AffineExpr":
         if isinstance(other, (int, float)):
-            other = AffineExpr.from_constant(float(other))
-        return affine_add(self, other)
+            return AffineExpr(self.coeffs, self.constant + other)
+        u, v = _aligned(self.coeffs, other.coeffs)
+        return AffineExpr(u + v, self.constant + other.constant)
 
     __radd__ = __add__
 
@@ -102,11 +80,12 @@ class AffineExpr:
 
     def __sub__(self, other: "AffineExpr | float") -> "AffineExpr":
         if isinstance(other, (int, float)):
-            other = AffineExpr.from_constant(float(other))
-        return affine_add(self, other.scaled(-1.0))
+            return AffineExpr(self.coeffs, self.constant - other)
+        u, v = _aligned(self.coeffs, other.coeffs)
+        return AffineExpr(u - v, self.constant - other.constant)
 
     def __rsub__(self, other: float) -> "AffineExpr":
-        return affine_add(AffineExpr.from_constant(float(other)), self.scaled(-1.0))
+        return AffineExpr(-self.coeffs, other - self.constant)
 
     def __mul__(self, other: "AffineExpr | float"):
         if isinstance(other, (int, float)):
@@ -117,120 +96,50 @@ class AffineExpr:
         return self.scaled(float(other))
 
 
-def affine_add(a: AffineExpr, b: AffineExpr) -> AffineExpr:
-    """Sum of two affine expressions; coefficients merge by variable."""
-    terms = dict(a.terms)
-    for v, c in b.terms.items():
-        terms[v] = terms.get(v, 0.0) + c
-    return AffineExpr(terms, a.constant + b.constant)
-
-
-def _pair_key(u: BitVar, v: BitVar) -> tuple[BitVar, BitVar]:
-    return (u, v) if u.id < v.id else (v, u)
-
-
-@dataclass
+@dataclass(eq=False)
 class QuadraticExpr:
-    """Degree <= 2 polynomial over bit variables.
+    """Degree <= 2 polynomial over model bits: constant + b @ matrix @ b.
 
-    Pair keys are normalized so the lower-id variable comes first; squares
-    are folded into the linear part, so no key ever pairs a variable with
-    itself.
+    matrix is upper-triangular: [i, i] holds bit i's linear coefficient
+    and [i, j] with i < j the coupling of bits i and j.  There is no
+    product of two quadratics; they only scale and add (quad_scale_add).
     """
 
-    pairs: dict[tuple[BitVar, BitVar], float] = field(default_factory=dict)
-    linear: dict[BitVar, float] = field(default_factory=dict)
+    matrix: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     constant: float = 0.0
 
     def __post_init__(self) -> None:
-        norm: dict[tuple[BitVar, BitVar], float] = {}
-        lin = dict(self.linear)
-        for (u, v), c in self.pairs.items():
-            if c == 0.0:
-                continue
-            if u.id == v.id:
-                lin[u] = lin.get(u, 0.0) + c
-                continue
-            k = _pair_key(u, v)
-            norm[k] = norm.get(k, 0.0) + float(c)
-        self.pairs = {k: c for k, c in norm.items() if c != 0.0}
-        self.linear = _clean(lin)
+        self.matrix = np.asarray(self.matrix, dtype=float)
         self.constant = float(self.constant)
-
-    @classmethod
-    def _normalized(cls, pairs: dict[tuple[BitVar, BitVar], float],
-                    linear: dict[BitVar, float], constant: float) -> "QuadraticExpr":
-        """An expression over already normalized float terms, taken over
-        without a copy; zeros are pruned in place, keeping the key order."""
-        for terms in (pairs, linear):
-            for k in [k for k, c in terms.items() if c == 0.0]:
-                del terms[k]
-        expr = cls.__new__(cls)
-        expr.pairs, expr.linear, expr.constant = pairs, linear, constant
-        return expr
-
-    def variables(self) -> set[BitVar]:
-        out = set(self.linear)
-        for u, v in self.pairs:
-            out.add(u)
-            out.add(v)
-        return out
-
-    def evaluate(self, values: Mapping[BitVar, int]) -> float:
-        total = self.constant
-        for v, c in self.linear.items():
-            if values[v]:
-                total += c
-        for (u, v), c in self.pairs.items():
-            if values[u] and values[v]:
-                total += c
-        return total
-
-    def __mul__(self, scale: float) -> "QuadraticExpr":
-        return quad_scale_add(QuadraticExpr(), self, float(scale))
-
-    __rmul__ = __mul__
 
 
 def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
-    """Product of two affine expressions as a quadratic expression.
+    """Product of two affine forms as a quadratic form.
 
-    b_i * b_i collapses to b_i, so the result stays degree <= 2 with
-    normalized pair keys.
+    b_i * b_i collapses to b_i, so the result stays degree <= 2.  The
+    pair (i, j) gets a_i*b_j + a_j*b_i; the diagonal gets a_i*b_i, then
+    a_i*b.constant, then a.constant*b_i, each only when that constant is
+    nonzero.
     """
-    pairs: dict[tuple[BitVar, BitVar], float] = {}
-    linear: dict[BitVar, float] = {}
-    b_terms = [(v, v.id, cv) for v, cv in b.terms.items()]
-    for u, cu in a.terms.items():
-        uid = u.id
-        for v, vid, cv in b_terms:
-            c = cu * cv
-            if uid == vid:
-                linear[u] = linear.get(u, 0.0) + c
-            else:
-                k = (u, v) if uid < vid else (v, u)
-                pairs[k] = pairs.get(k, 0.0) + c
+    u, v = _aligned(a.coeffs, b.coeffs)
+    outer = np.multiply.outer(u, v)
+    matrix = np.triu(outer + outer.T, 1)
+    linear = outer.diagonal().copy()
     if b.constant != 0.0:
-        for u, cu in a.terms.items():
-            linear[u] = linear.get(u, 0.0) + cu * b.constant
+        linear += u * b.constant
     if a.constant != 0.0:
-        for v, cv in b.terms.items():
-            linear[v] = linear.get(v, 0.0) + a.constant * cv
-    return QuadraticExpr._normalized(pairs, linear, a.constant * b.constant)
+        linear += a.constant * v
+    np.fill_diagonal(matrix, linear)
+    return QuadraticExpr(matrix, a.constant * b.constant)
 
 
 def quad_scale_add(dst: QuadraticExpr, src: QuadraticExpr, scale: float) -> QuadraticExpr:
-    """dst + scale * src as a new quadratic expression."""
+    """dst + scale * src; dst itself when scale is 0."""
     scale = float(scale)
     if scale == 0.0:
-        return QuadraticExpr._normalized(dict(dst.pairs), dict(dst.linear), dst.constant)
-    pairs = dict(dst.pairs)
-    for k, c in src.pairs.items():
-        pairs[k] = pairs.get(k, 0.0) + scale * c
-    linear = dict(dst.linear)
-    for v, c in src.linear.items():
-        linear[v] = linear.get(v, 0.0) + scale * c
-    return QuadraticExpr._normalized(pairs, linear, dst.constant + scale * src.constant)
+        return dst
+    d, s = _aligned(dst.matrix, src.matrix)
+    return QuadraticExpr(d + scale * s, dst.constant + scale * src.constant)
 
 
 def _validated(n: int, linear: Mapping[int, float],
@@ -343,30 +252,19 @@ def energy(model: QuboModel, assignment: Sequence[int]) -> float:
     return float(np.add.accumulate(np.concatenate(([model.offset], c[on[i] & on[j]])))[-1])
 
 
-def quadratic_to_model(expr: QuadraticExpr,
-                       variables: Sequence[BitVar] | None = None) -> QuboModel:
-    """Materialize a quadratic expression as a QuboModel.
+def quadratic_to_model(expr: QuadraticExpr, labels: Sequence[str]) -> QuboModel:
+    """Materialize a quadratic form as a QuboModel over len(labels) bits.
 
-    variables fixes the model's index order and may include bits the
-    expression never touches; ids must be dense 0..n-1.  When omitted,
-    the expression's own variables are used.
+    The labels may outnumber the form's bits; a nonzero entry past them
+    is an out-of-range index, which QuboModel refuses.
     """
-    if variables is None:
-        variables = sorted(expr.variables(), key=lambda v: v.id)
-    variables = list(variables)
-    n = len(variables)
-    index = {v: v.id for v in variables}
-    if list(index.values()) != list(range(n)):
-        raise ValueError("variable ids must be dense 0..n-1 in id order")
-    try:
-        linear = {index[v]: c for v, c in expr.linear.items()}
-        quadratic = {(index[u], index[v]): c for (u, v), c in expr.pairs.items()}
-    except KeyError:
-        missing = expr.variables().difference(variables)
-        raise ValueError(f"expression uses bits outside the variable list: "
-                         f"{sorted(missing)}") from None
-    return QuboModel(n, linear, quadratic, expr.constant,
-                     labels=[v.label for v in variables])
+    q = expr.matrix
+    diagonal = q.diagonal()
+    i = np.flatnonzero(diagonal)
+    rows, cols = np.nonzero(np.triu(q, 1))  # row-major: key order
+    return QuboModel(len(labels), dict(zip(i.tolist(), diagonal[i].tolist())),
+                     dict(zip(zip(rows.tolist(), cols.tolist()), q[rows, cols].tolist())),
+                     expr.constant, labels=list(labels))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AffineExpr, BitVar
+from .algebra import AffineExpr
 
 # j / (2^depth - 1) is formed in doubles, whose 53-bit significand holds
 # every j exactly only up to depth 53; past it, neighbouring grid values
@@ -89,13 +89,14 @@ class BinaryExpansion:
             j = min(max(j, 0), top)
         return tuple((j >> k) & 1 for k in range(self.depth))
 
-    def to_affine(self, bits: Sequence[BitVar]) -> AffineExpr:
-        """Affine form beta + sum alpha*delta(k)*b_k over the given bit vars."""
+    def to_affine(self, bits: range) -> AffineExpr:
+        """Affine form beta + sum alpha*delta(k)*b_k over the model bits in
+        bits, which lists the LSB first."""
         if len(bits) != self.depth:
-            raise ValueError(f"expected {self.depth} bit variables, got {len(bits)}")
-        terms = {v: self.alpha * delta(k, self.depth)
-                 for k, v in enumerate(bits, start=1)}
-        return AffineExpr(terms, self.beta)
+            raise ValueError(f"expected {self.depth} bits, got {len(bits)}")
+        coeffs = np.zeros(bits.stop)
+        coeffs[bits] = [self.alpha * delta(k, self.depth) for k in range(1, self.depth + 1)]
+        return AffineExpr(coeffs, self.beta)
 
     def grid(self) -> np.ndarray:
         """All 2^depth grid values in increasing order."""

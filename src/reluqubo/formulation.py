@@ -22,13 +22,15 @@ concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
 
+import numpy as np
+
 from .algebra import (
     AffineExpr,
-    BitVar,
     QuadraticExpr,
     QuboModel,
     affine_mul,
@@ -163,13 +165,8 @@ class BuiltModel:
         return -self.decode_m(assignment) - z1 + z2
 
 
-def make_bits(prefix: str, start_id: int, count: int) -> list[BitVar]:
-    """Fresh bit variables labeled prefix[0..count-1] with consecutive ids."""
-    return [BitVar(start_id + k, f"{prefix}[{k}]") for k in range(count)]
-
-
 def build_linear_model_expr(spec: LinearModelSpec,
-                            bit_groups: Sequence[Sequence[BitVar]]) -> AffineExpr:
+                            bit_groups: Sequence[range]) -> AffineExpr:
     """Affine form of m = sum_d x_d * w_d over per-dimension weight bits."""
     if len(bit_groups) != spec.dim:
         raise ValueError(f"expected {spec.dim} bit groups, got {len(bit_groups)}")
@@ -179,30 +176,27 @@ def build_linear_model_expr(spec: LinearModelSpec,
     return m
 
 
-def _check_disjoint(groups: Mapping[str, Sequence[BitVar]]) -> None:
-    seen: dict[int, str] = {}
-    for name, bits in groups.items():
-        for v in bits:
-            if v.id in seen:
-                raise ValueError(f"bit collision: id {v.id} used by both "
-                                 f"{seen[v.id]} and {name}")
-            seen[v.id] = name
+def _finite(expr: QuadraticExpr, path: str) -> QuadraticExpr:
+    """expr, or a ConfigError naming path when a coefficient overflowed."""
+    if not (math.isfinite(expr.constant) and np.isfinite(expr.matrix).all()):
+        raise ConfigError(path, "the model's coefficients overflow float64")
+    return expr
 
 
 def build_relu_penalty(m_expr: AffineExpr,
                        spec: ReluPenaltySpec,
-                       t_bits: Sequence[BitVar],
-                       z1_bits: Sequence[BitVar],
-                       z2_bits: Sequence[BitVar]) -> QuadraticExpr:
+                       t_bits: range,
+                       z1_bits: range,
+                       z2_bits: range) -> QuadraticExpr:
     """Two-body form of m*t + z1*(t - a) + z2*(b - t) + M*(-m - z1 + z2)^2.
 
     [a, b] are the spec's t bounds.  Minimized jointly over the fresh t/z
     bits this equals max(a*m, b*m) of the decoded m, up to the z-grid
     resolution: the hinge penalty max(0, -m) for ReluPenaltySpec, |m| for
-    AbsPenaltySpec.  The t/z bits must be disjoint from m's bits.
+    AbsPenaltySpec.  The t/z bit ranges must be disjoint from m's bits.
+    A product of forms that overflows is a ConfigError naming 'model',
+    and M times the squared residual one naming 'penalty.M'.
     """
-    _check_disjoint({"m": sorted(m_expr.variables(), key=lambda v: v.id),
-                     "t": t_bits, "z1": z1_bits, "z2": z2_bits})
     a, b = spec.t_exp.bounds
     t = spec.t_exp.to_affine(t_bits)
     z1 = spec.z1_exp.to_affine(z1_bits)
@@ -211,58 +205,40 @@ def build_relu_penalty(m_expr: AffineExpr,
 
     penalty = affine_mul(m_expr, t)
     penalty = quad_scale_add(penalty, affine_mul(z1, t - a), 1.0)
-    penalty = quad_scale_add(penalty, affine_mul(z2, b - t), 1.0)
-    penalty = quad_scale_add(penalty, affine_mul(residual, residual), spec.M)
-    return penalty
+    penalty = _finite(quad_scale_add(penalty, affine_mul(z2, b - t), 1.0), "model")
+    square = _finite(affine_mul(residual, residual), "model")
+    return _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
 
 
 def build_cost_plus_relu(cost: QuadraticExpr,
                          m_expr: AffineExpr,
                          spec: ReluPenaltySpec,
-                         m_groups: Mapping[str, Sequence[BitVar]] | None = None,
+                         m_groups: Mapping[str, range] | None = None,
                          linear_spec: LinearModelSpec | None = None) -> BuiltModel:
     """Assemble C(m) + the spec's ReLU-type penalty into one model.
 
-    The cost may only touch m's bits (plus constants).  m's bits must
-    have dense ids 0..k-1; fresh t, z1, z2 bits are allocated after them
-    in that order.  m_groups optionally names per-dimension weight bit
-    ranges for the variable map; by default all of m's bits form one
-    group 'm'.
+    m's bits are model bits 0..k-1, k = len(m_expr.coeffs), and the cost
+    may only touch those; fresh t, z1, z2 bits follow them in that order.
+    m_groups optionally splits m's bits into consecutive named ranges, in
+    order, for the variable map and labels; by default they form one
+    group 'm'.  Bit i of group g is labeled g[i].
     """
-    m_vars = sorted(m_expr.variables(), key=lambda v: v.id)
-    if [v.id for v in m_vars] != list(range(len(m_vars))):
-        raise ValueError("m bits must have dense ids 0..k-1")
-    stray = cost.variables().difference(m_vars)
-    if stray:
-        raise ValueError(f"cost uses bits outside the m expression: {sorted(stray)}")
-
-    next_id = len(m_vars)
-    t_bits = make_bits("t", next_id, spec.t_exp.depth)
-    next_id += spec.t_exp.depth
-    z1_bits = make_bits("z1", next_id, spec.z1_exp.depth)
-    next_id += spec.z1_exp.depth
-    z2_bits = make_bits("z2", next_id, spec.z2_exp.depth)
-    next_id += spec.z2_exp.depth
-
-    penalty = build_relu_penalty(m_expr, spec, t_bits, z1_bits, z2_bits)
-    total = quad_scale_add(cost, penalty, 1.0)
-    variables = m_vars + t_bits + z1_bits + z2_bits
-    model = quadratic_to_model(total, variables)
-
+    k = len(m_expr.coeffs)
+    if len(cost.matrix) > k:
+        raise ValueError(f"cost uses bits outside the m expression's {k}")
     if m_groups is None:
-        m_groups = {"m": m_vars} if m_vars else {}
-    ranges: dict[str, range] = {}
-    for name, bits in m_groups.items():
-        if not bits:
-            continue
-        ids = [v.id for v in bits]
-        if ids != list(range(ids[0], ids[-1] + 1)):
-            raise ValueError(f"bit group {name!r} must be a contiguous ascending id range")
-        ranges[name] = range(ids[0], ids[-1] + 1)
-    ranges["t"] = range(t_bits[0].id, t_bits[-1].id + 1)
-    ranges["z1"] = range(z1_bits[0].id, z1_bits[-1].id + 1)
-    ranges["z2"] = range(z2_bits[0].id, z2_bits[-1].id + 1)
-    return BuiltModel(model, ranges, spec, linear_spec)
+        m_groups = {"m": range(k)}
+    if list(itertools.chain.from_iterable(m_groups.values())) != list(range(k)):
+        raise ValueError("m_groups must split bits 0..k-1 into consecutive ranges, in order")
+    ranges = {name: bits for name, bits in m_groups.items() if bits}
+    for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
+        ranges[name] = range(k, k + exp.depth)
+        k += exp.depth
+
+    penalty = build_relu_penalty(m_expr, spec, ranges["t"], ranges["z1"], ranges["z2"])
+    total = _finite(quad_scale_add(cost, penalty, 1.0), "cost.scale")
+    labels = [f"{name}[{i}]" for name, bits in ranges.items() for i in range(len(bits))]
+    return BuiltModel(quadratic_to_model(total, labels), ranges, spec, linear_spec)
 
 
 def recommend_M(m_lo: float, m_hi: float,
@@ -379,21 +355,17 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     except ValueError as exc:
         raise ConfigError("penalty", str(exc)) from None
 
-    groups: dict[str, Sequence[BitVar]] = {}
-    bit_groups: list[list[BitVar]] = []
-    next_id = 0
-    for d in range(lin_spec.dim):
-        bits = make_bits(f"w[{d}]", next_id, w_exp.depth)
-        next_id += w_exp.depth
-        bit_groups.append(bits)
-        groups[f"w[{d}]"] = bits
-    m_expr = build_linear_model_expr(lin_spec, bit_groups)
-
-    cost = QuadraticExpr()
-    if scale != 0.0:  # quad_scale_add would discard the whole product
-        shifted = m_expr - target
-        cost = quad_scale_add(cost, affine_mul(shifted, shifted), scale)
-    built = build_cost_plus_relu(cost, m_expr, pen_spec,
-                                 m_groups=groups, linear_spec=lin_spec)
+    depth = w_exp.depth
+    groups = {f"w[{d}]": range(d * depth, (d + 1) * depth) for d in range(lin_spec.dim)}
+    # an overflowing product is a ConfigError naming its key, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_expr = build_linear_model_expr(lin_spec, list(groups.values()))
+        cost = QuadraticExpr()
+        if scale != 0.0:  # quad_scale_add would discard the whole product
+            shifted = m_expr - target
+            square = _finite(affine_mul(shifted, shifted), "model")
+            cost = _finite(quad_scale_add(cost, square, scale), "cost.scale")
+        built = build_cost_plus_relu(cost, m_expr, pen_spec,
+                                     m_groups=groups, linear_spec=lin_spec)
     built.cost_params = (target, scale)
     return built

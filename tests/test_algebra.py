@@ -1,4 +1,4 @@
-"""Tests for the bit-variable algebra, model containers, and file format."""
+"""Tests for the affine/quadratic forms, model containers, and file format."""
 
 import math
 import tracemalloc
@@ -12,12 +12,10 @@ from reluqubo.algebra import (
     FORMAT_MAGIC,
     MAX_VARS,
     AffineExpr,
-    BitVar,
     IsingModel,
     QuadraticExpr,
     QuboModel,
     QuboParseError,
-    affine_add,
     affine_mul,
     all_assignments,
     energy,
@@ -30,128 +28,114 @@ from reluqubo.algebra import (
 )
 
 
-def bits(n):
-    return [BitVar(i, f"b{i}") for i in range(n)]
+def value(expr, pattern):
+    """A form's value at a {0, 1} assignment: its constant plus every
+    coefficient whose bits are all set, in plain float arithmetic."""
+    total = expr.constant
+    if isinstance(expr, AffineExpr):
+        return total + sum(c for i, c in enumerate(expr.coeffs) if pattern[i])
+    q = expr.matrix
+    return total + sum(q[i, j] for i in range(len(q)) for j in range(i, len(q))
+                       if pattern[i] and pattern[j])
 
 
-def assignment_map(variables, pattern):
-    return {v: pattern[v.id] for v in variables}
+def random_affine(rng, n):
+    """A form over the first 0..n bits, about a fifth of its coefficients 0."""
+    k = int(rng.integers(0, n + 1))
+    coeffs = np.where(rng.random(k) < 0.8, rng.uniform(-3, 3, k), 0.0)
+    return AffineExpr(coeffs, float(rng.uniform(-2, 2)))
 
 
-def random_affine(rng, variables):
-    terms = {v: float(rng.uniform(-3, 3)) for v in variables if rng.random() < 0.8}
-    return AffineExpr(terms, float(rng.uniform(-2, 2)))
-
-
-def random_quadratic(rng, variables):
-    a = random_affine(rng, variables)
-    b = random_affine(rng, variables)
+def random_quadratic(rng, n):
+    a = random_affine(rng, n)
+    b = random_affine(rng, n)
     return quad_scale_add(affine_mul(a, b), affine_mul(b, b), float(rng.uniform(-1, 1)))
 
 
 class TestAffineExpr:
     def test_add_merges_coefficients(self):
-        b0 = bits(1)[0]
-        a = AffineExpr({b0: 2.0}, 1.0)
-        b = AffineExpr({b0: 3.0}, -1.0)
-        out = affine_add(a, b)
-        assert out.terms == {b0: 5.0}
+        out = AffineExpr([2.0], 1.0) + AffineExpr([3.0], -1.0)
+        assert out.coeffs.tolist() == [5.0]
         assert out.constant == 0.0
 
     def test_add_zero_is_identity(self):
-        vs = bits(3)
-        a = AffineExpr({vs[0]: 1.5, vs[2]: -0.5}, 2.0)
-        out = affine_add(a, AffineExpr())
-        assert out.terms == a.terms
+        a = AffineExpr([1.5, 0.0, -0.5], 2.0)
+        out = a + AffineExpr()
+        assert out.coeffs.tolist() == a.coeffs.tolist()
         assert out.constant == a.constant
 
     def test_add_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(7)
-        vs = bits(4)
         for _ in range(20):
-            a, b = random_affine(rng, vs), random_affine(rng, vs)
-            s = affine_add(a, b)
+            a, b = random_affine(rng, 4), random_affine(rng, 4)
+            s = a + b
             for pattern in all_assignments(4):
-                values = assignment_map(vs, pattern)
-                assert s.evaluate(values) == pytest.approx(
-                    a.evaluate(values) + b.evaluate(values), abs=1e-12)
+                assert value(s, pattern) == pytest.approx(
+                    value(a, pattern) + value(b, pattern), abs=1e-12)
 
     def test_operator_sugar(self):
-        vs = bits(2)
-        a = AffineExpr({vs[0]: 1.0})
-        out = 2.0 * a + 1.0 - AffineExpr({vs[1]: 1.0})
-        assert out.terms == {vs[0]: 2.0, vs[1]: -1.0}
+        out = 2.0 * AffineExpr([1.0]) + 1.0 - AffineExpr([0.0, 1.0])
+        assert out.coeffs.tolist() == [2.0, -1.0]
         assert out.constant == 1.0
 
 
 class TestAffineMul:
     def test_square_of_bit_is_linear(self):
-        b0 = bits(1)[0]
-        out = affine_mul(AffineExpr({b0: 1.0}), AffineExpr({b0: 1.0}))
-        assert out.pairs == {}
-        assert out.linear == {b0: 1.0}
+        out = affine_mul(AffineExpr([1.0]), AffineExpr([1.0]))
+        assert out.matrix.tolist() == [[1.0]]
         assert out.constant == 0.0
 
     def test_expansion(self):
-        b0, b1 = bits(2)
-        out = affine_mul(AffineExpr({b0: 1.0}, 1.0), AffineExpr({b1: 1.0}, -1.0))
-        assert out.pairs == {(b0, b1): 1.0}
-        assert out.linear == {b0: -1.0, b1: 1.0}
+        # (b0 + 1)(b1 - 1) = b0 b1 - b0 + b1 - 1
+        out = affine_mul(AffineExpr([1.0], 1.0), AffineExpr([0.0, 1.0], -1.0))
+        assert out.matrix.tolist() == [[-1.0, 1.0], [0.0, 1.0]]
         assert out.constant == -1.0
 
     def test_matches_pointwise_product(self):
         rng = np.random.default_rng(11)
-        vs = bits(5)
         for _ in range(20):
-            a, b = random_affine(rng, vs), random_affine(rng, vs)
+            a, b = random_affine(rng, 5), random_affine(rng, 5)
             p = affine_mul(a, b)
             for pattern in all_assignments(5):
-                values = assignment_map(vs, pattern)
-                assert p.evaluate(values) == pytest.approx(
-                    a.evaluate(values) * b.evaluate(values), abs=1e-10)
+                assert value(p, pattern) == pytest.approx(
+                    value(a, pattern) * value(b, pattern), abs=1e-10)
 
     def test_pair_keys_normalized(self):
-        b0, b1 = bits(2)
-        out = affine_mul(AffineExpr({b1: 1.0}), AffineExpr({b0: 2.0}))
-        assert list(out.pairs) == [(b0, b1)]
+        # b1 * 2 b0 is stored once, above the diagonal
+        out = affine_mul(AffineExpr([0.0, 1.0]), AffineExpr([2.0]))
+        assert out.matrix.tolist() == [[0.0, 2.0], [0.0, 0.0]]
 
     def test_no_quadratic_times_quadratic(self):
         # the type split is the degree guard: quadratics only scale
-        b0, b1 = bits(2)
-        q = affine_mul(AffineExpr({b0: 1.0}), AffineExpr({b1: 1.0}))
+        q = affine_mul(AffineExpr([1.0]), AffineExpr([0.0, 1.0]))
         with pytest.raises(TypeError):
             q * q  # noqa: B018
 
 
 class TestQuadScaleAdd:
     def test_accumulate_coupler(self):
-        b0, b1 = bits(2)
-        src = affine_mul(AffineExpr({b0: 1.0}), AffineExpr({b1: 1.0}))
+        src = affine_mul(AffineExpr([1.0]), AffineExpr([0.0, 1.0]))
         out = quad_scale_add(QuadraticExpr(), src, -16.0)
-        assert out.pairs == {(b0, b1): -16.0}
+        assert out.matrix.tolist() == [[0.0, -16.0], [0.0, 0.0]]
 
     def test_scale_zero_is_identity(self):
         rng = np.random.default_rng(3)
-        vs = bits(4)
-        dst = random_quadratic(rng, vs)
-        src = random_quadratic(rng, vs)
+        dst = random_quadratic(rng, 4)
+        src = random_quadratic(rng, 4)
         out = quad_scale_add(dst, src, 0.0)
-        assert out.pairs == dst.pairs
-        assert out.linear == dst.linear
+        assert out.matrix.tolist() == dst.matrix.tolist()
         assert out.constant == dst.constant
 
     def test_matches_pointwise(self):
         rng = np.random.default_rng(5)
-        vs = bits(6)
         for _ in range(10):
-            dst = random_quadratic(rng, vs)
-            src = random_quadratic(rng, vs)
+            dst = random_quadratic(rng, 6)
+            src = random_quadratic(rng, 6)
             scale = float(rng.uniform(-4, 4))
             out = quad_scale_add(dst, src, scale)
             for pattern in all_assignments(6):
-                values = assignment_map(vs, pattern)
-                assert out.evaluate(values) == pytest.approx(
-                    dst.evaluate(values) + scale * src.evaluate(values), abs=1e-9)
+                assert value(out, pattern) == pytest.approx(
+                    value(dst, pattern) + scale * value(src, pattern), abs=1e-9)
 
 
 def random_model(rng, n, density=0.6):
@@ -379,25 +363,21 @@ class TestQuboFormat:
 
 class TestQuadraticToModel:
     def test_expression_to_model_and_back(self):
-        vs = bits(3)
-        expr = affine_mul(AffineExpr({vs[0]: 1.0, vs[1]: 2.0}, 0.5),
-                          AffineExpr({vs[2]: -1.0}, 1.0))
-        model = quadratic_to_model(expr, vs)
+        expr = affine_mul(AffineExpr([1.0, 2.0], 0.5), AffineExpr([0.0, 0.0, -1.0], 1.0))
+        model = quadratic_to_model(expr, ["a", "b", "c"])
         assert model.n_vars == 3
+        assert model.labels == ["a", "b", "c"]
         for pattern in all_assignments(3):
-            values = assignment_map(vs, pattern)
-            assert energy(model, pattern) == pytest.approx(expr.evaluate(values), abs=1e-12)
+            assert energy(model, pattern) == pytest.approx(value(expr, pattern), abs=1e-12)
 
-    def test_sparse_ids_rejected(self):
-        v5 = BitVar(5, "lonely")
-        expr = QuadraticExpr({}, {v5: 1.0}, 0.0)
-        with pytest.raises(ValueError):
-            quadratic_to_model(expr)
+    def test_bits_past_labels_rejected(self):
+        expr = QuadraticExpr(np.diag([0.0] * 5 + [1.0]))
+        with pytest.raises(ValueError, match="out of range"):
+            quadratic_to_model(expr, ["lonely"])
 
     def test_extra_variables_allowed(self):
-        vs = bits(4)
-        expr = QuadraticExpr({}, {vs[1]: 1.0}, 0.0)
-        model = quadratic_to_model(expr, vs)
+        expr = QuadraticExpr(np.diag([0.0, 1.0]))
+        model = quadratic_to_model(expr, [f"b{i}" for i in range(4)])
         assert model.n_vars == 4
         assert model.linear == {1: 1.0}
 

@@ -46,6 +46,15 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def run_cli(*args):
+    """The CLI in a child process that imports the same reluqubo as this
+    one, however it was found; stdout and stderr captured as text."""
+    src = str(Path(reluqubo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "reluqubo", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def read_tsv(text):
     rows = list(csv.DictReader(text.splitlines(), delimiter="\t"))
     return [{k: float(v) for k, v in row.items()} for row in rows]
@@ -136,6 +145,20 @@ class TestBuild:
         assert f"'model.w': alpha {alpha!r} gives weight bits of coefficient 0" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, path", [
+        ("penalty", "M", 1e308, "penalty.M"),
+        ("model", "w", expansion(6, 1e200, -4.0), "model"),
+        ("cost", "scale", 1e308, "cost.scale"),
+    ], ids=["penalty.M", "model", "cost.scale"])
+    def test_overflowing_config_names_its_key(self, tmp_path, section, key, value, path):
+        # in a child process, so a numpy overflow warning would show on stderr
+        cfg = config_negative_range()
+        cfg[section][key] = value
+        proc = run_cli("build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo"))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: config error at '{path}': ")
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{ nope")
@@ -194,15 +217,10 @@ class TestSolve:
     def test_sa_same_seed_identical_bytes(self, tmp_path):
         cfg = config_negative_range()
         model_path = self.build_model(tmp_path, cfg)
-        cmd = [sys.executable, "-m", "reluqubo", "solve", str(model_path),
-               "--solver", "sa", "--sweeps", "200", "--restarts", "4",
-               "--seed", "11"]
-        # the child imports the same reluqubo as this process, however it was found
-        src = str(Path(reluqubo.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
-        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        cmd = ["solve", str(model_path), "--solver", "sa", "--sweeps", "200",
+               "--restarts", "4", "--seed", "11"]
+        first, second = run_cli(*cmd), run_cli(*cmd)
+        assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.strip()
 

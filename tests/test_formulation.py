@@ -9,22 +9,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reluqubo import formulation
 from reluqubo.algebra import (
     AffineExpr,
-    BitVar,
     QuadraticExpr,
+    QuboModel,
     affine_mul,
     all_assignments,
     energy,
     export_qubo,
-    quad_scale_add,
     quadratic_to_model,
 )
-from reluqubo.encoding import BinaryExpansion
+from reluqubo.encoding import BinaryExpansion, delta
 from reluqubo.formulation import (
     AbsPenaltySpec,
     LinearModelSpec,
@@ -33,7 +32,6 @@ from reluqubo.formulation import (
     build_from_config,
     build_linear_model_expr,
     build_relu_penalty,
-    make_bits,
     recommend_M,
     ConfigError,
 )
@@ -45,14 +43,21 @@ Z_PAIR = BinaryExpansion(2, 2.0, 0.0)     # grid 0, 2/3, 4/3, 2
 
 
 def penalty_bits(spec, start=0):
-    t = make_bits("t", start, spec.t_exp.depth)
-    z1 = make_bits("z1", start + len(t), spec.z1_exp.depth)
-    z2 = make_bits("z2", start + len(t) + len(z1), spec.z2_exp.depth)
+    t = range(start, start + spec.t_exp.depth)
+    z1 = range(t.stop, t.stop + spec.z1_exp.depth)
+    z2 = range(z1.stop, z1.stop + spec.z2_exp.depth)
     return t, z1, z2
 
 
-def values_for(variables, pattern):
-    return {v: pattern[v.id] for v in variables}
+def value(expr, pattern):
+    """A form's value at a {0, 1} assignment: its constant plus every
+    coefficient whose bits are all set, in plain float arithmetic."""
+    total = expr.constant
+    if isinstance(expr, AffineExpr):
+        return total + sum(c for i, c in enumerate(expr.coeffs) if pattern[i])
+    q = expr.matrix
+    return total + sum(q[i, j] for i in range(len(q)) for j in range(i, len(q))
+                       if pattern[i] and pattern[j])
 
 
 class TestSpecValidation:
@@ -83,8 +88,7 @@ class TestBuildReluPenalty:
         t, z1, z2 = penalty_bits(spec)
         expr = build_relu_penalty(AffineExpr.from_constant(0.0), spec, t, z1, z2)
         for t_pattern in all_assignments(2):
-            pattern = t_pattern + (0,) * 6
-            assert expr.evaluate(values_for(t + z1 + z2, pattern)) == 0.0
+            assert value(expr, t_pattern + (0,) * 6) == 0.0
 
     def test_hand_value_at_minus_one(self):
         # t = -1, z1 = 1, z2 = 0 gives (-1)(-1) + 1*0 - 0 + M*0^2 = 1 = f(-1)
@@ -92,7 +96,7 @@ class TestBuildReluPenalty:
         t, z1, z2 = penalty_bits(spec)
         expr = build_relu_penalty(AffineExpr.from_constant(-1.0), spec, t, z1, z2)
         pattern = (0, 0) + (1, 1, 1) + (0, 0, 0)
-        assert expr.evaluate(values_for(t + z1 + z2, pattern)) == pytest.approx(1.0, abs=1e-12)
+        assert value(expr, pattern) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value_at_two(self):
         # t = 0, z1 = 0, z2 = 2 gives 0 + 0 - 0 + M*(-2 + 2)^2 = 0 = f(2)
@@ -100,7 +104,7 @@ class TestBuildReluPenalty:
         t, z1, z2 = penalty_bits(spec)
         expr = build_relu_penalty(AffineExpr.from_constant(2.0), spec, t, z1, z2)
         pattern = (1, 1) + (0, 0, 0) + (1, 1)
-        assert expr.evaluate(values_for(t + z1 + z2, pattern)) == pytest.approx(0.0, abs=1e-12)
+        assert value(expr, pattern) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [-1.3, -0.5, 0.0, 0.7, 2.0])
     def test_closed_form_identity(self, m):
@@ -115,8 +119,7 @@ class TestBuildReluPenalty:
             z2_val = spec.z2_exp.decode(pattern[5:7])
             r = -m - z1_val + z2_val
             expected = z1_val - t_val * r + spec.M * r * r
-            got = expr.evaluate(values_for(t + z1 + z2, pattern))
-            assert got == pytest.approx(expected, abs=1e-9)
+            assert value(expr, pattern) == pytest.approx(expected, abs=1e-9)
 
     def test_t_flip_free_at_zero_residual(self):
         # m on the z grid: z1 = 1, z2 = 0 makes r = 0, so any t is optimal
@@ -125,42 +128,31 @@ class TestBuildReluPenalty:
         expr = build_relu_penalty(AffineExpr.from_constant(-1.0), spec, t, z1, z2)
         energies = []
         for t_pattern in all_assignments(2):
-            pattern = t_pattern + (1, 1, 1) + (0, 0, 0)
-            energies.append(expr.evaluate(values_for(t + z1 + z2, pattern)))
+            energies.append(value(expr, t_pattern + (1, 1, 1) + (0, 0, 0)))
         assert max(energies) - min(energies) <= 1e-12
-
-    def test_bit_collision_rejected(self):
-        spec = ReluPenaltySpec(T2, Z_UNIT, Z_UNIT, 8.0)
-        t, z1, z2 = penalty_bits(spec)
-        m_expr = AffineExpr({t[0]: 1.0})  # reuses a t bit
-        with pytest.raises(ValueError, match="collision"):
-            build_relu_penalty(m_expr, spec, t, z1, z2)
 
     def test_degree_bound_structural(self):
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
         t, z1, z2 = penalty_bits(spec, start=3)
-        m_bits = make_bits("w[0]", 0, 3)
-        m_expr = BinaryExpansion(3, 4.0, -2.0).to_affine(m_bits)
+        m_expr = BinaryExpansion(3, 4.0, -2.0).to_affine(range(3))
         expr = build_relu_penalty(m_expr, spec, t, z1, z2)
         assert isinstance(expr, QuadraticExpr)
-        assert all(u.id < v.id for u, v in expr.pairs)
+        assert expr.matrix.shape == (z2.stop, z2.stop)
+        assert not np.tril(expr.matrix, -1).any()
 
 
 class TestBuildLinearModelExpr:
     def test_single_dim_all_zero_bits(self):
         w = BinaryExpansion(3, 2.0, 0.5)
         spec = LinearModelSpec((1.0,), w)
-        groups = [make_bits("w[0]", 0, 3)]
-        expr = build_linear_model_expr(spec, groups)
-        assert expr.evaluate({v: 0 for v in groups[0]}) == 0.5
+        expr = build_linear_model_expr(spec, [range(3)])
+        assert value(expr, (0, 0, 0)) == 0.5
 
     def test_two_dims_cancel(self):
         w = BinaryExpansion(2, 1.0, 0.25)
         spec = LinearModelSpec((1.0, -1.0), w)
-        groups = [make_bits("w[0]", 0, 2), make_bits("w[1]", 2, 2)]
-        expr = build_linear_model_expr(spec, groups)
-        values = {v: 0 for g in groups for v in g}
-        assert expr.evaluate(values) == 0.0
+        expr = build_linear_model_expr(spec, [range(2), range(2, 4)])
+        assert value(expr, (0, 0, 0, 0)) == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_decoded_sum(self, seed):
@@ -170,19 +162,11 @@ class TestBuildLinearModelExpr:
         w = BinaryExpansion(d_w, float(rng.uniform(0.5, 3)), float(rng.uniform(-2, 2)))
         xs = tuple(float(x) for x in rng.uniform(-2, 2, size=dims))
         spec = LinearModelSpec(xs, w)
-        groups = []
-        next_id = 0
-        for d in range(dims):
-            groups.append(make_bits(f"w[{d}]", next_id, d_w))
-            next_id += d_w
+        groups = [range(d * d_w, (d + 1) * d_w) for d in range(dims)]
         expr = build_linear_model_expr(spec, groups)
-        all_bits = [v for g in groups for v in g]
-        for pattern in all_assignments(len(all_bits)):
-            values = values_for(all_bits, pattern)
-            expected = sum(
-                x * w.decode(pattern[g[0].id:g[0].id + d_w])
-                for x, g in zip(xs, groups))
-            assert expr.evaluate(values) == pytest.approx(expected, abs=1e-12)
+        for pattern in all_assignments(dims * d_w):
+            expected = sum(x * w.decode(pattern[g.start:g.stop]) for x, g in zip(xs, groups))
+            assert value(expr, pattern) == pytest.approx(expected, abs=1e-12)
 
     def test_m_range_interval_arithmetic(self):
         w = BinaryExpansion(4, 4.0, -2.0)
@@ -208,14 +192,14 @@ class TestBuildCostPlusRelu:
         n = built.model.n_vars
         assert n == 2 + 3 + 2
         for pattern in all_assignments(n):
-            ref = penalty.evaluate(values_for(t + z1 + z2, pattern))
-            assert energy(built.model, pattern) == pytest.approx(ref, abs=1e-12)
+            assert energy(built.model, pattern) == pytest.approx(value(penalty, pattern),
+                                                                 abs=1e-12)
 
     def test_quadratic_cost_minimum_at_representable_m(self):
         # C(m) = (m - 1)^2 over w grid [-1, 2] (step 0.2); both m = 1 and
         # z2 = 1 are representable, so the joint minimum is 0 at m = 1
         w = BinaryExpansion(4, 3.0, -1.0)
-        w_bits = make_bits("w[0]", 0, 4)
+        w_bits = range(4)
         m_expr = w.to_affine(w_bits)
         shifted = m_expr - 1.0
         cost = affine_mul(shifted, shifted)
@@ -247,7 +231,7 @@ class TestBuildCostPlusRelu:
     def test_tradeoff_cost_against_penalty(self):
         # C(m) = (m + 1)^2: the continuous optimum is 0.75 at m = -0.5
         w = BinaryExpansion(4, 4.0, -2.0)
-        w_bits = make_bits("w[0]", 0, 4)
+        w_bits = range(4)
         m_expr = w.to_affine(w_bits)
         shifted = m_expr + 1.0
         cost = affine_mul(shifted, shifted)
@@ -267,8 +251,7 @@ class TestBuildCostPlusRelu:
 
     def test_cost_outside_m_bits_rejected(self):
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_UNIT, 8.0)
-        stray = make_bits("stray", 0, 1)
-        cost = QuadraticExpr({}, {stray[0]: 1.0}, 0.0)
+        cost = QuadraticExpr(np.diag([1.0]))  # bit 0, but m has no bits
         with pytest.raises(ValueError):
             build_cost_plus_relu(cost, AffineExpr.from_constant(0.0), spec)
 
@@ -289,7 +272,7 @@ class TestBuildCostPlusRelu:
 
     def test_var_ranges_cover_model(self):
         w = BinaryExpansion(3, 2.0, 0.0)
-        w_bits = make_bits("w[0]", 0, 3)
+        w_bits = range(3)
         m_expr = w.to_affine(w_bits)
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
         built = build_cost_plus_relu(QuadraticExpr(), m_expr, spec,
@@ -321,7 +304,7 @@ class TestBuildAbsQubo:
         spec = AbsPenaltySpec(BinaryExpansion(d_t, 2.0, -1.0), z1_exp, z2_exp, M)
         t, z1, z2 = penalty_bits(spec)
         expr = build_relu_penalty(AffineExpr.from_constant(m), spec, t, z1, z2)
-        model = quadratic_to_model(expr, t + z1 + z2)
+        model = quadratic_to_model(expr, [f"b{i}" for i in range(z2.stop)])
         return exhaustive_solve(model)
 
     def test_zero(self):
@@ -390,55 +373,121 @@ class TestBuildFromConfig:
         assert built.model.labels[2] == "w[1][0]"
 
 
+# --- reference: the dict-keyed float algebra -------------------------------
+#
+# Kept here, apart from the library, as the byte guard for the builder.  An
+# affine form is (terms, constant) and a quadratic one (pairs, linear,
+# constant), keyed by model bit index; every form drops its zero terms.
+# Each operation makes its float additions in the order the builder's
+# algebra promises, so every exported byte must agree.
+
+def _clean(terms):
+    return {k: float(c) for k, c in terms.items() if c != 0.0}
+
+
+def reference_add(a, b):
+    terms = dict(a[0])
+    for v, c in b[0].items():
+        terms[v] = terms.get(v, 0.0) + c
+    return _clean(terms), a[1] + b[1]
+
+
+def reference_scaled(a, scale):
+    if scale == 0.0:
+        return {}, 0.0
+    return _clean({v: c * scale for v, c in a[0].items()}), a[1] * scale
+
+
+def reference_expansion(exp, start):
+    """exp's affine form over bits start .. start + depth - 1, LSB first."""
+    terms = {start + k - 1: exp.alpha * delta(k, exp.depth) for k in range(1, exp.depth + 1)}
+    return _clean(terms), float(exp.beta)
+
+
 def reference_affine_mul(a, b):
-    """affine_mul with its result normalized a second time by the
-    QuadraticExpr constructor: the reference for the single pass."""
     pairs, linear = {}, {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
+    for u, cu in a[0].items():
+        for v, cv in b[0].items():
             c = cu * cv
-            if u.id == v.id:
+            if u == v:
                 linear[u] = linear.get(u, 0.0) + c
             else:
-                k = (u, v) if u.id < v.id else (v, u)
+                k = (min(u, v), max(u, v))
                 pairs[k] = pairs.get(k, 0.0) + c
-    if b.constant != 0.0:
-        for u, cu in a.terms.items():
-            linear[u] = linear.get(u, 0.0) + cu * b.constant
-    if a.constant != 0.0:
-        for v, cv in b.terms.items():
-            linear[v] = linear.get(v, 0.0) + a.constant * cv
-    return QuadraticExpr(pairs, linear, a.constant * b.constant)
+    if b[1] != 0.0:
+        for u, cu in a[0].items():
+            linear[u] = linear.get(u, 0.0) + cu * b[1]
+    if a[1] != 0.0:
+        for v, cv in b[0].items():
+            linear[v] = linear.get(v, 0.0) + a[1] * cv
+    return _clean(pairs), _clean(linear), a[1] * b[1]
 
 
 def reference_quad_scale_add(dst, src, scale):
-    """quad_scale_add through the normalizing QuadraticExpr constructor."""
     if scale == 0.0:
-        return QuadraticExpr(dict(dst.pairs), dict(dst.linear), dst.constant)
-    pairs = dict(dst.pairs)
-    for k, c in src.pairs.items():
+        return dst
+    pairs, linear = dict(dst[0]), dict(dst[1])
+    for k, c in src[0].items():
         pairs[k] = pairs.get(k, 0.0) + scale * c
-    linear = dict(dst.linear)
-    for v, c in src.linear.items():
+    for v, c in src[1].items():
         linear[v] = linear.get(v, 0.0) + scale * c
-    return QuadraticExpr(pairs, linear, dst.constant + scale * src.constant)
+    return _clean(pairs), _clean(linear), dst[2] + scale * src[2]
 
 
 def reference_build(cfg):
-    """build_from_config(cfg).model built with the reference algebra, the
-    cost product formed even at cost scale 0."""
+    """cfg's model built with the reference algebra from the specs that
+    build_from_config reads, the cost product formed even at cost scale 0."""
     built = build_from_config(cfg)
     lin, spec = built.linear_spec, built.penalty_spec
     target, scale = built.cost_params
-    depth = lin.w_exp.depth
-    groups = {f"w[{d}]": make_bits(f"w[{d}]", d * depth, depth) for d in range(lin.dim)}
-    m = build_linear_model_expr(lin, list(groups.values()))
-    shifted = m - target
-    cost = reference_quad_scale_add(QuadraticExpr(), reference_affine_mul(shifted, shifted),
-                                    scale)
-    with mock.patch.object(formulation, "affine_mul", reference_affine_mul), \
-            mock.patch.object(formulation, "quad_scale_add", reference_quad_scale_add):
-        return build_cost_plus_relu(cost, m, spec, m_groups=groups, linear_spec=lin).model
+    labels, m = [], ({}, 0.0)
+    for d, x in enumerate(lin.inputs):
+        m = reference_add(m, reference_scaled(reference_expansion(lin.w_exp, len(labels)), x))
+        labels += [f"w[{d}][{k}]" for k in range(lin.w_exp.depth)]
+    forms = []
+    for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
+        forms.append(reference_expansion(exp, len(labels)))
+        labels += [f"{name}[{k}]" for k in range(exp.depth)]
+    t, z1, z2 = forms
+    a, b = spec.t_exp.bounds
+    shifted = reference_add(m, reference_scaled(({}, target), -1.0))
+    cost = reference_quad_scale_add(({}, {}, 0.0), reference_affine_mul(shifted, shifted), scale)
+    residual = reference_add(reference_add(reference_scaled(m, -1.0),
+                                           reference_scaled(z1, -1.0)), z2)
+    t_minus_a = reference_add(t, reference_scaled(({}, a), -1.0))
+    b_minus_t = reference_add(({}, b), reference_scaled(t, -1.0))
+    penalty = reference_affine_mul(m, t)
+    penalty = reference_quad_scale_add(penalty, reference_affine_mul(z1, t_minus_a), 1.0)
+    penalty = reference_quad_scale_add(penalty, reference_affine_mul(z2, b_minus_t), 1.0)
+    penalty = reference_quad_scale_add(penalty, reference_affine_mul(residual, residual),
+                                       spec.M)
+    pairs, linear, offset = reference_quad_scale_add(cost, penalty, 1.0)
+    return QuboModel(len(labels), linear, pairs, offset, labels=labels)
+
+
+def readme_config(dim=1):
+    """The README config with dim all-ones inputs (perfbench's models)."""
+    def expansion(depth, alpha, beta):
+        return {"depth": depth, "alpha": alpha, "beta": beta}
+
+    return {
+        "cost": {"kind": "quadratic", "target": 0.0, "scale": 0.0},
+        "model": {"inputs": [1.0] * dim, "w": expansion(6, 8.0, -4.0)},
+        "penalty": {"t": expansion(4, 1.0, -1.0),
+                    "z1": expansion(6, 4.0, 0.0),
+                    "z2": expansion(6, 4.0, 0.0),
+                    "M": "auto"},
+    }
+
+
+def exhaustive_full_config():
+    """perfbench's exhaustive_full config: a nonzero cost over 24 bits."""
+    cfg = readme_config()
+    cfg["cost"].update(target=-1.0, scale=1.0)
+    cfg["model"]["w"]["depth"] = 7
+    cfg["penalty"]["t"]["depth"] = 3
+    cfg["penalty"]["z1"]["depth"] = cfg["penalty"]["z2"]["depth"] = 7
+    return cfg
 
 
 @st.composite
@@ -469,23 +518,58 @@ def build_configs(draw):
 class TestReferenceAlgebra:
     @settings(max_examples=150, deadline=None)
     @given(build_configs())
+    @example(readme_config(1))
+    @example(readme_config(4))
+    @example(readme_config(32))
+    @example(exhaustive_full_config())
     def test_build_matches_reference_bytes(self, cfg):
         assert export_qubo(build_from_config(cfg).model) == export_qubo(reference_build(cfg))
 
     def test_products_match_reference_in_key_order(self):
-        # export sorts the terms; the expressions themselves keep insertion order
-        u, v, w = BitVar(0, "a"), BitVar(1, "b"), BitVar(2, "c")
-        a = AffineExpr({u: 0.5, w: -1.5}, 0.25)
-        b = AffineExpr({w: 2.0, v: 1.5}, -3.0)
-        plus, minus = AffineExpr({u: 1.0, v: 1.0}), AffineExpr({u: 1.0, v: -1.0})
-        assert affine_mul(plus, minus).pairs == {}  # the (u, v) terms cancel and are pruned
+        # each dense product and sum, read into a model, against the reference
+        def dense(form):
+            coeffs = np.zeros(3)
+            coeffs[list(form[0])] = list(form[0].values())
+            return AffineExpr(coeffs, form[1])
+
+        def model(quadratic):
+            pairs, linear, offset = quadratic
+            return export_qubo(QuboModel(3, linear, pairs, offset))
+
+        def exported(expr):
+            return export_qubo(quadratic_to_model(expr, ["b0", "b1", "b2"]))
+
+        a, b = ({0: 0.5, 2: -1.5}, 0.25), ({2: 2.0, 1: 1.5}, -3.0)
+        plus, minus = ({0: 1.0, 1: 1.0}, 0.0), ({0: 1.0, 1: -1.0}, 0.0)
+        # the (0, 1) terms cancel and are pruned
+        assert quadratic_to_model(affine_mul(dense(plus), dense(minus)), "abc").quadratic == {}
         for x, y in ((a, b), (b, a), (a, a), (plus, minus)):
-            got, ref = affine_mul(x, y), reference_affine_mul(x, y)
-            assert (got.pairs, got.linear, got.constant) == (ref.pairs, ref.linear, ref.constant)
-            assert list(got.pairs) == list(ref.pairs) and list(got.linear) == list(ref.linear)
+            product = affine_mul(dense(x), dense(y))
+            assert exported(product) == model(reference_affine_mul(x, y))
             for scale in (0.0, 1.0, -2.5):
-                got = quad_scale_add(ref, affine_mul(y, y), scale)
-                want = reference_quad_scale_add(ref, reference_affine_mul(y, y), scale)
-                assert (got.pairs, got.linear, got.constant) == \
-                    (want.pairs, want.linear, want.constant)
-                assert list(got.pairs) == list(want.pairs)
+                got = formulation.quad_scale_add(product, affine_mul(dense(y), dense(y)), scale)
+                want = reference_quad_scale_add(reference_affine_mul(x, y),
+                                                reference_affine_mul(y, y), scale)
+                assert exported(got) == model(want)
+
+
+class TestLayerCalls:
+    @pytest.mark.parametrize("scale, products, sums", [(0.0, 4, 4), (1.0, 5, 5)])
+    def test_build_calls_each_layer(self, scale, products, sums):
+        # perfbench times these three layers by wrapping them in formulation
+        calls = dict.fromkeys(("affine_mul", "quad_scale_add", "quadratic_to_model"), 0)
+
+        def counting(name):
+            original = getattr(formulation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return mock.patch.object(formulation, name, wrapper)
+
+        cfg = readme_config()
+        cfg["cost"]["scale"] = scale
+        with counting("affine_mul"), counting("quad_scale_add"), counting("quadratic_to_model"):
+            build_from_config(cfg)
+        assert calls == {"affine_mul": products, "quad_scale_add": sums,
+                         "quadratic_to_model": 1}
