@@ -8,6 +8,13 @@ created by multiplying two affine forms, so everything stays two-body by
 construction.  A form shorter than another leaves the later bits out; the
 operations zero-pad both operands to one length.
 
+A QuboModel or IsingModel is its (i, j, c) term arrays: i == j marks a
+linear term (a field), i < j a coupling.  They are checked and put in
+canonical order once, at construction.  Producers (quadratic_to_model,
+parse_qubo, the Ising conversions, the solvers' fold) hand over arrays,
+and readers (energy, export_qubo, the solvers) read them; the dict views
+linear/quadratic and h/J exist for callers and are built on access.
+
 Built models equal, to the bit, those of the dict-keyed reference
 algebra in tests/test_formulation.py: every entry gets the same float
 additions in the same order.  A pair entry of a product sums at most two
@@ -31,12 +38,16 @@ hardware vendor convention is implied by this choice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
+
+
+# a model's (i, j, c) term arrays; i == j marks a linear term
+Terms = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class QuboParseError(ValueError):
@@ -142,95 +153,100 @@ def quad_scale_add(dst: QuadraticExpr, src: QuadraticExpr, scale: float) -> Quad
     return QuadraticExpr(d + scale * s, dst.constant + scale * src.constant)
 
 
-def _validated(n: int, linear: Mapping[int, float],
-               quadratic: Mapping[tuple[int, int], float], offset: float,
-               labels: Sequence[str] | None, names: tuple[str, str, str]
-               ) -> tuple[dict[int, float], dict[tuple[int, int], float], float, list[str]]:
-    """Checked, canonical (linear, quadratic, offset, labels) of a model.
+def _checked_terms(n: int, terms: Terms, names: tuple[str, str, str]) -> Terms:
+    """Checked, canonical (i, j, c) term arrays of a model over n variables.
 
-    names gives the model's field names for its size, linear and pair
-    terms, used in error messages.  Indices must lie in [0, n) with i < j
-    for pairs, and every value must be finite.  Zero coefficients are
-    pruned, and labels default to b0..b{n-1} and must be unique.
+    The terms come back linear terms by index, then couplings by key, so
+    energy sums are reproducible across models that merely listed their
+    terms differently, and zero coefficients are pruned.  An index outside
+    [0, n), a pair with i > j, a non-finite value or a repeated key is a
+    ValueError that names the first such key in that order.  names gives
+    the model's field names for its size, linear and pair terms.
     """
     size, lin_name, quad_name = names
     if n < 0:
         raise ValueError(f"{size} must be >= 0")
-    # canonical key order makes energy sums reproducible across models
-    # that merely inserted their terms differently
-    lin: dict[int, float] = {}
-    for i, c in sorted(linear.items()):
-        if not 0 <= i < n:
+    ti, tj, tc = terms
+    c = np.asarray(tc, float)
+    try:
+        i, j = np.asarray(ti, np.intp), np.asarray(tj, np.intp)
+    except OverflowError:  # a Python int past intp, which the range check refuses
+        i, j = np.asarray(ti, object), np.asarray(tj, object)
+    if i.ndim != 1 or not i.shape == j.shape == c.shape:
+        raise ValueError("terms must be three 1-D arrays of one length")
+    order = np.lexsort((j, i, i != j))
+    i, j, c = i[order], j[order], c[order]
+    bad = (i < 0) | (i > j) | (j >= n) | ~np.isfinite(c)
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j, c = int(i[k]), int(j[k]), float(c[k])
+        if i == j and not 0 <= i < n:
             raise ValueError(f"{lin_name} index {i} out of range [0, {n})")
-        if not math.isfinite(c):  # the message is formatted only on failure
-            raise ValueError(f"{lin_name} coefficient for {i} must be finite, got {c!r}")
-        if c != 0.0:
-            lin[int(i)] = float(c)
-    quad: dict[tuple[int, int], float] = {}
-    for (i, j), c in sorted(quadratic.items()):
-        if not (0 <= i < j < n):
+        if i != j and not 0 <= i < j < n:
             raise ValueError(f"{quad_name} key ({i}, {j}) must satisfy 0 <= i < j < n")
-        if not math.isfinite(c):
-            raise ValueError(f"{quad_name} coefficient for ({i}, {j}) must be finite, "
-                             f"got {c!r}")
-        if c != 0.0:
-            quad[(int(i), int(j))] = float(c)
-    if not math.isfinite(offset):
-        raise ValueError(f"offset must be finite, got {offset!r}")
-    if labels is None:
-        labels = [f"b{i}" for i in range(n)]
-    else:
-        labels = [str(s) for s in labels]
-    if len(labels) != n:
-        raise ValueError(f"expected {n} labels, got {len(labels)}")
-    if len(set(labels)) != n:
-        raise ValueError("labels must be unique")
-    return lin, quad, float(offset), labels
+        name, key = (lin_name, i) if i == j else (quad_name, (i, j))
+        raise ValueError(f"{name} coefficient for {key} must be finite, got {c!r}")
+    repeat = (i[1:] == i[:-1]) & (j[1:] == j[:-1])
+    if repeat.any():
+        k = int(np.argmax(repeat)) + 1
+        raise ValueError(f"duplicate {lin_name} term for {i[k]}" if i[k] == j[k]
+                         else f"duplicate {quad_name} key ({i[k]}, {j[k]})")
+    keep = c != 0.0
+    return i[keep], j[keep], c[keep]
 
 
-@dataclass
-class QuboModel:
+def _term_dict(terms: Terms, pairs: bool) -> Mapping:
+    """Read-only {i: c} of the linear terms or, with pairs, {(i, j): c} of the couplings."""
+    i, j, c = terms
+    on = i != j if pairs else i == j
+    keys = zip(i[on].tolist(), j[on].tolist()) if pairs else i[on].tolist()
+    return MappingProxyType(dict(zip(keys, c[on].tolist())))
+
+
+class _TermModel:
+    """What QuboModel and IsingModel share: the checks of their fields, and
+    equality, where equal labels mean equal sizes."""
+
+    _names: tuple[str, str, str]  # the size, linear and pair field names
+
+    def __post_init__(self) -> None:
+        n = getattr(self, self._names[0])
+        self.terms = _checked_terms(n, self.terms, self._names)
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset!r}")
+        self.offset = float(self.offset)
+        labels = (f"b{i}" for i in range(n)) if self.labels is None else self.labels
+        self.labels = [str(s) for s in labels]
+        if len(self.labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(self.labels)}")
+        if len(set(self.labels)) != n:
+            raise ValueError("labels must be unique")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.offset == other.offset and self.labels == other.labels
+                and all(map(np.array_equal, self.terms, other.terms)))
+
+
+@dataclass(eq=False)
+class QuboModel(_TermModel):
     """Sparse QUBO over variables 0..n_vars-1.
 
-    linear maps a variable index to its coefficient; quadratic maps an
-    (i, j) pair with i < j to its coupling.  Zero coefficients are pruned
-    at construction, so two models with identical energies on every
-    assignment compare equal.
-
-    terms is the one term view that energy, export_qubo and the solvers
-    read: (i, j, c) arrays listing the linear terms as (i, i) in index
-    order, then the couplings in key order.  It is built once here; no
-    code changes a model after construction.
+    The model is its terms, in the canonical form of _checked_terms, so
+    two models with identical energies on every assignment compare equal.
+    energy, export_qubo and the solvers read them; no code changes a model
+    after construction.  linear {i: c} and quadratic {(i, j): c} are
+    read-only dict views, built on each access.
     """
 
     n_vars: int
-    linear: dict[int, float] = field(default_factory=dict)
-    quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
+    terms: Terms = ((), (), ())
     offset: float = 0.0
     labels: list[str] | None = None
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.linear, self.quadratic, self.offset, self.labels = _validated(
-            self.n_vars, self.linear, self.quadratic, self.offset, self.labels,
-            ("n_vars", "linear", "quadratic"))
-        n_lin, n_quad = len(self.linear), len(self.quadratic)
-        lin_i = np.fromiter(self.linear, np.intp, n_lin)
-        pairs = np.fromiter(itertools.chain.from_iterable(self.quadratic), np.intp, 2 * n_quad)
-        c = np.fromiter(itertools.chain(self.linear.values(), self.quadratic.values()),
-                        float, n_lin + n_quad)
-        self.terms = (np.concatenate((lin_i, pairs[0::2])),
-                      np.concatenate((lin_i, pairs[1::2])), c)
-
-    def energy(self, assignment: Sequence[int]) -> float:
-        return energy(self, assignment)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no variable labeled {label!r}") from None
+    linear = property(lambda self: _term_dict(self.terms, pairs=False))
+    quadratic = property(lambda self: _term_dict(self.terms, pairs=True))
+    _names = ("n_vars", "linear", "quadratic")
 
 
 def energy(model: QuboModel, assignment: Sequence[int]) -> float:
@@ -259,42 +275,62 @@ def quadratic_to_model(expr: QuadraticExpr, labels: Sequence[str]) -> QuboModel:
     is an out-of-range index, which QuboModel refuses.
     """
     q = expr.matrix
-    diagonal = q.diagonal()
-    i = np.flatnonzero(diagonal)
-    rows, cols = np.nonzero(np.triu(q, 1))  # row-major: key order
-    return QuboModel(len(labels), dict(zip(i.tolist(), diagonal[i].tolist())),
-                     dict(zip(zip(rows.tolist(), cols.tolist()), q[rows, cols].tolist())),
-                     expr.constant, labels=list(labels))
+    rows, cols = np.nonzero(q)
+    return QuboModel(len(labels), (rows, cols, q[rows, cols]), expr.constant, list(labels))
 
 
-@dataclass
-class IsingModel:
-    """Spin model with couplings J (stored once per pair, i < j) and fields h."""
+@dataclass(eq=False)
+class IsingModel(_TermModel):
+    """Spin model over spins 0..n_spins-1, held like QuboModel: fields h_i
+    as terms (i, i, h_i) and couplings J_ij as (i, j, J_ij) with i < j,
+    checked and ordered the same way.  h and J are read-only dict views."""
 
     n_spins: int
-    J: dict[tuple[int, int], float] = field(default_factory=dict)
-    h: dict[int, float] = field(default_factory=dict)
+    terms: Terms = ((), (), ())
     offset: float = 0.0
     labels: list[str] | None = None
-
-    def __post_init__(self) -> None:
-        self.h, self.J, self.offset, self.labels = _validated(
-            self.n_spins, self.h, self.J, self.offset, self.labels, ("n_spins", "h", "J"))
+    h = property(lambda self: _term_dict(self.terms, pairs=False))
+    J = property(lambda self: _term_dict(self.terms, pairs=True))
+    _names = ("n_spins", "h", "J")
 
     def energy(self, spins: Sequence[int]) -> float:
-        """H(s) = offset - sum J_ij s_i s_j - sum h_i s_i for s in {-1, +1}."""
+        """H(s) = offset - sum J_ij s_i s_j - sum h_i s_i for s in {-1, +1},
+        subtracting the couplings in key order, then the fields by index."""
         if len(spins) != self.n_spins:
             raise ValueError(
                 f"spin vector length {len(spins)} != n_spins {self.n_spins}")
         for s in spins:
             if s not in (-1, 1):
                 raise ValueError(f"spins must be -1 or +1, got {s!r}")
-        total = self.offset
-        for (i, j), c in self.J.items():
-            total -= c * spins[i] * spins[j]
-        for i, c in self.h.items():
-            total -= c * spins[i]
-        return total
+        i, j, c = self.terms
+        s = np.array(spins, dtype=float)
+        hs = i == j
+        v = c * s[i] * np.where(hs, 1.0, s[j])
+        return float(np.add.accumulate(np.concatenate(([self.offset], -v[~hs], -v[hs])))[-1])
+
+
+def _substituted(model: QuboModel | IsingModel, to: type, lin: tuple[float, float],
+                 pair: tuple[float, float, float]) -> QuboModel | IsingModel:
+    """The model after a change of variables between bits and spins, as a `to`.
+
+    A linear term c adds c*lin[0] to its variable's linear term and
+    c*lin[1] to the offset.  A coupling c adds c*pair[0] to the linear
+    terms of i, then of j, and c*pair[1] to the offset, and becomes
+    c*pair[2].  Linear terms start at 0.0 and the offset at its old value;
+    np.add.at and np.add.accumulate add in term order, linear terms first.
+    """
+    n = len(model.labels)
+    i, j, c = model.terms
+    on = i == j
+    pi, pj, pc = i[~on], j[~on], c[~on]
+    diagonal = np.zeros(n)
+    np.add.at(diagonal, np.concatenate((i[on], np.column_stack((pi, pj)).ravel())),
+              np.concatenate((c[on] * lin[0], np.repeat(pc * pair[0], 2))))
+    offset = np.add.accumulate(np.concatenate(([model.offset], c[on] * lin[1], pc * pair[1])))
+    every = np.arange(n)
+    terms = (np.concatenate((every, pi)), np.concatenate((every, pj)),
+             np.concatenate((diagonal, pc * pair[2])))
+    return to(n, terms, offset[-1], list(model.labels))
 
 
 def ising_from_qubo(model: QuboModel) -> IsingModel:
@@ -303,36 +339,12 @@ def ising_from_qubo(model: QuboModel) -> IsingModel:
     Energies agree at every corresponding assignment up to float
     round-off.
     """
-    n = model.n_vars
-    J: dict[tuple[int, int], float] = {}
-    h = {i: 0.0 for i in range(n)}
-    offset = model.offset
-    for i, q in model.linear.items():
-        h[i] -= q / 2.0
-        offset += q / 2.0
-    for (i, j), q in model.quadratic.items():
-        J[(i, j)] = -q / 4.0
-        h[i] -= q / 4.0
-        h[j] -= q / 4.0
-        offset += q / 4.0
-    return IsingModel(n, J, h, offset, labels=list(model.labels))
+    return _substituted(model, IsingModel, (-0.5, 0.5), (-0.25, 0.25, -0.25))
 
 
 def qubo_from_ising(model: IsingModel) -> QuboModel:
     """Inverse of ising_from_qubo (s_i = 2 b_i - 1)."""
-    n = model.n_spins
-    linear = {i: 0.0 for i in range(n)}
-    quadratic: dict[tuple[int, int], float] = {}
-    offset = model.offset
-    for i, c in model.h.items():
-        linear[i] -= 2.0 * c
-        offset += c
-    for (i, j), c in model.J.items():
-        quadratic[(i, j)] = -4.0 * c
-        linear[i] += 2.0 * c
-        linear[j] += 2.0 * c
-        offset -= c
-    return QuboModel(n, linear, quadratic, offset, labels=list(model.labels))
+    return _substituted(model, QuboModel, (-2.0, 1.0), (2.0, -1.0, -4.0))
 
 
 # --- qubo-v1 text format ---------------------------------------------------
@@ -398,8 +410,7 @@ def parse_qubo(text: str) -> QuboModel:
     if not math.isfinite(offset):
         raise QuboParseError(f"line {ln2}: non-finite value {parts[1]!r}")
 
-    linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
+    ti, tj, tc = [], [], []  # the terms' i, j and c
     labels: dict[int, str] = {}
     for lineno, line in rows[3:]:
         parts = line.split()
@@ -421,37 +432,23 @@ def parse_qubo(text: str) -> QuboModel:
         if not (si.isdigit() and sj.isdigit()):
             raise QuboParseError(f"line {lineno}: bad indices in {line!r}")
         # int() inline; _parse_index runs only to word a failure.  QuboModel
-        # checks each term's range, order and finiteness, naming its key.
+        # checks each term's range, order, value and uniqueness by its key.
         try:
             i, j = int(si), int(sj)
         except ValueError:
             i, j = _parse_index(si, lineno), _parse_index(sj, lineno)
         try:
-            value = float(sc)
+            tc.append(float(sc))
         except ValueError:
             raise QuboParseError(f"line {lineno}: bad float {sc!r}") from None
-        if i == j:
-            if i in linear:
-                raise QuboParseError(f"line {lineno}: duplicate linear term for {i}")
-            linear[i] = value
-        else:
-            if (i, j) in quadratic:
-                raise QuboParseError(f"line {lineno}: duplicate coupling ({i}, {j})")
-            quadratic[(i, j)] = value
+        ti.append(i)
+        tj.append(j)
 
-    label_list: list[str] | None = None
-    if labels:
-        if len(labels) != n:
-            missing = sorted(set(range(n)) - set(labels))
-            raise QuboParseError(f"label table incomplete: missing {missing}")
-        label_list = [labels[i] for i in range(n)]
+    if labels and len(labels) != n:
+        missing = sorted(set(range(n)) - set(labels))
+        raise QuboParseError(f"label table incomplete: missing {missing}")
     try:
-        return QuboModel(n, linear, quadratic, offset, labels=label_list)
+        return QuboModel(n, (ti, tj, tc), offset, [s for _, s in sorted(labels.items())] or None)
     except ValueError as exc:
         raise QuboParseError(str(exc)) from None
 
-
-def all_assignments(n: int) -> Iterable[tuple[int, ...]]:
-    """All {0,1}^n assignments in integer order (LSB = variable 0)."""
-    for k in range(1 << n):
-        yield tuple((k >> i) & 1 for i in range(n))

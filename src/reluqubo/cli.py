@@ -75,8 +75,8 @@ def _parse_fixes(model: QuboModel, pairs: Sequence[str]) -> dict[int, int]:
             idx = int(name)
         else:
             try:
-                idx = model.index_of(name)
-            except KeyError:
+                idx = model.labels.index(name)
+            except ValueError:
                 raise QuboParseError(f"--fix: no variable labeled {name!r}") from None
         if fixes.setdefault(idx, int(value)) != int(value):
             raise QuboParseError(f"--fix {item!r} conflicts with an earlier pin of "

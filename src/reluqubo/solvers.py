@@ -127,35 +127,30 @@ def _free_bits(model: QuboModel, fixes: Sequence[Mapping[int, int]]) -> list[int
 
 
 def _fold(model: QuboModel, free: Sequence[int], patterns: Sequence[Mapping[int, int]]
-          ) -> tuple[dict[tuple[int, int], float], list[list[float]], list[float]]:
-    """Fold a family of patterns over one pinned index set into the model in
-    one pass over its terms: (the couplings between free bits, keyed by
-    position in free and shared by all patterns; one diagonal per pattern,
-    holding the free bits' linear terms since b*b = b; one offset per
-    pattern).  Every sum runs in term order, linear terms first, and a term
-    whose pin is 0 adds nothing, so an offset of -0.0 keeps its sign."""
-    pos = {orig: k for k, orig in enumerate(free)}
-    pinned = patterns[0]
-    couplings: dict[tuple[int, int], float] = {}
-    diagonals = [[0.0] * len(free) for _ in patterns]
-    offsets = [model.offset] * len(patterns)
-    numbered = list(enumerate(patterns))  # hoisted: pinned x pinned terms dominate large models
-    for i, j, c in zip(*(a.tolist() for a in model.terms)):
-        if i in pinned and j in pinned:
-            for p, fixed in numbered:
-                if fixed[i] and fixed[j]:
-                    offsets[p] += c
-        elif i in pinned or j in pinned:
-            pin, k = (i, pos[j]) if i in pinned else (j, pos[i])
-            for d, fixed in zip(diagonals, patterns):
-                if fixed[pin]:
-                    d[k] += c
-        elif i == j:
-            for d in diagonals:
-                d[pos[i]] += c
-        else:
-            couplings[pos[i], pos[j]] = c
-    return couplings, diagonals, offsets
+          ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Fold a family of patterns over one pinned index set into the model:
+    (the couplings between free bits as (k, l, c) arrays in key order, k
+    and l positions in free, shared by all patterns; one row of diagonal
+    per pattern, holding the free bits' linear terms since b*b = b; one
+    offset per pattern).  Every sum runs in term order, linear terms
+    first, and a term whose pin is 0 adds nothing, so an offset of -0.0
+    keeps its sign."""
+    pos = np.full(model.n_vars, -1)
+    pos[free] = np.arange(len(free))
+    i, j, c = model.terms
+    free_i, free_j = pos[i] >= 0, pos[j] >= 0
+    shared = (i != j) & free_i & free_j
+    inside, edge = ~(free_i | free_j), (free_i | free_j) & ~shared
+    k, c_edge = np.where(free_i, pos[i], pos[j])[edge], c[edge]  # the free end's position
+    on = np.ones(model.n_vars, dtype=bool)
+    diagonals = np.zeros((len(patterns), len(free)))
+    offsets = np.empty(len(patterns))
+    for p, fixed in enumerate(patterns):
+        on[list(fixed)] = list(fixed.values())
+        keep = on[i] & on[j]
+        np.add.at(diagonals[p], k[keep[edge]], c_edge[keep[edge]])
+        offsets[p] = np.add.accumulate(np.concatenate(([model.offset], c[inside & keep])))[-1]
+    return (pos[i[shared]], pos[j[shared]], c[shared]), diagonals, offsets
 
 
 def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, list[int]]:
@@ -166,10 +161,11 @@ def fix_bits(model: QuboModel, fixed: Mapping[int, int]) -> tuple[QuboModel, lis
     index.
     """
     free = _free_bits(model, [fixed])
-    couplings, diagonals, offsets = _fold(model, free, [fixed])
-    labels = [model.labels[i] for i in free]
-    return QuboModel(len(free), dict(enumerate(diagonals[0])), couplings, offsets[0],
-                     labels=labels), free
+    (k, l, c), diagonals, offsets = _fold(model, free, [fixed])
+    every = np.arange(len(free))
+    terms = (np.concatenate((every, k)), np.concatenate((every, l)),
+             np.concatenate((diagonals[0], c)))
+    return QuboModel(len(free), terms, offsets[0], [model.labels[i] for i in free]), free
 
 
 def _lift(model: QuboModel, fixed: Mapping[int, int], free: Sequence[int],
@@ -263,10 +259,9 @@ def exhaustive_solve_many(model: QuboModel,
     slot: dict[tuple[int, ...], int] = {}
     slots = [slot.setdefault(tuple(fixed[i] for i in fixes[0]), len(slot)) for fixed in fixes]
     patterns = [dict(zip(fixes[0], key)) for key in slot]
-    couplings, diagonals, _ = _fold(model, free, patterns)
+    (k, l, c), diagonals, _ = _fold(model, free, patterns)
     Q = np.zeros((len(free), len(free)))
-    for key, c in couplings.items():
-        Q[key] = c
+    Q[k, l] = c
 
     solved = []
     diag = np.diag_indices(len(free))
@@ -278,15 +273,6 @@ def exhaustive_solve_many(model: QuboModel,
     wall = time.perf_counter() - t0
     results = [SolveResult(a, e, [], "exhaustive", wall) for a, e in solved]
     return [results[k] for k in slots]
-
-
-def energy_delta(model: QuboModel, assignment: Sequence[int], i: int) -> float:
-    """Energy change from flipping bit i of the assignment."""
-    if not 0 <= i < model.n_vars:
-        raise ValueError(f"index {i} out of range [0, {model.n_vars})")
-    flipped = list(assignment)
-    flipped[i] = 1 - flipped[i]
-    return energy(model, flipped) - energy(model, assignment)
 
 
 def _assignment_int(bits: Sequence[int]) -> int:
@@ -302,13 +288,13 @@ def _initial_fields(model: QuboModel, b: Sequence[int]) -> np.ndarray:
     couplings in key order, so a field gets its lower neighbours, then its
     upper ones, each ascending, and the linear term last."""
     i, j, c = model.terms
-    n_lin = len(model.linear)
-    qi, qj, qc = i[n_lin:], j[n_lin:], c[n_lin:]
+    lin = i == j
+    qi, qj, qc = i[~lin], j[~lin], c[~lin]
     on = np.array(b, dtype=bool)
     lo_set, hi_set = on[qi], on[qj]
     f = np.zeros(model.n_vars)
-    np.add.at(f, np.concatenate((qj[lo_set], qi[hi_set], i[:n_lin])),
-              np.concatenate((qc[lo_set], qc[hi_set], c[:n_lin])))
+    np.add.at(f, np.concatenate((qj[lo_set], qi[hi_set], i[lin])),
+              np.concatenate((qc[lo_set], qc[hi_set], c[lin])))
     return f
 
 
@@ -352,8 +338,8 @@ def simulated_anneal(model: QuboModel,
         return SolveResult((), model.offset, [model.offset] * config.restarts,
                            "sa", time.perf_counter() - t0)
 
-    n_lin = len(model.linear)
-    qi, qj, qc = (a[n_lin:] for a in model.terms)
+    pair = model.terms[0] != model.terms[1]
+    qi, qj, qc = (a[pair] for a in model.terms)
     adj: list[list[tuple[int, float]]] | None = None
     rows: list[np.ndarray] | None = None
     # the n*n matrix stays within a small multiple of adj's own memory

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import all_assignments, qubo
 
 from reluqubo.algebra import (
     FORMAT_MAGIC,
@@ -17,7 +18,6 @@ from reluqubo.algebra import (
     QuboModel,
     QuboParseError,
     affine_mul,
-    all_assignments,
     energy,
     export_qubo,
     ising_from_qubo,
@@ -143,7 +143,7 @@ def random_model(rng, n, density=0.6):
     quadratic = {(i, j): float(rng.uniform(-2, 2))
                  for i in range(n) for j in range(i + 1, n)
                  if rng.random() < density}
-    return QuboModel(n, linear, quadratic, float(rng.uniform(-1, 1)))
+    return qubo(n, linear, quadratic, float(rng.uniform(-1, 1)))
 
 
 @st.composite
@@ -158,7 +158,7 @@ def qubo_models(draw):
     quadratic = draw(st.dictionaries(st.sampled_from(pairs), coeff)) if pairs else {}
     label = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_size=5)
     labels = draw(st.one_of(st.none(), st.lists(label, min_size=n, max_size=n, unique=True)))
-    return QuboModel(n, linear, quadratic, draw(coeff), labels=labels)
+    return qubo(n, linear, quadratic, draw(coeff), labels=labels)
 
 
 @st.composite
@@ -191,11 +191,11 @@ def dense_energy(model, pattern):
 
 class TestEnergy:
     def test_all_zero_gives_offset(self):
-        m = QuboModel(3, {0: 1.0}, {(0, 1): 2.0}, offset=4.5)
+        m = qubo(3, {0: 1.0}, {(0, 1): 2.0}, offset=4.5)
         assert energy(m, (0, 0, 0)) == 4.5
 
     def test_single_linear_term(self):
-        m = QuboModel(1, {0: 3.0}, {}, offset=1.0)
+        m = qubo(1, {0: 3.0}, {}, offset=1.0)
         assert energy(m, (1,)) == 4.0
 
     def test_matches_dense_recomputation(self):
@@ -206,12 +206,12 @@ class TestEnergy:
             assert energy(m, pattern) == pytest.approx(dense_energy(m, pattern), abs=1e-12)
 
     def test_length_mismatch_rejected(self):
-        m = QuboModel(2, {}, {}, 0.0)
+        m = qubo(2, {}, {}, 0.0)
         with pytest.raises(ValueError):
             energy(m, (0,))
 
     def test_non_binary_rejected(self):
-        m = QuboModel(1, {}, {}, 0.0)
+        m = qubo(1, {}, {}, 0.0)
         with pytest.raises(ValueError):
             energy(m, (2,))
 
@@ -222,20 +222,20 @@ def spins_for(pattern):
 
 class TestIsingConversion:
     def test_empty_model(self):
-        q = QuboModel(0, {}, {}, offset=2.5)
+        q = qubo(0, {}, {}, offset=2.5)
         ising = ising_from_qubo(q)
         assert ising.J == {} and ising.h == {}
         assert ising.offset == 2.5
 
     def test_single_linear_term(self):
         # solving {b0=0 -> E, b0=1 -> E+q} pins h0 = -q/2 and offset' = offset + q/2
-        q = QuboModel(1, {0: 3.0}, {}, offset=1.0)
+        q = qubo(1, {0: 3.0}, {}, offset=1.0)
         ising = ising_from_qubo(q)
         assert ising.h == {0: -1.5}
         assert ising.offset == 2.5
 
     def test_field_only_inverse(self):
-        ising = IsingModel(1, {}, {0: 1.0}, offset=0.0)
+        ising = IsingModel(1, ([0], [0], [1.0]))
         q = qubo_from_ising(ising)
         assert q.linear == {0: -2.0}
         assert q.offset == 1.0
@@ -256,6 +256,24 @@ class TestIsingConversion:
             assert abs(e_q - e_i) <= 1e-12 * scale
             assert abs(e_q - e_b) <= 1e-12 * scale
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_energy_identity_on_shuffled_models(self, data):
+        # random models listed in any term order; rounding scales with sum |c|
+        n = data.draw(st.integers(0, 6))
+        coeff = st.floats(-1e6, 1e6)
+        keys = [(i, j) for i in range(n) for j in range(i, n)]
+        chosen = data.draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+        terms = data.draw(st.permutations([(i, j, data.draw(coeff)) for i, j in chosen]))
+        q = QuboModel(n, tuple(zip(*terms)) or ((), (), ()), data.draw(coeff))
+        ising = ising_from_qubo(q)
+        back = qubo_from_ising(ising)
+        tol = 1e-12 * (1.0 + abs(q.offset) + float(np.abs(q.terms[2]).sum()))
+        for pattern in all_assignments(n):
+            e_q = energy(q, pattern)
+            assert abs(ising.energy(spins_for(pattern)) - e_q) <= tol
+            assert abs(energy(back, pattern) - e_q) <= tol
+
     def test_j_diagonal_never_stored(self):
         rng = np.random.default_rng(9)
         ising = ising_from_qubo(random_model(rng, 6))
@@ -264,13 +282,13 @@ class TestIsingConversion:
 
 class TestQuboFormat:
     def test_empty_model_roundtrip(self):
-        m = QuboModel(0, {}, {}, 0.0)
+        m = qubo(0, {}, {}, 0.0)
         text = export_qubo(m)
         assert text == "qubo-v1\nvars 0\noffset 0.0\n"
         assert export_qubo(parse_qubo(text)) == text
 
     def test_offset_and_coupler(self):
-        m = QuboModel(2, {}, {(0, 1): -2.25}, offset=1.5)
+        m = qubo(2, {}, {(0, 1): -2.25}, offset=1.5)
         text = export_qubo(m)
         back = parse_qubo(text)
         assert back.offset == 1.5
@@ -283,7 +301,7 @@ class TestQuboFormat:
         assert m.linear == {0: 1.0}
 
     def test_labels_roundtrip(self):
-        m = QuboModel(2, {0: 1.0}, {}, 0.0, labels=["t[0]", "z1[0]"])
+        m = qubo(2, {0: 1.0}, {}, 0.0, labels=["t[0]", "z1[0]"])
         back = parse_qubo(export_qubo(m))
         assert back.labels == ["t[0]", "z1[0]"]
 
@@ -382,21 +400,103 @@ class TestQuadraticToModel:
         assert model.linear == {1: 1.0}
 
 
+def key_order(key):
+    """Canonical term order: linear terms by index, then couplings by key."""
+    i, j = key
+    return (i != j, i, j)
+
+
+def expected_error(kind, key, n, value):
+    """The checker's message for the first bad key of each kind."""
+    i, j = key
+    if kind == "duplicate":
+        return f"duplicate linear term for {i}" if i == j else f"duplicate quadratic key {key}"
+    if kind == "non-finite":
+        name = f"linear coefficient for {i}" if i == j else f"quadratic coefficient for {key}"
+        return f"{name} must be finite, got {value!r}"
+    if i == j:
+        return f"linear index {i} out of range [0, {n})"
+    return f"quadratic key {key} must satisfy 0 <= i < j < n"
+
+
+@st.composite
+def flawed_terms(draw, kind):
+    """(n, terms in any order, the first bad key in key order, the bad value):
+    a valid model's terms plus two or three bad keys of one kind."""
+    n = draw(st.integers(3, 6))
+    coeff = st.floats(-4, 4)
+    keys = [(i, j) for i in range(n) for j in range(i, n)]
+    value = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    if kind == "range":
+        big = st.integers(n, n + 3)
+        bad_key = st.one_of(big.map(lambda k: (k, k)), st.tuples(st.integers(0, n - 1), big))
+    elif kind == "order":
+        bad_key = st.tuples(st.integers(1, n - 1), st.integers(0, n - 2)).filter(
+            lambda k: k[0] > k[1])
+    else:
+        bad_key = st.sampled_from(keys)
+    bad = draw(st.lists(bad_key, min_size=2, max_size=3, unique=True))
+    good = [k for k in draw(st.lists(st.sampled_from(keys), unique=True)) if k not in bad]
+    terms = [(i, j, draw(coeff)) for i, j in good]
+    if kind == "non-finite":
+        terms += [(i, j, value) for i, j in bad]
+    else:
+        repeats = 2 if kind == "duplicate" else 1
+        terms += [(i, j, draw(coeff)) for i, j in bad for _ in range(repeats)]
+    return n, draw(st.permutations(terms)), min(bad, key=key_order), value
+
+
 class TestModelValidation:
+    @settings(max_examples=200, deadline=None)
+    @given(qubo_models(), st.data())
+    def test_term_order_and_zero_terms_leave_the_model_canonical(self, m, data):
+        n = m.n_vars
+        held = set(zip(m.terms[0].tolist(), m.terms[1].tolist()))
+        unused = [(i, j) for i in range(n) for j in range(i, n) if (i, j) not in held]
+        zeros = data.draw(st.lists(st.sampled_from(unused), unique=True)) if unused else []
+        terms = list(zip(*(a.tolist() for a in m.terms)))
+        terms += [(i, j, data.draw(st.sampled_from([0.0, -0.0]))) for i, j in zeros]
+        terms = data.draw(st.permutations(terms))
+        again = QuboModel(n, tuple(zip(*terms)) or ((), (), ()), m.offset, m.labels)
+        assert again == m
+        assert [(a.dtype, a.tobytes()) for a in again.terms] == \
+            [(a.dtype, a.tobytes()) for a in m.terms]
+        assert export_qubo(again) == export_qubo(m)
+        canonical = sorted((t for t in terms if t[2] != 0.0), key=lambda t: key_order(t[:2]))
+        assert list(zip(*(a.tolist() for a in again.terms))) == canonical
+
+    @pytest.mark.parametrize("kind", ["duplicate", "order", "range", "non-finite"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_first_bad_key_in_key_order_is_named(self, kind, data):
+        n, terms, first, value = data.draw(flawed_terms(kind))
+        with pytest.raises(ValueError) as err:
+            QuboModel(n, tuple(zip(*terms)))
+        assert str(err.value) == expected_error(kind, first, n, value)
+
+    @pytest.mark.parametrize("key, message", [
+        ((0, 10 ** 20), "quadratic key (0, 100000000000000000000) must satisfy 0 <= i < j < n"),
+        ((10 ** 20, 10 ** 20), "linear index 100000000000000000000 out of range [0, 2)"),
+    ])
+    def test_index_past_intp_is_a_value_error(self, key, message):
+        with pytest.raises(ValueError) as err:
+            QuboModel(2, ([0, key[0]], [1, key[1]], [1.0, 1.0]))
+        assert str(err.value) == message
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
-            QuboModel(2, {}, {}, 0.0, labels=["a", "a"])
+            qubo(2, {}, {}, 0.0, labels=["a", "a"])
 
     def test_out_of_range_keys_rejected(self):
         with pytest.raises(ValueError):
-            QuboModel(2, {5: 1.0}, {}, 0.0)
+            QuboModel(2, ([5], [5], [1.0]))
         with pytest.raises(ValueError):
-            QuboModel(2, {}, {(1, 0): 1.0}, 0.0)
+            QuboModel(2, ([1], [0], [1.0]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            QuboModel(1, {0: math.inf}, {}, 0.0)
+            QuboModel(1, ([0], [0], [math.inf]))
 
     def test_zero_terms_pruned(self):
-        m = QuboModel(2, {0: 0.0}, {(0, 1): 0.0}, 0.0)
+        m = QuboModel(2, ([0, 0], [0, 1], [0.0, 0.0]))
         assert m.linear == {} and m.quadratic == {}

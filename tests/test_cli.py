@@ -256,6 +256,14 @@ class TestSolve:
         assert main(["solve", str(path)]) == 2
         assert "quadratic key (1, 0) must satisfy 0 <= i < j < n" in capsys.readouterr().err
 
+    def test_index_past_intp_is_input_error(self, tmp_path, capsys):
+        # 20 digits overflow a C long; the range check still names the key
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 2\noffset 0.0\n0 99999999999999999999 1.0\n")
+        assert main(["solve", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: quadratic key (0, 99999999999999999999) must satisfy 0 <= i < j < n\n")
+
     def test_bit_cap_is_resource_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RELUQUBO_BIT_CAP", "4")
         path = tmp_path / "wide.qubo"

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from helpers import all_assignments
 
-from reluqubo.algebra import all_assignments
 from reluqubo.encoding import BinaryExpansion, delta
 
 

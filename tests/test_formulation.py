@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import all_assignments, qubo
 
 from reluqubo import formulation
 from reluqubo.algebra import (
     AffineExpr,
     QuadraticExpr,
-    QuboModel,
     affine_mul,
-    all_assignments,
     energy,
     export_qubo,
     quadratic_to_model,
@@ -462,7 +461,7 @@ def reference_build(cfg):
     penalty = reference_quad_scale_add(penalty, reference_affine_mul(residual, residual),
                                        spec.M)
     pairs, linear, offset = reference_quad_scale_add(cost, penalty, 1.0)
-    return QuboModel(len(labels), linear, pairs, offset, labels=labels)
+    return qubo(len(labels), linear, pairs, offset, labels=labels)
 
 
 def readme_config(dim=1):
@@ -534,7 +533,7 @@ class TestReferenceAlgebra:
 
         def model(quadratic):
             pairs, linear, offset = quadratic
-            return export_qubo(QuboModel(3, linear, pairs, offset))
+            return export_qubo(qubo(3, linear, pairs, offset))
 
         def exported(expr):
             return export_qubo(quadratic_to_model(expr, ["b0", "b1", "b2"]))

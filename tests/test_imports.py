@@ -1,7 +1,9 @@
-"""Every module-level import in the package is used by its module, and
-every module-level private function or class is referenced in the package."""
+"""Every module-level import in the package is used by its module, every
+module-level private function or class is referenced in the package, and
+every public name is used by the package, the README or the benchmark."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import reluqubo
 
 PACKAGE = Path(reluqubo.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 # imports kept for code that looks them up under the importing module's name:
 # perfbench/tracing.py wraps reluqubo.cli.fix_bits
 KEPT = {("cli", "fix_bits")}
@@ -86,3 +89,48 @@ def test_no_unreferenced_private_definitions():
     dead = [f"{stem}.{name}" for stem, source in sources.items()
             for name in private_definitions(source) if name not in referenced]
     assert dead == [], f"private definitions nothing in the package references: {dead}"
+
+
+# public names that nothing outside the tests uses yet, each with why it stays
+UNUSED_PUBLIC_KEPT = {
+    "qloss_reference": "criterion 5's q-loss yardstick; ROADMAP item 5 builds on it",
+    "qloss_min_form": "criterion 5's closed form of the q-loss yardstick",
+    "legendre_conjugate_num": "criterion 4's Legendre-conjugate yardstick",
+    "wolfe_dual_analytic": "criterion 3's Wolfe-dual yardstick; ROADMAP item 1 generalises it",
+    "AbsPenaltySpec": "the |m| gadget, until ROADMAP item 4 builds it from the hinge",
+    "ising_from_qubo": "Ising output, until ROADMAP item 8 gives it a CLI path or drops it",
+    "qubo_from_ising": "Ising input, until ROADMAP item 8 gives it a CLI path or drops it",
+}
+
+
+def used_names(source):
+    """referenced_names plus every string constant, since the benchmark's
+    tracer looks functions up by name."""
+    return referenced_names(source) | {
+        node.value for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unused_public(public, sources):
+    """The names in public that none of the sources reads, in order."""
+    used = set().union(*map(used_names, sources))
+    return [name for name in public if name not in used]
+
+
+def test_guard_flags_an_unused_public_name():
+    sources = ["from .a import kept\nkept()\n", "wrap(module, 'traced')\n"]
+    assert unused_public(["kept", "traced", "planted"], sources) == ["planted"]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += [path.read_text(encoding="utf-8")
+                for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                          re.S)
+    unused = unused_public(reluqubo.__all__, sources)
+    assert [name for name in unused if name not in UNUSED_PUBLIC_KEPT] == [], \
+        "public names that only tests use: move them into tests/ or use them"
+    assert sorted(set(UNUSED_PUBLIC_KEPT) - set(unused)) == [], \
+        "allowlisted names that are used now: drop them from UNUSED_PUBLIC_KEPT"

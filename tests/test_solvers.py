@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import all_assignments, qubo
 
-from reluqubo.algebra import AffineExpr, QuadraticExpr, QuboModel, all_assignments, energy
+from reluqubo.algebra import AffineExpr, QuadraticExpr, energy
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu, build_from_config
 from reluqubo.solvers import (
@@ -17,7 +18,6 @@ from reluqubo.solvers import (
     BitCapExceeded,
     SolveResult,
     _initial_fields,
-    energy_delta,
     exhaustive_solve,
     exhaustive_solve_many,
     fix_bits,
@@ -30,7 +30,7 @@ def random_model(rng, n, density=0.5):
     quadratic = {(i, j): float(rng.uniform(-2, 2))
                  for i in range(n) for j in range(i + 1, n)
                  if rng.random() < density}
-    return QuboModel(n, linear, quadratic, float(rng.uniform(-1, 1)))
+    return qubo(n, linear, quadratic, float(rng.uniform(-1, 1)))
 
 
 def relu_instance(m=-1.0, d_t=4, d_z=4, alpha_z=2.0, M=30.0):
@@ -44,13 +44,13 @@ def relu_instance(m=-1.0, d_t=4, d_z=4, alpha_z=2.0, M=30.0):
 
 class TestExhaustive:
     def test_positive_linear_prefers_zero(self):
-        m = QuboModel(1, {0: 2.0}, {}, offset=0.5)
+        m = qubo(1, {0: 2.0}, {}, offset=0.5)
         res = exhaustive_solve(m)
         assert res.assignment == (0,)
         assert res.energy == 0.5
 
     def test_two_bit_coupler(self):
-        m = QuboModel(2, {0: 1.0, 1: 1.0}, {(0, 1): -3.0}, 0.0)
+        m = qubo(2, {0: 1.0, 1: 1.0}, {(0, 1): -3.0}, 0.0)
         res = exhaustive_solve(m)
         assert res.assignment == (1, 1)
         assert res.energy == -1.0
@@ -61,13 +61,13 @@ class TestExhaustive:
         assert res.energy == pytest.approx(1.0, abs=1e-9)
 
     def test_tie_broken_by_lowest_assignment_integer(self):
-        m = QuboModel(2, {0: -1.0, 1: -1.0}, {(0, 1): 2.0}, 0.0)
+        m = qubo(2, {0: -1.0, 1: -1.0}, {(0, 1): 2.0}, 0.0)
         res = exhaustive_solve(m)
         # (1,0) and (0,1) tie at -1; integer order prefers bit 0 set
         assert res.assignment == (1, 0)
 
     def test_empty_tie_prefers_all_zero(self):
-        m = QuboModel(3, {}, {}, offset=7.0)
+        m = qubo(3, {}, {}, offset=7.0)
         res = exhaustive_solve(m)
         assert res.assignment == (0, 0, 0)
         assert res.energy == 7.0
@@ -92,25 +92,25 @@ class TestExhaustive:
         n = 19
         target = tuple(int(b) for b in rng.integers(0, 2, size=n))
         linear = {i: (1.0 if target[i] == 0 else -1.0) for i in range(n)}
-        m = QuboModel(n, linear, {}, offset=float(sum(target)))
+        m = qubo(n, linear, {}, offset=float(sum(target)))
         res = exhaustive_solve(m)
         assert res.assignment == target
         assert res.energy == 0.0
 
     def test_fixed_bits_restrict_search(self):
-        m = QuboModel(2, {0: -1.0, 1: -1.0}, {(0, 1): 5.0}, 0.0)
+        m = qubo(2, {0: -1.0, 1: -1.0}, {(0, 1): 5.0}, 0.0)
         res = exhaustive_solve(m, fixed={0: 1})
         assert res.assignment == (1, 0)
         assert res.energy == -1.0
 
     def test_fixed_all_bits(self):
-        m = QuboModel(2, {0: 1.0}, {(0, 1): 1.0}, 0.5)
+        m = qubo(2, {0: 1.0}, {(0, 1): 1.0}, 0.5)
         res = exhaustive_solve(m, fixed={0: 1, 1: 1})
         assert res.assignment == (1, 1)
         assert res.energy == 2.5
 
     def test_float_and_bool_pins_lift_as_int(self):
-        m = QuboModel(3, {1: -1.0}, {(0, 2): 1.0}, 0.0)
+        m = qubo(3, {1: -1.0}, {(0, 2): 1.0}, 0.0)
         fixed = {0: 1.0, 2: True}
         for res in (exhaustive_solve(m, fixed=fixed),
                     simulated_anneal(m, AnnealConfig(sweeps=5, restarts=1), fixed=fixed)):
@@ -120,13 +120,13 @@ class TestExhaustive:
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setenv("RELUQUBO_BIT_CAP", "7")
-        m = QuboModel(8, {}, {}, 0.0)
+        m = qubo(8, {}, {}, 0.0)
         with pytest.raises(BitCapExceeded):
             exhaustive_solve(m)
 
     def test_env_overrides_cap(self, monkeypatch):
         monkeypatch.setenv("RELUQUBO_BIT_CAP", "3")
-        m = QuboModel(4, {}, {}, 0.0)
+        m = qubo(4, {}, {}, 0.0)
         with pytest.raises(BitCapExceeded):
             exhaustive_solve(m)
         assert exhaustive_solve(m, fixed={0: 0}).energy == 0.0
@@ -159,7 +159,7 @@ def models_with_fixed(draw):
     linear = {i: draw(coeff) for i in range(n) if draw(st.booleans())}
     quadratic = {p: draw(coeff) for p in pairs if draw(st.booleans())}
     fixed = {i: draw(st.integers(0, 1)) for i in range(n) if draw(st.booleans())}
-    return QuboModel(n, linear, quadratic, draw(coeff)), fixed, integer
+    return qubo(n, linear, quadratic, draw(coeff)), fixed, integer
 
 
 class TestSplitKernel:
@@ -186,7 +186,7 @@ class TestSplitKernel:
         target = [int(b) for b in rng.integers(0, 2, size=n)]
         linear = {i: (1.0 if target[i] == 0 else -1.0) for i in range(1, n - 1)}
         linear[0] = linear[n - 1] = -1.0
-        model = QuboModel(n, linear, {(0, n - 1): 2.0}, 0.0)
+        model = qubo(n, linear, {(0, n - 1): 2.0}, 0.0)
         res = exhaustive_solve(model)
         assert res.assignment == (1, *target[1:n - 1], 0)
         assert res.energy == -1.0 - sum(target[1:n - 1])
@@ -200,7 +200,7 @@ class TestSplitKernel:
         linear = {i: float(c) for i, c in enumerate(rng.integers(-3, 4, size=n))}
         quadratic = {(i, i + 1): float(c)
                      for i, c in enumerate(rng.integers(-3, 4, size=n - 1))}
-        model = QuboModel(n, linear, quadratic, 0.5)
+        model = qubo(n, linear, quadratic, 0.5)
         free = [0, 1, 2, 5000, 5001, 9999, 12345, 15000, 19998, 19999]
         fixed = {i: int(b) for i, b in enumerate(rng.integers(0, 2, size=n))
                  if i not in free}
@@ -260,17 +260,17 @@ class TestExhaustiveSolveMany:
             assert (res.assignment, res.energy) == (single.assignment, single.energy)
 
     def test_duplicates_share_one_solve(self):
-        model = QuboModel(3, {0: 1.0, 1: -1.0, 2: 0.5}, {(0, 1): -2.0, (1, 2): 1.0}, 0.0)
+        model = qubo(3, {0: 1.0, 1: -1.0, 2: 0.5}, {(0, 1): -2.0, (1, 2): 1.0}, 0.0)
         results = exhaustive_solve_many(model, [{0: 1}, {0: 0}, {0: 1}])
         assert results[0] is results[2]
         assert results[0].assignment == (1, 1, 0)
         assert results[1].assignment == (0, 1, 0)
 
     def test_empty_family(self):
-        assert exhaustive_solve_many(QuboModel(2, {}, {}, 0.0), []) == []
+        assert exhaustive_solve_many(qubo(2, {}, {}, 0.0), []) == []
 
     def test_mismatched_pinned_sets_rejected(self):
-        model = QuboModel(3, {}, {}, 0.0)
+        model = qubo(3, {}, {}, 0.0)
         with pytest.raises(ValueError, match="same indices"):
             exhaustive_solve_many(model, [{0: 1, 1: 0}, {0: 1, 2: 0}])
         with pytest.raises(ValueError, match="same indices"):
@@ -278,7 +278,7 @@ class TestExhaustiveSolveMany:
 
     @pytest.mark.parametrize("bad", [{5: 1}, {0: 2}, {1: 0, 0: "1"}, {-1: 0}])
     def test_bad_pattern_message_matches_single_calls(self, bad):
-        model = QuboModel(2, {}, {}, 0.0)
+        model = qubo(2, {}, {}, 0.0)
         with pytest.raises(ValueError) as single:
             exhaustive_solve(model, fixed=bad)
         with pytest.raises(ValueError) as reduced:
@@ -289,7 +289,7 @@ class TestExhaustiveSolveMany:
         assert str(family.value) == str(single.value) == str(reduced.value)
 
     def test_cap_checked_for_family(self, monkeypatch):
-        model = QuboModel(10, {}, {}, 0.0)
+        model = qubo(10, {}, {}, 0.0)
         monkeypatch.setenv("RELUQUBO_BIT_CAP", "8")
         with pytest.raises(BitCapExceeded):
             exhaustive_solve_many(model, [{0: 0}, {0: 1}])
@@ -328,7 +328,7 @@ class TestFixBits:
             for k, orig in enumerate(free):
                 full[orig] = free_bits[k]
             pattern = tuple(full[i] for i in range(8))
-            assert sub.energy(free_bits) == pytest.approx(energy(m, pattern), abs=1e-12)
+            assert energy(sub, free_bits) == pytest.approx(energy(m, pattern), abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(models_with_fixed(), st.data())
@@ -341,45 +341,22 @@ class TestFixBits:
         bits.update(zip(free, free_bits))
         full = energy(model, tuple(bits[i] for i in range(model.n_vars)))
         if integer:  # float sums of small integers are exact
-            assert sub.energy(free_bits) == full
+            assert energy(sub, free_bits) == full
         else:
             coeffs = [model.offset, *model.linear.values(), *model.quadratic.values()]
-            assert abs(sub.energy(free_bits) - full) <= 1e-9 * (1.0 + sum(map(abs, coeffs)))
+            assert abs(energy(sub, free_bits) - full) <= 1e-9 * (1.0 + sum(map(abs, coeffs)))
 
     def test_labels_follow_free_vars(self):
-        m = QuboModel(3, {}, {}, 0.0, labels=["a", "b", "c"])
+        m = qubo(3, {}, {}, 0.0, labels=["a", "b", "c"])
         sub, free = fix_bits(m, {1: 0})
         assert sub.labels == ["a", "c"]
 
     def test_invalid_fixed_rejected(self):
-        m = QuboModel(2, {}, {}, 0.0)
+        m = qubo(2, {}, {}, 0.0)
         with pytest.raises(ValueError):
             fix_bits(m, {5: 1})
         with pytest.raises(ValueError):
             fix_bits(m, {0: 2})
-
-
-class TestEnergyDelta:
-    def test_single_flip_matches_direct(self):
-        rng = np.random.default_rng(8)
-        m = random_model(rng, 7)
-        b = [int(x) for x in rng.integers(0, 2, size=7)]
-        for i in range(7):
-            flipped = list(b)
-            flipped[i] ^= 1
-            assert energy_delta(m, b, i) == pytest.approx(
-                energy(m, flipped) - energy(m, b), abs=1e-12)
-
-    def test_accumulated_walk_matches_full_reevaluation(self):
-        rng = np.random.default_rng(10)
-        m = random_model(rng, 10)
-        b = [int(x) for x in rng.integers(0, 2, size=10)]
-        e = energy(m, b)
-        for _ in range(500):
-            i = int(rng.integers(0, 10))
-            e += energy_delta(m, b, i)
-            b[i] ^= 1
-        assert e == pytest.approx(energy(m, b), abs=1e-9)
 
 
 class TestAnnealConfig:
@@ -407,7 +384,7 @@ class TestSimulatedAnneal:
                        restarts=16, seed=42)
 
     def test_trivial_model_returns_offset(self):
-        m = QuboModel(5, {}, {}, offset=3.25)
+        m = qubo(5, {}, {}, offset=3.25)
         res = simulated_anneal(m, AnnealConfig(sweeps=10, restarts=2, seed=1))
         assert res.energy == 3.25
         assert res.restart_energies == [3.25, 3.25]
@@ -480,7 +457,7 @@ class TestSimulatedAnneal:
 
     def test_schedule_memory_independent_of_sweeps(self):
         # 200,000 betas as a list take ~6 MB; drawn one at a time they take none
-        m = QuboModel(1, {0: 1.0}, {}, 0.0)
+        m = qubo(1, {0: 1.0}, {}, 0.0)
         tracemalloc.start()
         try:
             res = simulated_anneal(m, AnnealConfig(sweeps=200_000, restarts=1, seed=0))
@@ -491,7 +468,7 @@ class TestSimulatedAnneal:
         assert peak < 2 ** 20
 
     def test_json_dict_excludes_wall_time(self):
-        m = QuboModel(2, {0: 1.0}, {}, 0.0)
+        m = qubo(2, {0: 1.0}, {}, 0.0)
         res = simulated_anneal(m, AnnealConfig(sweeps=10, restarts=1, seed=0))
         d = res.to_json_dict()
         assert set(d) == {"solver", "n_vars", "energy", "assignment", "restart_energies"}
@@ -584,7 +561,7 @@ def anneal_cases(draw):
     else:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     linear = {i: coeff() for i in range(n) if rng.random() < 0.7}
-    model = QuboModel(n, linear, {p: coeff() for p in pairs}, coeff())
+    model = qubo(n, linear, {p: coeff() for p in pairs}, coeff())
     fixed = {}
     if draw(st.booleans()):
         fixed = {i: rng.randrange(2) for i in range(n) if rng.random() < 0.3}
@@ -613,7 +590,7 @@ class TestDenseRows:
         linear = {i: float(c) for i, c in enumerate(rng.integers(-3, 4, size=n))}
         quadratic = {(i, i + 1): float(c)
                      for i, c in enumerate(rng.integers(-3, 4, size=n - 1))}
-        model = QuboModel(n, linear, quadratic, 0.5)
+        model = qubo(n, linear, quadratic, 0.5)
         tracemalloc.start()
         try:
             res = simulated_anneal(model, AnnealConfig(sweeps=1, restarts=1, seed=5))
@@ -671,14 +648,14 @@ class TestEnergyTerms:
         # annealing's restart energies; hex() also tells -0.0 from 0.0
         model = case[0]
         if offset is not None:
-            model = QuboModel(model.n_vars, model.linear, model.quadratic, offset)
+            model = qubo(model.n_vars, model.linear, model.quadratic, offset)
         rng = random.Random(seed)
         for _ in range(5):
             bits = [rng.randrange(2) for _ in range(model.n_vars)]
             assert energy(model, bits).hex() == loop_energy(model, bits).hex()
 
     def test_view_lists_linear_then_couplings_in_key_order(self):
-        model = QuboModel(3, {2: 1.5, 0: -1.0}, {(1, 2): 3.0, (0, 2): 2.0, (0, 1): -0.5})
+        model = qubo(3, {2: 1.5, 0: -1.0}, {(1, 2): 3.0, (0, 2): 2.0, (0, 1): -0.5})
         i, j, c = model.terms
         assert list(zip(i.tolist(), j.tolist(), c.tolist())) == [
             (0, 0, -1.0), (2, 2, 1.5), (0, 1, -0.5), (0, 2, 2.0), (1, 2, 3.0)]
