@@ -78,13 +78,9 @@ class AffineExpr:
     def scaled(self, scale: float) -> "AffineExpr":
         return AffineExpr(self.coeffs * scale, self.constant * scale)
 
-    def __add__(self, other: "AffineExpr | float") -> "AffineExpr":
-        if isinstance(other, (int, float)):
-            return AffineExpr(self.coeffs, self.constant + other)
+    def __add__(self, other: "AffineExpr") -> "AffineExpr":
         u, v = _aligned(self.coeffs, other.coeffs)
         return AffineExpr(u + v, self.constant + other.constant)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "AffineExpr":
         return self.scaled(-1.0)
@@ -97,14 +93,6 @@ class AffineExpr:
 
     def __rsub__(self, other: float) -> "AffineExpr":
         return AffineExpr(-self.coeffs, other - self.constant)
-
-    def __mul__(self, other: "AffineExpr | float"):
-        if isinstance(other, (int, float)):
-            return self.scaled(float(other))
-        return affine_mul(self, other)
-
-    def __rmul__(self, other: float) -> "AffineExpr":
-        return self.scaled(float(other))
 
 
 @dataclass(eq=False)
@@ -153,6 +141,14 @@ def quad_scale_add(dst: QuadraticExpr, src: QuadraticExpr, scale: float) -> Quad
     return QuadraticExpr(d + scale * s, dst.constant + scale * src.constant)
 
 
+def _as_float(x: object) -> float:
+    """float(x), with a Python int past float range as +-inf for the finiteness checks."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _checked_terms(n: int, terms: Terms, names: tuple[str, str, str]) -> Terms:
     """Checked, canonical (i, j, c) term arrays of a model over n variables.
 
@@ -167,7 +163,10 @@ def _checked_terms(n: int, terms: Terms, names: tuple[str, str, str]) -> Terms:
     if n < 0:
         raise ValueError(f"{size} must be >= 0")
     ti, tj, tc = terms
-    c = np.asarray(tc, float)
+    try:
+        c = np.asarray(tc, float)
+    except OverflowError:
+        c = np.array([_as_float(x) for x in tc], float)
     try:
         i, j = np.asarray(ti, np.intp), np.asarray(tj, np.intp)
     except OverflowError:  # a Python int past intp, which the range check refuses
@@ -212,9 +211,9 @@ class _TermModel:
     def __post_init__(self) -> None:
         n = getattr(self, self._names[0])
         self.terms = _checked_terms(n, self.terms, self._names)
+        self.offset = _as_float(self.offset)
         if not math.isfinite(self.offset):
             raise ValueError(f"offset must be finite, got {self.offset!r}")
-        self.offset = float(self.offset)
         labels = (f"b{i}" for i in range(n)) if self.labels is None else self.labels
         self.labels = [str(s) for s in labels]
         if len(self.labels) != n:
@@ -370,14 +369,14 @@ def export_qubo(model: QuboModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_index(token: str, lineno: int) -> int:
-    """A token that passed str.isdigit() as an int; int() still refuses
-    digits such as superscripts and more than sys.get_int_max_str_digits()."""
+def _parse_index(token: str, where: str) -> int:
+    """A token that passed str.isdigit() as an int, or an error after where ('line 3');
+    int() still refuses superscripts and over sys.get_int_max_str_digits() digits."""
     try:
         return int(token)
     except ValueError:
         more = f"... ({len(token)} characters)" if len(token) > 20 else ""
-        raise QuboParseError(f"line {lineno}: bad integer {token[:20]!r}{more}") from None
+        raise QuboParseError(f"{where}: bad integer {token[:20]!r}{more}") from None
 
 
 def parse_qubo(text: str) -> QuboModel:
@@ -397,7 +396,7 @@ def parse_qubo(text: str) -> QuboModel:
     parts = vars_line.split()
     if len(parts) != 2 or parts[0] != "vars" or not parts[1].isdigit():
         raise QuboParseError(f"line {ln1}: expected 'vars <n>', got {vars_line!r}")
-    n = _parse_index(parts[1], ln1)
+    n = _parse_index(parts[1], f"line {ln1}")
     if n > MAX_VARS:
         raise QuboParseError(f"line {ln1}: vars {n} exceeds the limit of {MAX_VARS}")
     parts = offset_line.split()
@@ -419,7 +418,7 @@ def parse_qubo(text: str) -> QuboModel:
                 raise QuboParseError(f"line {lineno}: expected 'label <i> <string>'")
             if not parts[1].isdigit():
                 raise QuboParseError(f"line {lineno}: bad label index {parts[1]!r}")
-            i = _parse_index(parts[1], lineno)
+            i = _parse_index(parts[1], f"line {lineno}")
             if not 0 <= i < n:
                 raise QuboParseError(f"line {lineno}: label index {i} out of range")
             if i in labels:
@@ -436,7 +435,7 @@ def parse_qubo(text: str) -> QuboModel:
         try:
             i, j = int(si), int(sj)
         except ValueError:
-            i, j = _parse_index(si, lineno), _parse_index(sj, lineno)
+            i, j = _parse_index(si, f"line {lineno}"), _parse_index(sj, f"line {lineno}")
         try:
             tc.append(float(sc))
         except ValueError:

@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Sequence, TextIO
 
-from .algebra import QuboModel, QuboParseError, export_qubo, parse_qubo
+from .algebra import QuboModel, QuboParseError, _parse_index, export_qubo, parse_qubo
 from .formulation import BuiltModel, ConfigError, _number, build_from_config
 from .oracle import Grid1D, relu_reference
 from .solvers import (
@@ -72,7 +72,7 @@ def _parse_fixes(model: QuboModel, pairs: Sequence[str]) -> dict[int, int]:
         if not sep or value not in ("0", "1"):
             raise QuboParseError(f"--fix expects NAME=0 or NAME=1, got {item!r}")
         if name.isdigit():  # the solvers check the range
-            idx = int(name)
+            idx = _parse_index(name, "--fix")
         else:
             try:
                 idx = model.labels.index(name)

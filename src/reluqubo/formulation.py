@@ -15,14 +15,14 @@ the function: [-1, 0] gives the hinge penalty max(0, -m)
 at feasibility, so any t assignment is optimal once r = 0.
 
 All continuous quantities are binary-expanded; every product here is
-affine times affine, so the result is structurally two-body.  Builders
-are pure functions over immutable specs and are safe to call
+affine times affine, so the result is structurally two-body.  Model bits
+are m's (for a linear model, LinearModelSpec.groups()), then t, z1, z2.
+Builders are pure functions over immutable specs and are safe to call
 concurrently.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
@@ -33,6 +33,7 @@ from .algebra import (
     AffineExpr,
     QuadraticExpr,
     QuboModel,
+    _as_float,
     affine_mul,
     quad_scale_add,
     quadratic_to_model,
@@ -68,8 +69,10 @@ class ReluPenaltySpec:
             lo, hi = self.T_BOUNDS
             raise ValueError(f"t expansion must cover exactly [{lo:g}, {hi:g}], "
                              f"got {self.t_exp.bounds}")
-        _check_z_bounds(self.z1_exp, "z1")
-        _check_z_bounds(self.z2_exp, "z2")
+        for name, exp in (("z1", self.z1_exp), ("z2", self.z2_exp)):
+            if exp.beta != 0.0:
+                raise ValueError(f"{name} expansion must have lower bound exactly 0, "
+                                 f"got beta = {exp.beta}")
         if not (math.isfinite(self.M) and self.M > 0):
             raise ValueError(f"penalty weight M must be positive, got {self.M!r}")
 
@@ -78,12 +81,6 @@ class AbsPenaltySpec(ReluPenaltySpec):
     """ReluPenaltySpec with t covering [-1, 1], for the |m| gadget."""
 
     T_BOUNDS: ClassVar[tuple[float, float]] = (-1.0, 1.0)
-
-
-def _check_z_bounds(exp: BinaryExpansion, name: str) -> None:
-    if exp.beta != 0.0:
-        raise ValueError(f"{name} expansion must have lower bound exactly 0, "
-                         f"got beta = {exp.beta}")
 
 
 @dataclass(frozen=True)
@@ -115,15 +112,21 @@ class LinearModelSpec:
             hi += max(a, b)
         return (lo, hi)
 
+    def groups(self) -> dict[str, range]:
+        """Model bits of each weight: w[d] holds the depth bits from d * depth on."""
+        depth = self.w_exp.depth
+        return {f"w[{d}]": range(d * depth, (d + 1) * depth) for d in range(self.dim)}
+
 
 @dataclass
 class BuiltModel:
     """A built QUBO plus the bookkeeping to decode its bits.
 
     var_ranges maps a group name ('w[0]', 't', 'z1', 'z2') to the range
-    of model indices realizing it; the ranges are disjoint and cover all
-    variables.  cost_params is the (target, scale) of the quadratic cost
-    scale*(m - target)^2 when the model was built from a config.
+    of model indices realizing it; build_cost_plus_relu lays them out
+    disjoint and covering all variables.  cost_params is the (target,
+    scale) of the quadratic cost scale*(m - target)^2 when the model was
+    built from a config.
     """
 
     model: QuboModel
@@ -131,13 +134,6 @@ class BuiltModel:
     penalty_spec: ReluPenaltySpec
     linear_spec: LinearModelSpec | None = None
     cost_params: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        covered: list[int] = []
-        for r in self.var_ranges.values():
-            covered.extend(r)
-        if sorted(covered) != list(range(self.model.n_vars)):
-            raise ValueError("var_ranges must be disjoint and cover all model variables")
 
     def group_bits(self, name: str, assignment: Sequence[int]) -> list[int]:
         return [assignment[i] for i in self.var_ranges[name]]
@@ -165,13 +161,10 @@ class BuiltModel:
         return -self.decode_m(assignment) - z1 + z2
 
 
-def build_linear_model_expr(spec: LinearModelSpec,
-                            bit_groups: Sequence[range]) -> AffineExpr:
-    """Affine form of m = sum_d x_d * w_d over per-dimension weight bits."""
-    if len(bit_groups) != spec.dim:
-        raise ValueError(f"expected {spec.dim} bit groups, got {len(bit_groups)}")
+def build_linear_model_expr(spec: LinearModelSpec) -> AffineExpr:
+    """Affine form of m = sum_d x_d * w_d over the weight bits of spec.groups()."""
     m = AffineExpr.from_constant(0.0)
-    for x, bits in zip(spec.inputs, bit_groups):
+    for x, bits in zip(spec.inputs, spec.groups().values()):
         m = m + spec.w_exp.to_affine(bits).scaled(x)
     return m
 
@@ -213,24 +206,21 @@ def build_relu_penalty(m_expr: AffineExpr,
 def build_cost_plus_relu(cost: QuadraticExpr,
                          m_expr: AffineExpr,
                          spec: ReluPenaltySpec,
-                         m_groups: Mapping[str, range] | None = None,
                          linear_spec: LinearModelSpec | None = None) -> BuiltModel:
     """Assemble C(m) + the spec's ReLU-type penalty into one model.
 
     m's bits are model bits 0..k-1, k = len(m_expr.coeffs), and the cost
     may only touch those; fresh t, z1, z2 bits follow them in that order.
-    m_groups optionally splits m's bits into consecutive named ranges, in
-    order, for the variable map and labels; by default they form one
-    group 'm'.  Bit i of group g is labeled g[i].
+    With linear_spec, m is its build_linear_model_expr, and m's bits take
+    the groups of linear_spec.groups() in the variable map and labels;
+    without, they form one group 'm'.  Bit i of group g is labeled g[i].
     """
     k = len(m_expr.coeffs)
     if len(cost.matrix) > k:
         raise ValueError(f"cost uses bits outside the m expression's {k}")
-    if m_groups is None:
-        m_groups = {"m": range(k)}
-    if list(itertools.chain.from_iterable(m_groups.values())) != list(range(k)):
-        raise ValueError("m_groups must split bits 0..k-1 into consecutive ranges, in order")
-    ranges = {name: bits for name, bits in m_groups.items() if bits}
+    ranges = linear_spec.groups() if linear_spec is not None else ({"m": range(k)} if k else {})
+    if sum(map(len, ranges.values())) != k:
+        raise ValueError(f"linear_spec's weight bits differ from the m expression's {k}")
     for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
         ranges[name] = range(k, k + exp.depth)
         k += exp.depth
@@ -278,13 +268,20 @@ def _require(cfg: Mapping, key: str, path: str) -> object:
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # JSON integers past float range
-        number = math.inf
+    number = _as_float(value)  # JSON integers past float range are +-inf
     if not math.isfinite(number):
         raise ConfigError(path, "must be finite")
     return number
+
+
+def _bit_step(exp: BinaryExpansion, path: str, bits: str, out_of: str) -> float:
+    """exp's smallest bit coefficient alpha * delta(1, depth), bit k's being 2^(k-1)
+    times it; one that is 0 drops its bit out of the model: a ConfigError at path."""
+    step = exp.alpha * delta(1, exp.depth)
+    if step == 0.0:
+        raise ConfigError(path, f"alpha {exp.alpha!r} gives {bits} bits of "
+                                f"coefficient 0, which drop out of {out_of}")
+    return step
 
 
 def _expansion_from_config(cfg: object, path: str) -> BinaryExpansion:
@@ -323,12 +320,8 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
         raise ConfigError("model.inputs", "expected a non-empty array of numbers")
     xs = tuple(_number(x, f"model.inputs[{d}]") for d, x in enumerate(inputs))
     w_exp = _expansion_from_config(_require(model_cfg, "w", "model"), "model.w")
-    # bit k of w[d] enters m with coefficient (alpha * delta(k)) * x_d; one
-    # that is 0 drops the bit out of m.  The lowest bit's is the smallest.
-    step = w_exp.alpha * delta(1, w_exp.depth)
-    if step == 0.0:
-        raise ConfigError("model.w", f"alpha {w_exp.alpha!r} gives weight bits of "
-                                     f"coefficient 0, which drop out of m")
+    # bit k of w[d] enters m with coefficient (alpha * delta(k)) * x_d
+    step = _bit_step(w_exp, "model.w", "weight", "m")
     for d, x in enumerate(xs):
         if x == 0.0:
             raise ConfigError(f"model.inputs[{d}]", f"must be nonzero, got {x!r}")
@@ -340,7 +333,9 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     pen_cfg = _require(cfg, "penalty", "")
     t_exp = _expansion_from_config(_require(pen_cfg, "t", "penalty"), "penalty.t")
     z1_exp = _expansion_from_config(_require(pen_cfg, "z1", "penalty"), "penalty.z1")
+    _bit_step(z1_exp, "penalty.z1", "z1", "the residual")
     z2_exp = _expansion_from_config(_require(pen_cfg, "z2", "penalty"), "penalty.z2")
+    _bit_step(z2_exp, "penalty.z2", "z2", "the residual")
     m_value = _require(pen_cfg, "M", "penalty")
     if m_value == "auto":
         lo, hi = lin_spec.m_range()
@@ -355,17 +350,14 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     except ValueError as exc:
         raise ConfigError("penalty", str(exc)) from None
 
-    depth = w_exp.depth
-    groups = {f"w[{d}]": range(d * depth, (d + 1) * depth) for d in range(lin_spec.dim)}
     # an overflowing product is a ConfigError naming its key, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        m_expr = build_linear_model_expr(lin_spec, list(groups.values()))
+        m_expr = build_linear_model_expr(lin_spec)
         cost = QuadraticExpr()
         if scale != 0.0:  # quad_scale_add would discard the whole product
             shifted = m_expr - target
             square = _finite(affine_mul(shifted, shifted), "model")
             cost = _finite(quad_scale_add(cost, square, scale), "cost.scale")
-        built = build_cost_plus_relu(cost, m_expr, pen_spec,
-                                     m_groups=groups, linear_spec=lin_spec)
+        built = build_cost_plus_relu(cost, m_expr, pen_spec, linear_spec=lin_spec)
     built.cost_params = (target, scale)
     return built

@@ -30,7 +30,7 @@ import os
 import random
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -61,8 +61,10 @@ class AnnealConfig:
     def __post_init__(self) -> None:
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if not (0 < self.beta_initial <= self.beta_final):
-            raise ValueError("need 0 < beta_initial <= beta_final")
+        # an infinite ratio jumps the ladder to inf, or to nan at inf / inf
+        if not (0 < self.beta_initial <= self.beta_final
+                and self.beta_final / self.beta_initial < math.inf):
+            raise ValueError("need 0 < beta_initial <= beta_final and a finite ratio of the two")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -84,10 +86,6 @@ class SolveResult:
     restart_energies: list[float]
     solver: str
     wall_time_s: float
-    best_trace: list[list[float]] | None = field(default=None, repr=False)
-
-    def assignment_str(self) -> str:
-        return "".join(str(b) for b in self.assignment)
 
     def to_json_dict(self) -> dict:
         """Stable serialization; wall time is excluded so identical runs
@@ -96,7 +94,7 @@ class SolveResult:
             "solver": self.solver,
             "n_vars": len(self.assignment),
             "energy": self.energy,
-            "assignment": self.assignment_str(),
+            "assignment": "".join(map(str, self.assignment)),
             "restart_energies": list(self.restart_energies),
         }
 
@@ -275,13 +273,6 @@ def exhaustive_solve_many(model: QuboModel,
     return [results[k] for k in slots]
 
 
-def _assignment_int(bits: Sequence[int]) -> int:
-    k = 0
-    for i, b in enumerate(bits):
-        k |= int(b) << i
-    return k
-
-
 def _initial_fields(model: QuboModel, b: Sequence[int]) -> np.ndarray:
     """Local field of every bit i: the sum of i's couplings to set bits, then
     its linear term.  np.add.at adds in input order, and the term view lists
@@ -300,7 +291,6 @@ def _initial_fields(model: QuboModel, b: Sequence[int]) -> np.ndarray:
 
 def simulated_anneal(model: QuboModel,
                      config: AnnealConfig,
-                     record_best_trace: bool = False,
                      fixed: Mapping[int, int] | None = None) -> SolveResult:
     """Best assignment found by Metropolis single-bit-flip annealing.
 
@@ -309,11 +299,10 @@ def simulated_anneal(model: QuboModel,
     Restarts share nothing and merge by (energy, assignment integer), so
     the result is order-independent.  The reported energy is re-evaluated
     from scratch, so it equals energy(model, assignment) exactly.  With
-    record_best_trace, the per-sweep best-so-far of every restart is
-    attached to the result.  With fixed, the walk runs on the reduced
-    model from fix_bits, whose offset carries the fixed contributions, so
-    its restart energies are full-model energies; the best assignment is
-    lifted back to the full model.
+    fixed, the walk runs on the reduced model from fix_bits, whose offset
+    carries the fixed contributions, so its restart energies are
+    full-model energies; the best assignment is lifted back to the full
+    model.  An empty model takes the same path: no sweep flips anything.
 
     An accepted flip of bit i adds +-c to the local field of each
     neighbour.  When 2|E| >= n * max(_DENSE_DEGREE, n // 16), that is one
@@ -329,14 +318,11 @@ def simulated_anneal(model: QuboModel,
     t0 = time.perf_counter()
     if fixed:
         sub, free = fix_bits(model, fixed)
-        result = simulated_anneal(sub, config, record_best_trace)
+        result = simulated_anneal(sub, config)
         assignment = _lift(model, fixed, free, result.assignment)
         return SolveResult(assignment, energy(model, assignment), result.restart_energies,
-                           "sa", time.perf_counter() - t0, best_trace=result.best_trace)
-    n = model.n_vars
-    if n == 0:
-        return SolveResult((), model.offset, [model.offset] * config.restarts,
                            "sa", time.perf_counter() - t0)
+    n = model.n_vars
 
     pair = model.terms[0] != model.terms[1]
     qi, qj, qc = (a[pair] for a in model.terms)
@@ -356,7 +342,6 @@ def simulated_anneal(model: QuboModel,
     exp, add, subtract = math.exp, np.add, np.subtract
 
     restart_best: list[tuple[float, tuple[int, ...]]] = []
-    trace: list[list[float]] | None = [] if record_best_trace else None
     for r in range(config.restarts):
         rng = random.Random(config.seed + r)
         rnd = rng.random
@@ -369,7 +354,6 @@ def simulated_anneal(model: QuboModel,
             fv = np.frombuffer(f)
         e = energy(model, b)
         best_e, best_b = e, list(b)
-        sweep_best: list[float] = []
         for beta in config.schedule():
             for i in range(n):
                 de = -f[i] if b[i] else f[i]
@@ -391,13 +375,9 @@ def simulated_anneal(model: QuboModel,
                 if e < best_e:
                     best_e = e
                     best_b = list(b)
-            if trace is not None:
-                sweep_best.append(best_e)
-        if trace is not None:
-            trace.append(sweep_best)
         restart_best.append((energy(model, best_b), tuple(best_b)))
 
     restart_energies = [e for e, _ in restart_best]
-    best_e, best_b = min(restart_best, key=lambda p: (p[0], _assignment_int(p[1])))
-    return SolveResult(best_b, best_e, restart_energies, "sa",
-                       time.perf_counter() - t0, best_trace=trace)
+    # on equal-length 0/1 tuples, comparing the highest bit first is integer order
+    best_e, best_b = min(restart_best, key=lambda p: (p[0], p[1][::-1]))
+    return SolveResult(best_b, best_e, restart_energies, "sa", time.perf_counter() - t0)

@@ -1,6 +1,7 @@
 """Tests for the affine/quadratic forms, model containers, and file format."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,9 +75,14 @@ class TestAffineExpr:
                     value(a, pattern) + value(b, pattern), abs=1e-12)
 
     def test_operator_sugar(self):
-        out = 2.0 * AffineExpr([1.0]) + 1.0 - AffineExpr([0.0, 1.0])
-        assert out.coeffs.tolist() == [2.0, -1.0]
-        assert out.constant == 1.0
+        # the builders' forms: -m - z1 + z2, m - target, t - a and b - t
+        a, b = AffineExpr([1.0], 2.0), AffineExpr([0.0, 3.0], 0.5)
+        out = -a - b + a.scaled(2.0)
+        assert out.coeffs.tolist() == [1.0, -3.0]
+        assert out.constant == 1.5
+        for out, coeffs, constant in ((a - 1.0, [1.0], 1.0), (1.0 - a, [-1.0], -1.0)):
+            assert out.coeffs.tolist() == coeffs
+            assert out.constant == constant
 
 
 class TestAffineMul:
@@ -496,6 +502,16 @@ class TestModelValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             QuboModel(1, ([0], [0], [math.inf]))
+
+    @pytest.mark.parametrize("args, message", [
+        ((1, ([0], [0], [10 ** 400])), "linear coefficient for 0 must be finite, got inf"),
+        ((2, ([0], [1], [-10 ** 400])), "quadratic coefficient for (0, 1) must be finite"),
+        ((1, ((), (), ()), 10 ** 400), "offset must be finite, got inf"),
+    ], ids=["linear", "quadratic", "offset"])
+    def test_int_past_float_range_rejected(self, args, message):
+        # float() of such an int raises OverflowError, not the finiteness message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuboModel(*args)
 
     def test_zero_terms_pruned(self):
         m = QuboModel(2, ([0, 0], [0, 1], [0.0, 0.0]))

@@ -145,6 +145,19 @@ class TestBuild:
         assert f"'model.w': alpha {alpha!r} gives weight bits of coefficient 0" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("M", [5.0, "auto"])
+    @pytest.mark.parametrize("key", ["z1", "z2"])
+    def test_zero_z_step_names_its_key(self, tmp_path, capsys, key, M):
+        # z bits of coefficient 0 would appear in no term of the model
+        cfg = config_negative_range()
+        cfg["penalty"]["M"] = M
+        cfg["penalty"][key]["alpha"] = 0.0
+        code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: config error at 'penalty.{key}': alpha 0.0 gives {key} bits of "
+            f"coefficient 0, which drop out of the residual\n")
+
     @pytest.mark.parametrize("section, key, value, path", [
         ("penalty", "M", 1e308, "penalty.M"),
         ("model", "w", expansion(6, 1e200, -4.0), "model"),
@@ -299,6 +312,25 @@ class TestSolve:
         path.write_text("qubo-v1\nvars 2\noffset 0.0\n")
         assert main(["solve", str(path), "--solver", solver, "--fix", "7=1"]) == 2
         assert "fixed index 7 out of range [0, 2)" in capsys.readouterr().err
+
+    def test_fix_index_tokens_worded_like_the_parser(self, tmp_path, capsys):
+        # str.isdigit() passes both; int() refuses them
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 1\noffset 0.0\n")
+        assert main(["solve", str(path), "--fix", "\u00b2=1"]) == 2
+        assert capsys.readouterr().err == "error: --fix: bad integer '\u00b2'\n"
+        assert main(["solve", str(path), "--fix", "9" * 5000 + "=1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --fix: bad integer '{'9' * 20}'... (5000 characters)\n")
+
+    @pytest.mark.parametrize("beta0, beta1", [("inf", "inf"), ("1", "inf"), ("nan", "1"),
+                                              ("1e-300", "1e300")])
+    def test_non_finite_betas_are_input_error(self, tmp_path, capsys, beta0, beta1):
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 1\noffset 0.0\n0 0 1.0\n")
+        args = ["solve", str(path), "--solver", "sa", "--beta0", beta0, "--beta1", beta1]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: config error at 'solver flags': ")
 
     def test_conflicting_fixes_rejected(self, tmp_path, capsys):
         path = tmp_path / "m.qubo"
@@ -472,3 +504,49 @@ class TestFamilyRows:
         cfg["verify"] = {"m_points": ms}
         main(["verify", write_config(tmp_path, cfg)])
         assert capsys.readouterr().out == pointwise_tsv(build_from_config(cfg), ms)
+
+
+def changed_config(section, key, value):
+    cfg = config_negative_range()
+    cfg[section][key] = value
+    return json.dumps(cfg)
+
+
+# id: (files to write, argv with @name for that file, a piece of the message)
+BOUNDARY_ERRORS = {
+    "unreadable config": ({}, ["build", "@nosuch.json", "@m.qubo"],
+                          "config error at '"),
+    "unreadable model": ({}, ["solve", "@nosuch.qubo"], "cannot read model '"),
+    "sweeps 0": ({"m.qubo": "qubo-v1\nvars 1\noffset 0.0\n"},
+                 ["solve", "@m.qubo", "--solver", "sa", "--sweeps", "0"],
+                 "config error at 'solver flags': sweeps must be >= 1"),
+    "non-object config": ({"c.json": "[1, 2]"}, ["build", "@c.json", "@m.qubo"],
+                          "top-level config must be an object"),
+    "linear cost": ({"c.json": changed_config("cost", "kind", "linear")},
+                    ["build", "@c.json", "@m.qubo"],
+                    "config error at 'cost.kind': unsupported cost kind 'linear'"),
+    "empty inputs": ({"c.json": changed_config("model", "inputs", [])},
+                     ["build", "@c.json", "@m.qubo"],
+                     "config error at 'model.inputs': expected a non-empty array"),
+    "malformed offset": ({"m.qubo": "qubo-v1\nvars 1\noffset\n"}, ["solve", "@m.qubo"],
+                         "line 3: expected 'offset <float>', got 'offset'"),
+    "non-finite offset": ({"m.qubo": "qubo-v1\nvars 1\noffset nan\n"}, ["solve", "@m.qubo"],
+                          "line 3: non-finite value 'nan'"),
+    "duplicate label": ({"m.qubo": "qubo-v1\nvars 2\noffset 0.0\nlabel 0 a\nlabel 0 b\n"},
+                        ["solve", "@m.qubo"], "line 5: duplicate label for variable 0"),
+    "incomplete labels": ({"m.qubo": "qubo-v1\nvars 3\noffset 0.0\nlabel 1 a\n"},
+                          ["solve", "@m.qubo"], "label table incomplete: missing [0, 2]"),
+}
+
+
+@pytest.mark.parametrize("files, argv, message", BOUNDARY_ERRORS.values(),
+                         ids=BOUNDARY_ERRORS.keys())
+def test_boundary_error_exits_2(tmp_path, capsys, files, argv, message):
+    """Bad input at the file or flag boundary: exit 2 and one error line."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err

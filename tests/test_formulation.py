@@ -144,13 +144,13 @@ class TestBuildLinearModelExpr:
     def test_single_dim_all_zero_bits(self):
         w = BinaryExpansion(3, 2.0, 0.5)
         spec = LinearModelSpec((1.0,), w)
-        expr = build_linear_model_expr(spec, [range(3)])
+        expr = build_linear_model_expr(spec)
         assert value(expr, (0, 0, 0)) == 0.5
 
     def test_two_dims_cancel(self):
         w = BinaryExpansion(2, 1.0, 0.25)
         spec = LinearModelSpec((1.0, -1.0), w)
-        expr = build_linear_model_expr(spec, [range(2), range(2, 4)])
+        expr = build_linear_model_expr(spec)
         assert value(expr, (0, 0, 0, 0)) == 0.0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -162,7 +162,8 @@ class TestBuildLinearModelExpr:
         xs = tuple(float(x) for x in rng.uniform(-2, 2, size=dims))
         spec = LinearModelSpec(xs, w)
         groups = [range(d * d_w, (d + 1) * d_w) for d in range(dims)]
-        expr = build_linear_model_expr(spec, groups)
+        assert spec.groups() == {f"w[{d}]": g for d, g in enumerate(groups)}
+        expr = build_linear_model_expr(spec)
         for pattern in all_assignments(dims * d_w):
             expected = sum(x * w.decode(pattern[g.start:g.stop]) for x, g in zip(xs, groups))
             assert value(expr, pattern) == pytest.approx(expected, abs=1e-12)
@@ -198,8 +199,7 @@ class TestBuildCostPlusRelu:
         # C(m) = (m - 1)^2 over w grid [-1, 2] (step 0.2); both m = 1 and
         # z2 = 1 are representable, so the joint minimum is 0 at m = 1
         w = BinaryExpansion(4, 3.0, -1.0)
-        w_bits = range(4)
-        m_expr = w.to_affine(w_bits)
+        m_expr = w.to_affine(range(4))
         shifted = m_expr - 1.0
         cost = affine_mul(shifted, shifted)
         spec = ReluPenaltySpec(
@@ -207,10 +207,7 @@ class TestBuildCostPlusRelu:
             BinaryExpansion(2, 3.0, 0.0),
             BinaryExpansion(2, 3.0, 0.0),
             M=24.0)
-        built = build_cost_plus_relu(
-            cost, m_expr, spec,
-            m_groups={"w[0]": w_bits},
-            linear_spec=LinearModelSpec((1.0,), w))
+        built = build_cost_plus_relu(cost, m_expr, spec, linear_spec=LinearModelSpec((1.0,), w))
         result = exhaustive_solve(built.model)
 
         # independent oracle: enumerate decoded values
@@ -230,19 +227,15 @@ class TestBuildCostPlusRelu:
     def test_tradeoff_cost_against_penalty(self):
         # C(m) = (m + 1)^2: the continuous optimum is 0.75 at m = -0.5
         w = BinaryExpansion(4, 4.0, -2.0)
-        w_bits = range(4)
-        m_expr = w.to_affine(w_bits)
-        shifted = m_expr + 1.0
+        m_expr = w.to_affine(range(4))
+        shifted = m_expr - -1.0
         cost = affine_mul(shifted, shifted)
         spec = ReluPenaltySpec(
             BinaryExpansion(2, 1.0, -1.0),
             BinaryExpansion(6, 4.0, 0.0),
             BinaryExpansion(6, 4.0, 0.0),
             M=252.0)
-        built = build_cost_plus_relu(
-            cost, m_expr, spec,
-            m_groups={"w[0]": w_bits},
-            linear_spec=LinearModelSpec((1.0,), w))
+        built = build_cost_plus_relu(cost, m_expr, spec, linear_spec=LinearModelSpec((1.0,), w))
         result = exhaustive_solve(built.model)
         assert result.energy == pytest.approx(0.75, abs=0.15)
         m_hat = built.decode_m(result.assignment)
@@ -275,12 +268,28 @@ class TestBuildCostPlusRelu:
         m_expr = w.to_affine(w_bits)
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
         built = build_cost_plus_relu(QuadraticExpr(), m_expr, spec,
-                                     m_groups={"w[0]": w_bits})
+                                     linear_spec=LinearModelSpec((1.0,), w))
         covered = sorted(i for r in built.var_ranges.values() for i in r)
         assert covered == list(range(built.model.n_vars))
+        assert built.var_ranges["w[0]"] == w_bits
         assert built.var_ranges["t"] == range(3, 5)
         assert built.var_ranges["z1"] == range(5, 8)
         assert built.var_ranges["z2"] == range(8, 10)
+        assert built.model.labels[:4] == ["w[0][0]", "w[0][1]", "w[0][2]", "t[0]"]
+
+    def test_without_linear_spec_m_bits_form_group_m(self):
+        m_expr = BinaryExpansion(3, 2.0, 0.0).to_affine(range(3))
+        built = build_cost_plus_relu(QuadraticExpr(), m_expr,
+                                     ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0))
+        assert built.var_ranges["m"] == range(3)
+        assert built.model.labels[:4] == ["m[0]", "m[1]", "m[2]", "t[0]"]
+
+    def test_linear_spec_bit_count_must_match_m(self):
+        w = BinaryExpansion(3, 2.0, 0.0)
+        spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
+        with pytest.raises(ValueError, match="weight bits differ from the m expression.s 3"):
+            build_cost_plus_relu(QuadraticExpr(), w.to_affine(range(3)), spec,
+                                 linear_spec=LinearModelSpec((1.0, 2.0), w))
 
 
 class TestRecommendations:

@@ -370,6 +370,14 @@ class TestAnnealConfig:
         with pytest.raises(ValueError):
             AnnealConfig(restarts=0)
 
+    @pytest.mark.parametrize("b0, b1", [(math.inf, math.inf), (1.0, math.inf),
+                                        (math.nan, 1.0), (0.1, math.nan), (5e-324, 1.0)])
+    def test_non_finite_betas_rejected(self, b0, b1):
+        # inf / inf makes the ladder's ratio nan, and exp(-nan) accepts every move;
+        # 1 / 5e-324 overflows, so the ladder would be [5e-324, inf, inf, ...]
+        with pytest.raises(ValueError, match="finite ratio"):
+            AnnealConfig(beta_initial=b0, beta_final=b1)
+
     def test_geometric_schedule(self):
         cfg = AnnealConfig(sweeps=5, beta_initial=0.1, beta_final=10.0)
         sched = list(cfg.schedule())
@@ -388,6 +396,14 @@ class TestSimulatedAnneal:
         res = simulated_anneal(m, AnnealConfig(sweeps=10, restarts=2, seed=1))
         assert res.energy == 3.25
         assert res.restart_energies == [3.25, 3.25]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_broken_by_lowest_assignment_integer(self, seed):
+        # the three one-hot states tie at -1; integer order prefers bit 0 set
+        m = qubo(3, {0: -1.0, 1: -1.0, 2: -1.0}, {(0, 1): 2.0, (0, 2): 2.0, (1, 2): 2.0})
+        res = simulated_anneal(m, AnnealConfig(sweeps=20, restarts=12, seed=seed))
+        assert res.assignment == (1, 0, 0)
+        assert res.energy == -1.0
 
     def test_relu_instance_most_restarts_hit_optimum(self):
         built = relu_instance()  # 12 free bits
@@ -415,14 +431,14 @@ class TestSimulatedAnneal:
             res = simulated_anneal(m, AnnealConfig(sweeps=100, restarts=4, seed=seed))
             assert res.energy >= exact.energy - 1e-12
 
-    def test_best_so_far_non_increasing(self):
-        rng = np.random.default_rng(16)
-        m = random_model(rng, 10)
-        res = simulated_anneal(m, AnnealConfig(sweeps=300, restarts=3, seed=3),
-                               record_best_trace=True)
-        assert res.best_trace is not None
-        for restart_trace in res.best_trace:
-            assert all(a >= b for a, b in zip(restart_trace, restart_trace[1:]))
+    @pytest.mark.parametrize("fixed", [None, {0: 1, 1: 0}])
+    def test_no_free_bits_returns_the_offset(self, fixed):
+        # the empty walk runs the general path: no sweep has a bit to flip
+        m = qubo(0, {}, {}, 2.5) if fixed is None else qubo(2, {0: 1.5}, {(0, 1): 4.0}, 1.0)
+        res = simulated_anneal(m, AnnealConfig(sweeps=5, restarts=3, seed=1), fixed=fixed)
+        assert res.assignment == (() if fixed is None else (1, 0))
+        assert res.energy == 2.5
+        assert res.restart_energies == [2.5] * 3
 
     def test_reported_energy_is_exact(self):
         rng = np.random.default_rng(18)
@@ -472,20 +488,20 @@ class TestSimulatedAnneal:
         res = simulated_anneal(m, AnnealConfig(sweeps=10, restarts=1, seed=0))
         d = res.to_json_dict()
         assert set(d) == {"solver", "n_vars", "energy", "assignment", "restart_energies"}
-        assert d["assignment"] == res.assignment_str()
+        assert d["assignment"] == "".join(str(b) for b in res.assignment)
 
 
-def reference_anneal(model, config, record_best_trace=False, fixed=None):
+def reference_anneal(model, config, fixed=None):
     """simulated_anneal with the local fields updated by a Python loop over
     each flipped bit's neighbours: the reference for the dense-row update."""
     if fixed:
         sub, free = fix_bits(model, fixed)
-        result = reference_anneal(sub, config, record_best_trace)
+        result = reference_anneal(sub, config)
         bits = {i: int(b) for i, b in fixed.items()}
         bits.update(zip(free, result.assignment))
         assignment = tuple(bits[i] for i in range(model.n_vars))
         return SolveResult(assignment, energy(model, assignment), result.restart_energies,
-                           "sa", 0.0, best_trace=result.best_trace)
+                           "sa", 0.0)
     n = model.n_vars
     if n == 0:
         return SolveResult((), model.offset, [model.offset] * config.restarts, "sa", 0.0)
@@ -497,7 +513,6 @@ def reference_anneal(model, config, record_best_trace=False, fixed=None):
         adj[i].append((j, c))
         adj[j].append((i, c))
     restart_best = []
-    trace = [] if record_best_trace else None
     for r in range(config.restarts):
         rng = random.Random(config.seed + r)
         b = [rng.randrange(2) for _ in range(n)]
@@ -510,7 +525,6 @@ def reference_anneal(model, config, record_best_trace=False, fixed=None):
             f.append(lin[i] + s)
         e = energy(model, b)
         best_e, best_b = e, list(b)
-        sweep_best = []
         for beta in config.schedule():
             for i in range(n):
                 de = -f[i] if b[i] else f[i]
@@ -526,14 +540,10 @@ def reference_anneal(model, config, record_best_trace=False, fixed=None):
                 if e < best_e:
                     best_e = e
                     best_b = list(b)
-            sweep_best.append(best_e)
-        if trace is not None:
-            trace.append(sweep_best)
         restart_best.append((energy(model, best_b), tuple(best_b)))
     best_e, best_b = min(restart_best,
                          key=lambda p: (p[0], sum(bit << i for i, bit in enumerate(p[1]))))
-    return SolveResult(best_b, best_e, [e for e, _ in restart_best], "sa", 0.0,
-                       best_trace=trace)
+    return SolveResult(best_b, best_e, [e for e, _ in restart_best], "sa", 0.0)
 
 
 @st.composite
@@ -577,10 +587,9 @@ class TestDenseRows:
     @given(anneal_cases())
     def test_matches_neighbour_loop_reference(self, case):
         model, fixed, config = case
-        res = simulated_anneal(model, config, record_best_trace=True, fixed=fixed)
-        ref = reference_anneal(model, config, record_best_trace=True, fixed=fixed)
+        res = simulated_anneal(model, config, fixed=fixed)
+        ref = reference_anneal(model, config, fixed=fixed)
         assert res.to_json_dict() == ref.to_json_dict()
-        assert res.best_trace == ref.best_trace
 
     def test_large_sparse_chain_builds_no_dense_matrix(self):
         # a 20,000-variable chain has mean degree 2: the neighbour loop runs,
