@@ -141,12 +141,33 @@ def quad_scale_add(dst: QuadraticExpr, src: QuadraticExpr, scale: float) -> Quad
     return QuadraticExpr(d + scale * s, dst.constant + scale * src.constant)
 
 
-def _as_float(x: object) -> float:
-    """float(x), with a Python int past float range as +-inf for the finiteness checks."""
+def _as_float(x: object, name: str) -> float:
+    """float(x), with a Python int past float range as +-inf for the
+    finiteness checks.  A str or bytes, which float() would read, is a
+    ValueError that names the field."""
+    if isinstance(x, (str, bytes)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
     try:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _indices(t: object) -> np.ndarray:
+    """A term index array as intp, or as object when it holds a Python int
+    past intp, which the range check refuses.  An array of anything but
+    integers, bools included, is a ValueError unless it is empty."""
+    a = np.asarray(t)
+    if a.dtype.kind == "O":
+        ok = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in a.flat)
+    else:
+        ok = a.dtype.kind in "iu" or a.size == 0
+    if not ok:
+        raise ValueError(f"term indices must be integers, got dtype {a.dtype}")
+    try:
+        return np.asarray(a, np.intp)
+    except OverflowError:
+        return a
 
 
 def _checked_terms(n: int, terms: Terms, names: tuple[str, str, str]) -> Terms:
@@ -163,14 +184,13 @@ def _checked_terms(n: int, terms: Terms, names: tuple[str, str, str]) -> Terms:
     if n < 0:
         raise ValueError(f"{size} must be >= 0")
     ti, tj, tc = terms
-    try:
-        c = np.asarray(tc, float)
-    except OverflowError:
-        c = np.array([_as_float(x) for x in tc], float)
-    try:
-        i, j = np.asarray(ti, np.intp), np.asarray(tj, np.intp)
-    except OverflowError:  # a Python int past intp, which the range check refuses
-        i, j = np.asarray(ti, object), np.asarray(tj, object)
+    c = np.asarray(tc)
+    if c.dtype.kind in "OSU":  # Python ints past float range, or text
+        c = np.array([_as_float(x, "term coefficient") for x in c.ravel().tolist()],
+                     float).reshape(c.shape)
+    else:
+        c = np.asarray(c, float)
+    i, j = _indices(ti), _indices(tj)
     if i.ndim != 1 or not i.shape == j.shape == c.shape:
         raise ValueError("terms must be three 1-D arrays of one length")
     order = np.lexsort((j, i, i != j))
@@ -211,7 +231,7 @@ class _TermModel:
     def __post_init__(self) -> None:
         n = getattr(self, self._names[0])
         self.terms = _checked_terms(n, self.terms, self._names)
-        self.offset = _as_float(self.offset)
+        self.offset = _as_float(self.offset, "offset")
         if not math.isfinite(self.offset):
             raise ValueError(f"offset must be finite, got {self.offset!r}")
         labels = (f"b{i}" for i in range(n)) if self.labels is None else self.labels

@@ -268,7 +268,7 @@ def _require(cfg: Mapping, key: str, path: str) -> object:
 def _number(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    number = _as_float(value)  # JSON integers past float range are +-inf
+    number = _as_float(value, path)  # JSON integers past float range are +-inf
     if not math.isfinite(number):
         raise ConfigError(path, "must be finite")
     return number

@@ -19,19 +19,26 @@ local fields in one pass over the terms, as single-flip annealers do
 (Isakov et al., arXiv:1401.1084), then updates them per accepted flip:
 with one numpy add of an n x n coupling row on a dense model
 (2|E| >= n * max(8, n // 16)), with a loop over the neighbours on a
-sparser one; both give identical results.  The fold, the annealer's
-fields and every energy read the model's one term view, QuboModel.terms.
+sparser one; both give identical results.  Restarts are independent
+walks, so a large enough annealing call walks them on every CPU of its
+affinity set, in children made by os.fork that send their results back
+over pipes; the output is the same bytes as from one process.  The
+exhaustive solver runs in one process.  The fold, the annealer's fields
+and every energy read the model's one term view, QuboModel.terms.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
 import random
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -44,6 +51,10 @@ _CHUNK_BITS = 18
 # Measured on random models of 16-208 vars: equal speed at degree 8, the
 # rows 1.4-1.8x slower at degree 2-4 and 2-3x faster at degree 32-207.
 _DENSE_DEGREE = 8
+# Proposals (sweeps * n * restarts) from which annealing forks children to
+# walk restarts on the other CPUs: one fork plus the pickle of a share's
+# results costs 2-4 ms, and 2^16 proposals take 13-46 ms at 0.2-0.7 us each.
+_FORK_MIN_PROPOSALS = 1 << 16
 
 
 class BitCapExceeded(RuntimeError):
@@ -289,60 +300,16 @@ def _initial_fields(model: QuboModel, b: Sequence[int]) -> np.ndarray:
     return f
 
 
-def simulated_anneal(model: QuboModel,
-                     config: AnnealConfig,
-                     fixed: Mapping[int, int] | None = None) -> SolveResult:
-    """Best assignment found by Metropolis single-bit-flip annealing.
-
-    Each restart r runs an independent walk seeded with seed + r; within
-    a sweep, variables are proposed in index order at the sweep's beta.
-    Restarts share nothing and merge by (energy, assignment integer), so
-    the result is order-independent.  The reported energy is re-evaluated
-    from scratch, so it equals energy(model, assignment) exactly.  With
-    fixed, the walk runs on the reduced model from fix_bits, whose offset
-    carries the fixed contributions, so its restart energies are
-    full-model energies; the best assignment is lifted back to the full
-    model.  An empty model takes the same path: no sweep flips anything.
-
-    An accepted flip of bit i adds +-c to the local field of each
-    neighbour.  When 2|E| >= n * max(_DENSE_DEGREE, n // 16), that is one
-    numpy add or subtract of row i of an n x n coupling matrix, built once
-    per call; non-neighbours get +-0.0, which changes no field because a
-    field is never -0.0 (zero coefficients are pruned, and x + y rounds an
-    exact cancellation to +0.0).  Sparser models loop over the neighbours,
-    build no matrix and keep the fields in a Python list.  Either way a
-    restart starts from the fields of _initial_fields and the energy of
-    energy(), both read from the term view.  The betas are computed one
-    sweep at a time, so memory does not grow with config.sweeps.
-    """
-    t0 = time.perf_counter()
-    if fixed:
-        sub, free = fix_bits(model, fixed)
-        result = simulated_anneal(sub, config)
-        assignment = _lift(model, fixed, free, result.assignment)
-        return SolveResult(assignment, energy(model, assignment), result.restart_energies,
-                           "sa", time.perf_counter() - t0)
+def _walk(model: QuboModel, config: AnnealConfig, rows: list[np.ndarray] | None,
+          adj: list[list[tuple[int, float]]] | None,
+          restarts: Iterable[int]) -> list[tuple[float, tuple[int, ...]]]:
+    """(energy, bits) of the best state of each restart r in restarts: a
+    walk seeded with config.seed + r that updates the local fields with
+    the coupling rows when given, else with the neighbour lists adj."""
     n = model.n_vars
-
-    pair = model.terms[0] != model.terms[1]
-    qi, qj, qc = (a[pair] for a in model.terms)
-    adj: list[list[tuple[int, float]]] | None = None
-    rows: list[np.ndarray] | None = None
-    # the n*n matrix stays within a small multiple of adj's own memory
-    if 2 * len(qc) >= n * max(_DENSE_DEGREE, n // 16):
-        dense = np.zeros((n, n))
-        dense[qi, qj] = qc
-        dense[qj, qi] = qc
-        rows = list(dense)
-    else:
-        adj = [[] for _ in range(n)]
-        for i, j, c in zip(qi.tolist(), qj.tolist(), qc.tolist()):
-            adj[i].append((j, c))
-            adj[j].append((i, c))
     exp, add, subtract = math.exp, np.add, np.subtract
-
-    restart_best: list[tuple[float, tuple[int, ...]]] = []
-    for r in range(config.restarts):
+    found = []
+    for r in restarts:
         rng = random.Random(config.seed + r)
         rnd = rng.random
         b = [rng.randrange(2) for _ in range(n)]
@@ -375,7 +342,135 @@ def simulated_anneal(model: QuboModel,
                 if e < best_e:
                     best_e = e
                     best_b = list(b)
-        restart_best.append((energy(model, best_b), tuple(best_b)))
+        found.append((energy(model, best_b), tuple(best_b)))
+    return found
+
+
+def _send(walk: Callable[[range], list], share: range, w: int) -> NoReturn:
+    """In a forked child: write walk(share) pickled to the pipe end w, then
+    leave by os._exit, so that none of the parent's cleanup, atexit hooks
+    or buffered output runs twice.  Any failure exits 1."""
+    code = 1
+    try:
+        with open(w, "wb") as fh:
+            pickle.dump(walk(share), fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(walk: Callable[[range], list], restarts: int, workers: int) -> list:
+    """walk's items for restarts 0..restarts-1, in restart order.
+
+    walk takes a range of restarts and returns one item per restart.  The
+    restarts split into the shares r = k (mod workers).  Share 0 runs in
+    this process; each other share runs in a child made by os.fork, which
+    sends its items back pickled over a pipe.  A share whose fork fails,
+    or whose child exits non-zero or sends an incomplete pickle, runs here
+    after share 0.  Every child is reaped before the call returns or
+    raises; on an exception the unreaped ones are killed first.
+    """
+    shares = [range(k, restarts, workers) for k in range(workers)]
+    found: list[list | None] = [None] * workers
+    pids: dict[int, int] = {}  # share -> pid of its child, until reaped
+    readers: dict[int, BinaryIO] = {}  # share -> read end of its child's pipe
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # share k runs here below
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                _send(walk, shares[k], w)
+            os.close(w)
+            pids[k], readers[k] = pid, open(r, "rb")
+        found[0] = walk(shares[0])
+        for k, reader in readers.items():
+            data = reader.read()
+            status = os.waitpid(pids.pop(k), 0)[1]
+            if os.waitstatus_to_exitcode(status) == 0:
+                with contextlib.suppress(pickle.UnpicklingError, EOFError):
+                    found[k] = pickle.loads(data)
+    finally:
+        for reader in readers.values():
+            reader.close()
+        if pids:  # an exception left children unreaped
+            import signal  # only on this path, so start-up time and memory stay as they were
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for k, share in enumerate(shares):
+        if found[k] is None:
+            found[k] = walk(share)
+    return [found[r % workers][r // workers] for r in range(restarts)]
+
+
+def simulated_anneal(model: QuboModel,
+                     config: AnnealConfig,
+                     fixed: Mapping[int, int] | None = None) -> SolveResult:
+    """Best assignment found by Metropolis single-bit-flip annealing.
+
+    Each restart r runs an independent walk seeded with seed + r; within
+    a sweep, variables are proposed in index order at the sweep's beta.
+    Restarts share nothing and merge by (energy, assignment integer), so
+    the result is order-independent.  The reported energy is re-evaluated
+    from scratch, so it equals energy(model, assignment) exactly.  With
+    fixed, the walk runs on the reduced model from fix_bits, whose offset
+    carries the fixed contributions, so its restart energies are
+    full-model energies; the best assignment is lifted back to the full
+    model.  An empty model takes the same path: no sweep flips anything.
+
+    An accepted flip of bit i adds +-c to the local field of each
+    neighbour.  When 2|E| >= n * max(_DENSE_DEGREE, n // 16), that is one
+    numpy add or subtract of row i of an n x n coupling matrix, built once
+    per call; non-neighbours get +-0.0, which changes no field because a
+    field is never -0.0 (zero coefficients are pruned, and x + y rounds an
+    exact cancellation to +0.0).  Sparser models loop over the neighbours,
+    build no matrix and keep the fields in a Python list.  Either way a
+    restart starts from the fields of _initial_fields and the energy of
+    energy(), both read from the term view.  The betas are computed one
+    sweep at a time, so memory does not grow with config.sweeps.
+
+    From sweeps * n * restarts >= _FORK_MIN_PROPOSALS on, the restarts
+    are split over w = min(CPUs in this process's affinity set, restarts)
+    workers: this process and w - 1 children made by os.fork (_fan_out).
+    A walk runs the same arithmetic in any process and the merge puts the
+    walks back in restart order, so every output is the same as from one
+    process.  Below that size, or where os.sched_getaffinity is missing,
+    every walk runs here.
+    """
+    t0 = time.perf_counter()
+    if fixed:
+        sub, free = fix_bits(model, fixed)
+        result = simulated_anneal(sub, config)
+        assignment = _lift(model, fixed, free, result.assignment)
+        return SolveResult(assignment, energy(model, assignment), result.restart_energies,
+                           "sa", time.perf_counter() - t0)
+    n = model.n_vars
+
+    pair = model.terms[0] != model.terms[1]
+    qi, qj, qc = (a[pair] for a in model.terms)
+    adj: list[list[tuple[int, float]]] | None = None
+    rows: list[np.ndarray] | None = None
+    # the n*n matrix stays within a small multiple of adj's own memory
+    if 2 * len(qc) >= n * max(_DENSE_DEGREE, n // 16):
+        dense = np.zeros((n, n))
+        dense[qi, qj] = qc
+        dense[qj, qi] = qc
+        rows = list(dense)
+    else:
+        adj = [[] for _ in range(n)]
+        for i, j, c in zip(qi.tolist(), qj.tolist(), qc.tolist()):
+            adj[i].append((j, c))
+            adj[j].append((i, c))
+    workers = 1
+    if (hasattr(os, "sched_getaffinity")
+            and config.sweeps * n * config.restarts >= _FORK_MIN_PROPOSALS):
+        workers = min(len(os.sched_getaffinity(0)), config.restarts)
+    restart_best = _fan_out(partial(_walk, model, config, rows, adj), config.restarts, workers)
 
     restart_energies = [e for e, _ in restart_best]
     # on equal-length 0/1 tuples, comparing the highest bit first is integer order

@@ -513,6 +513,29 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             QuboModel(*args)
 
+    @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
+    @pytest.mark.parametrize("args, message", [
+        ((3, ([1.7], [1.7], ["2.5"]), "1.5"), "term coefficient must be a number, got '2.5'"),
+        ((3, ([1.7], [1.7], [2.5])), "term indices must be integers, got dtype float64"),
+        ((3, ([True], [True], [1.0])), "term indices must be integers, got dtype bool"),
+        ((3, (["0"], ["0"], [1.0])), "term indices must be integers, got dtype <U1"),
+        ((3, ([0, None], [1, 2], [1.0, 1.0])), "term indices must be integers, got dtype object"),
+        ((3, ([0, 1], [1, 2], [10 ** 400, b"1"])), "term coefficient must be a number, got b'1'"),
+        ((3, ((), (), ()), "1.5"), "offset must be a number, got '1.5'"),
+    ], ids=["issue-example", "float-index", "bool-index", "str-index", "none-index",
+            "bytes-coefficient", "str-offset"])
+    def test_non_numeric_fields_rejected(self, cls, args, message):
+        # float() and np.asarray(..., float) read "2.5"; np.intp casts 1.7 and True
+        with pytest.raises(ValueError) as err:
+            cls(*args)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
+    def test_empty_and_any_integer_index_arrays_accepted(self, cls):
+        assert cls(3, ((), (), ())).terms[0].dtype == np.intp
+        model = cls(3, (np.array([0, 1], np.uint8), np.array([1, 1], object), [2.0, 10 ** 20]))
+        assert [a.tolist() for a in model.terms] == [[1, 0], [1, 1], [1e20, 2.0]]
+
     def test_zero_terms_pruned(self):
         m = QuboModel(2, ([0, 0], [0, 1], [0.0, 0.0]))
         assert m.linear == {} and m.quadratic == {}

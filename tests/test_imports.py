@@ -1,9 +1,12 @@
 """Every module-level import in the package is used by its module, every
 module-level private function or class is referenced in the package, and
-every public name is used by the package, the README or the benchmark."""
+every public name is used by the package, the README or the benchmark;
+importing the CLI loads no process-pool module."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +137,14 @@ def test_every_public_name_is_used_outside_the_tests():
         "public names that only tests use: move them into tests/ or use them"
     assert sorted(set(UNUSED_PUBLIC_KEPT) - set(unused)) == [], \
         "allowlisted names that are used now: drop them from UNUSED_PUBLIC_KEPT"
+
+
+def test_cli_import_loads_no_process_pool_module():
+    # annealing forks its children with os.fork; a pool module would add
+    # its import time to every CLI call
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import reluqubo.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'subprocess'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout == "[]\n"

@@ -1,7 +1,13 @@
 """Tests for exhaustive enumeration and simulated annealing."""
 
+import dataclasses
+import errno
+import json
 import math
+import os
+import pickle
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +18,7 @@ from helpers import all_assignments, qubo
 
 from reluqubo.algebra import AffineExpr, QuadraticExpr, energy
 from reluqubo.encoding import BinaryExpansion
+from reluqubo import solvers
 from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu, build_from_config
 from reluqubo.solvers import (
     AnnealConfig,
@@ -608,6 +615,92 @@ class TestDenseRows:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         assert res.energy == energy(model, res.assignment)
+
+
+def fan_out_on(monkeypatch, cpus):
+    """Annealing calls of any size split their restarts over cpus workers."""
+    monkeypatch.setattr(solvers, "_FORK_MIN_PROPOSALS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def assert_no_children():
+    # a zombie or a running child would be reaped or reported, not raise
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFanOut:
+    @settings(max_examples=60, deadline=None)
+    @given(anneal_cases(), st.integers(2, 5), st.integers(1, 4))
+    def test_matches_reference_bytes(self, case, restarts, cpus):
+        model, fixed, config = case
+        config = dataclasses.replace(config, restarts=restarts)
+        with pytest.MonkeyPatch.context() as mp:
+            fan_out_on(mp, cpus)
+            res = simulated_anneal(model, config, fixed=fixed)
+        assert_no_children()
+        ref = reference_anneal(model, config, fixed=fixed)
+        assert json.dumps(res.to_json_dict()) == json.dumps(ref.to_json_dict())
+
+    @pytest.mark.parametrize("failure, parent_walks", [
+        (None, 1), ("fork", 3), ("exit", 3), ("truncated", 3)])
+    def test_failed_share_runs_in_the_parent(self, monkeypatch, failure, parent_walks):
+        model = relu_instance().model
+        config = AnnealConfig(sweeps=30, restarts=5, seed=3)
+        want = json.dumps(simulated_anneal(model, config).to_json_dict())  # one process
+        fan_out_on(monkeypatch, 3)
+        parent, calls, walk = os.getpid(), [], solvers._walk
+
+        def counted(*args):
+            if os.getpid() == parent:
+                calls.append(args[-1])
+            elif failure == "exit":
+                os._exit(3)
+            return walk(*args)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        def truncated(obj, fh, protocol):
+            fh.write(pickle.dumps(obj, protocol)[:-3])
+
+        monkeypatch.setattr(solvers, "_walk", counted)
+        if failure == "fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        elif failure == "truncated":
+            monkeypatch.setattr(pickle, "dump", truncated)
+        assert json.dumps(simulated_anneal(model, config).to_json_dict()) == want
+        assert_no_children()
+        assert calls == [range(k, 5, 3) for k in range(parent_walks)]
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_no_child_outlives_a_walk_that_raises(self, monkeypatch, error):
+        fan_out_on(monkeypatch, 3)
+        parent = os.getpid()
+
+        def walk(*args):
+            if os.getpid() == parent:
+                raise error("walk failed")
+            time.sleep(60)  # the parent kills it long before
+
+        monkeypatch.setattr(solvers, "_walk", walk)
+        t0 = time.monotonic()
+        with pytest.raises(error):
+            simulated_anneal(relu_instance().model, AnnealConfig(sweeps=10, restarts=4))
+        assert_no_children()
+        assert time.monotonic() - t0 < 30
+
+    @pytest.mark.parametrize("cpus, sweeps", [(1, 2000), (4, 10)])
+    def test_one_cpu_or_a_small_call_forks_nothing(self, monkeypatch, cpus, sweeps):
+        # 12 vars x 4 restarts: 2000 sweeps pass _FORK_MIN_PROPOSALS, 10 do not
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        res = simulated_anneal(relu_instance().model, AnnealConfig(sweeps=sweeps, restarts=4))
+        assert len(res.restart_energies) == 4
 
 
 class TestInitialFields:
