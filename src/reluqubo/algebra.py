@@ -158,12 +158,18 @@ def _indices(t: object) -> np.ndarray:
     past intp, which the range check refuses.  An array of anything but
     integers, bools included, is a ValueError unless it is empty."""
     a = np.asarray(t)
-    if a.dtype.kind == "O":
+    dtype = a.dtype
+    # a sequence that mixes bools with ints infers an integer dtype; an
+    # array cannot hide one, so only sequences are scanned
+    if dtype.kind in "iu" and not isinstance(t, np.ndarray) \
+            and not {bool, np.bool_}.isdisjoint(map(type, t)):
+        dtype = np.dtype(bool)
+    if dtype.kind == "O":
         ok = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in a.flat)
     else:
-        ok = a.dtype.kind in "iu" or a.size == 0
+        ok = dtype.kind in "iu" or a.size == 0
     if not ok:
-        raise ValueError(f"term indices must be integers, got dtype {a.dtype}")
+        raise ValueError(f"term indices must be integers, got dtype {dtype}")
     try:
         return np.asarray(a, np.intp)
     except OverflowError:
@@ -466,8 +472,9 @@ def parse_qubo(text: str) -> QuboModel:
     if labels and len(labels) != n:
         missing = sorted(set(range(n)) - set(labels))
         raise QuboParseError(f"label table incomplete: missing {missing}")
-    try:
-        return QuboModel(n, (ti, tj, tc), offset, [s for _, s in sorted(labels.items())] or None)
+    try:  # index arrays, which the model's check need not scan for bools
+        return QuboModel(n, (np.asarray(ti), np.asarray(tj), tc), offset,
+                         [s for _, s in sorted(labels.items())] or None)
     except ValueError as exc:
         raise QuboParseError(str(exc)) from None
 

@@ -58,9 +58,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         fh.write(export_qubo(built.model))
     spec = built.penalty_spec
     lin = built.linear_spec
-    w_part = f"w {lin.w_exp.depth}x{lin.dim}" if lin is not None else "w 0"
     print(f"wrote {args.out}: {built.model.n_vars} vars "
-          f"({w_part}, t {spec.t_exp.depth}, z1 {spec.z1_exp.depth}, "
+          f"(w {lin.w_exp.depth}x{lin.dim}, t {spec.t_exp.depth}, z1 {spec.z1_exp.depth}, "
           f"z2 {spec.z2_exp.depth}), M={spec.M!r}")
     return EXIT_OK
 
@@ -122,7 +121,7 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     isolates the penalty part against the hinge reference.
     """
     lin = built.linear_spec
-    if lin is None or lin.dim != 1 or lin.inputs != (1.0,):
+    if lin.inputs != (1.0,):
         raise ConfigError("model.inputs", "verify/sweep need D=1 with inputs [1] "
                           "so m maps one-to-one onto the weight grid")
     w_range = built.var_ranges["w[0]"]
@@ -238,7 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BitCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
-    except (ConfigError, QuboParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and QuboParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -3,7 +3,9 @@
 A variable with expansion (depth d, multiplier alpha, offset beta) takes
 the values  beta + alpha * j / (2^d - 1)  for j = 0 .. 2^d - 1, i.e. the
 uniform grid on [beta, alpha + beta].  Bit k (1-based, LSB first) carries
-weight alpha * delta(k) with delta(k) = 2^(k-1) / (2^d - 1).
+weight alpha * delta(k) with delta(k) = 2^(k-1) / (2^d - 1).  An expansion
+refuses an alpha that gives a bit coefficient or the grid step of 0, so
+every bit enters a model and every grid has a positive step.
 """
 
 from __future__ import annotations
@@ -38,15 +40,17 @@ class BinaryExpansion:
     beta: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.depth, int) or self.depth < 1:
+        if isinstance(self.depth, bool) or not isinstance(self.depth, int) or self.depth < 1:
             raise ValueError(f"depth must be a positive integer, got {self.depth!r}")
         if self.depth > MAX_DEPTH:
             raise ValueError(f"depth must be at most {MAX_DEPTH}, got {self.depth}")
         if not math.isfinite(self.alpha) or not math.isfinite(self.beta):
             raise ValueError("alpha and beta must be finite")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative; fold sign flips into beta "
-                             "or the surrounding coefficients")
+        # a bit of coefficient 0 drops out of every model, and a subnormal
+        # alpha can round the smallest coefficient or the grid step to 0
+        if not (self.alpha * delta(1, self.depth) > 0.0 and self.resolution > 0.0):
+            raise ValueError(f"alpha must be positive and give every bit a nonzero "
+                             f"coefficient, got {self.alpha!r}")
 
     @property
     def n_levels(self) -> int:
@@ -80,13 +84,11 @@ class BinaryExpansion:
         """
         if not math.isfinite(value):
             raise ValueError(f"value must be finite, got {value!r}")
-        top = self.n_levels - 1
-        if self.alpha == 0.0:
-            j = 0
-        else:
-            x = (value - self.beta) / self.resolution
-            j = math.ceil(x - 0.5)
-            j = min(max(j, 0), top)
+        # clamped before rounding: a far value would overflow to inf
+        x = min(max((value - self.beta) / self.resolution, 0.0), self.n_levels - 1)
+        j = math.floor(x)
+        if x - j > 0.5:  # exact, where x - 0.5 would round past 2^52
+            j += 1
         return tuple((j >> k) & 1 for k in range(self.depth))
 
     def to_affine(self, bits: range) -> AffineExpr:

@@ -9,10 +9,11 @@ bits and fresh auxiliary variables t, z1, z2:
 
 With the residual r = -m - z1 + z2 the penalty part equals
 -a*z1 + b*z2 - t*r + M*r^2; once a large M drives r to zero, its
-minimum over the feasible z grid is max(a*m, b*m).  The t bounds select
-the function: [-1, 0] gives the hinge penalty max(0, -m)
-(ReluPenaltySpec), [-1, 1] gives |m| (AbsPenaltySpec).  t is degenerate
-at feasibility, so any t assignment is optimal once r = 0.
+minimum over the feasible z grid is max(a*m, b*m).  The t interval of
+ReluPenaltySpec is the function: [-1, 0] gives the hinge penalty
+max(0, -m), [-1, 1] gives |m| and [0, 1] gives ReLU.  t is degenerate
+at feasibility, so any t assignment is optimal once r = 0.  The JSON
+config builds the hinge only.
 
 All continuous quantities are binary-expanded; every product here is
 affine times affine, so the result is structurally two-body.  Model bits
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -53,11 +54,11 @@ class ConfigError(ValueError):
 class ReluPenaltySpec:
     """Expansions for t, z1, z2 plus the constraint weight M.
 
-    t must cover exactly T_BOUNDS, [-1, 0] for the hinge; z1 and z2 must
-    start at 0 so the inequality constraints hold by construction.
+    t's interval [a, b] is the function max(a*m, b*m); z1 and z2 must
+    start at 0 so the inequality constraints hold by construction.  A
+    state with r != 0 costs at least f(m) - (b - a)*|r| + M*r^2, so M is
+    sound when M times the smallest reachable |r| exceeds b - a.
     """
-
-    T_BOUNDS: ClassVar[tuple[float, float]] = (-1.0, 0.0)
 
     t_exp: BinaryExpansion
     z1_exp: BinaryExpansion
@@ -65,22 +66,12 @@ class ReluPenaltySpec:
     M: float
 
     def __post_init__(self) -> None:
-        if self.t_exp.bounds != self.T_BOUNDS:
-            lo, hi = self.T_BOUNDS
-            raise ValueError(f"t expansion must cover exactly [{lo:g}, {hi:g}], "
-                             f"got {self.t_exp.bounds}")
         for name, exp in (("z1", self.z1_exp), ("z2", self.z2_exp)):
             if exp.beta != 0.0:
                 raise ValueError(f"{name} expansion must have lower bound exactly 0, "
                                  f"got beta = {exp.beta}")
         if not (math.isfinite(self.M) and self.M > 0):
             raise ValueError(f"penalty weight M must be positive, got {self.M!r}")
-
-
-class AbsPenaltySpec(ReluPenaltySpec):
-    """ReluPenaltySpec with t covering [-1, 1], for the |m| gadget."""
-
-    T_BOUNDS: ClassVar[tuple[float, float]] = (-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -185,8 +176,8 @@ def build_relu_penalty(m_expr: AffineExpr,
 
     [a, b] are the spec's t bounds.  Minimized jointly over the fresh t/z
     bits this equals max(a*m, b*m) of the decoded m, up to the z-grid
-    resolution: the hinge penalty max(0, -m) for ReluPenaltySpec, |m| for
-    AbsPenaltySpec.  The t/z bit ranges must be disjoint from m's bits.
+    resolution: the hinge penalty max(0, -m) for t on [-1, 0], |m| for
+    [-1, 1].  The t/z bit ranges must be disjoint from m's bits.
     A product of forms that overflows is a ConfigError naming 'model',
     and M times the squared residual one naming 'penalty.M'.
     """
@@ -238,11 +229,7 @@ def recommend_M(m_lo: float, m_hi: float,
     Sized so that violating the equality constraint by one z-grid step
     costs more than any objective gain available on the m range.
     """
-    if m_lo > m_hi:
-        raise ValueError(f"m_lo {m_lo} > m_hi {m_hi}")
     res = min(z1_exp.resolution, z2_exp.resolution)
-    if res <= 0:
-        raise ValueError("z expansions must have positive resolution")
     return max(1.0, 4.0 * max(abs(m_lo), abs(m_hi)) / res)
 
 
@@ -252,8 +239,9 @@ def recommend_M(m_lo: float, m_hi: float,
 #   "model":   {"inputs": [x_1, ..., x_D], "w": {expansion}},
 #   "penalty": {"t": {expansion}, "z1": {expansion}, "z2": {expansion},
 #               "M": number | "auto"} }
-# with {expansion} = {"depth": d, "alpha": a, "beta": b}.  "M": "auto"
-# applies recommend_M to the reachable m range.
+# with {expansion} = {"depth": d, "alpha": a, "beta": b}.  t covers
+# exactly [-1, 0]: a config builds the hinge.  "M": "auto" applies
+# recommend_M to the reachable m range.
 
 
 def _require(cfg: Mapping, key: str, path: str) -> object:
@@ -274,22 +262,10 @@ def _number(value: object, path: str) -> float:
     return number
 
 
-def _bit_step(exp: BinaryExpansion, path: str, bits: str, out_of: str) -> float:
-    """exp's smallest bit coefficient alpha * delta(1, depth), bit k's being 2^(k-1)
-    times it; one that is 0 drops its bit out of the model: a ConfigError at path."""
-    step = exp.alpha * delta(1, exp.depth)
-    if step == 0.0:
-        raise ConfigError(path, f"alpha {exp.alpha!r} gives {bits} bits of "
-                                f"coefficient 0, which drop out of {out_of}")
-    return step
-
-
 def _expansion_from_config(cfg: object, path: str) -> BinaryExpansion:
     if not isinstance(cfg, Mapping):
         raise ConfigError(path, "expected an object {depth, alpha, beta}")
     depth = _require(cfg, "depth", path)
-    if isinstance(depth, bool) or not isinstance(depth, int):
-        raise ConfigError(f"{path}.depth", f"expected an integer, got {depth!r}")
     alpha = _number(_require(cfg, "alpha", path), f"{path}.alpha")
     beta = _number(_require(cfg, "beta", path), f"{path}.beta")
     try:
@@ -321,7 +297,7 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     xs = tuple(_number(x, f"model.inputs[{d}]") for d, x in enumerate(inputs))
     w_exp = _expansion_from_config(_require(model_cfg, "w", "model"), "model.w")
     # bit k of w[d] enters m with coefficient (alpha * delta(k)) * x_d
-    step = _bit_step(w_exp, "model.w", "weight", "m")
+    step = w_exp.alpha * delta(1, w_exp.depth)
     for d, x in enumerate(xs):
         if x == 0.0:
             raise ConfigError(f"model.inputs[{d}]", f"must be nonzero, got {x!r}")
@@ -333,18 +309,15 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     pen_cfg = _require(cfg, "penalty", "")
     t_exp = _expansion_from_config(_require(pen_cfg, "t", "penalty"), "penalty.t")
     z1_exp = _expansion_from_config(_require(pen_cfg, "z1", "penalty"), "penalty.z1")
-    _bit_step(z1_exp, "penalty.z1", "z1", "the residual")
     z2_exp = _expansion_from_config(_require(pen_cfg, "z2", "penalty"), "penalty.z2")
-    _bit_step(z2_exp, "penalty.z2", "z2", "the residual")
     m_value = _require(pen_cfg, "M", "penalty")
     if m_value == "auto":
-        lo, hi = lin_spec.m_range()
-        try:
-            M = recommend_M(lo, hi, z1_exp, z2_exp)
-        except ValueError as exc:
-            raise ConfigError("penalty.M", str(exc)) from None
+        M = recommend_M(*lin_spec.m_range(), z1_exp, z2_exp)
     else:
         M = _number(m_value, "penalty.M")
+    if t_exp.bounds != (-1.0, 0.0):  # verify, sweep and auto M assume the hinge
+        raise ConfigError("penalty.t", f"must cover exactly [-1, 0], the hinge's t "
+                                       f"interval, got {t_exp.bounds}")
     try:
         pen_spec = ReluPenaltySpec(t_exp, z1_exp, z2_exp, M)
     except ValueError as exc:

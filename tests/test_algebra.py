@@ -531,6 +531,14 @@ class TestModelValidation:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
+    @pytest.mark.parametrize("terms", [([True, 1], [1, 2], [1.0, 1.0]),
+                                       ((0, 1), (1, np.True_), (1.0, 1.0))])
+    def test_bool_among_int_indices_rejected(self, cls, terms):
+        # the list infers an integer dtype, which would read True as 1
+        with pytest.raises(ValueError, match="^term indices must be integers, got dtype bool$"):
+            cls(3, terms)
+
+    @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
     def test_empty_and_any_integer_index_arrays_accepted(self, cls):
         assert cls(3, ((), (), ())).terms[0].dtype == np.intp
         model = cls(3, (np.array([0, 1], np.uint8), np.array([1, 1], object), [2.0, 10 ** 20]))

@@ -142,8 +142,9 @@ class TestBuild:
         cfg["model"]["w"]["alpha"] = alpha
         code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
         assert code == 2
-        assert f"'model.w': alpha {alpha!r} gives weight bits of coefficient 0" \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: config error at 'model.w': alpha must be positive and give every "
+            f"bit a nonzero coefficient, got {alpha!r}\n")
 
     @pytest.mark.parametrize("M", [5.0, "auto"])
     @pytest.mark.parametrize("key", ["z1", "z2"])
@@ -155,8 +156,8 @@ class TestBuild:
         code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: config error at 'penalty.{key}': alpha 0.0 gives {key} bits of "
-            f"coefficient 0, which drop out of the residual\n")
+            f"error: config error at 'penalty.{key}': alpha must be positive and give "
+            f"every bit a nonzero coefficient, got 0.0\n")
 
     @pytest.mark.parametrize("section, key, value, path", [
         ("penalty", "M", 1e308, "penalty.M"),
@@ -373,6 +374,17 @@ class TestVerify:
         assert rows[1]["reference"] == 0.0
         assert rows[1]["abs_error"] <= 0.2
 
+    def test_far_point_clamps_to_the_weight_grid(self, tmp_path, capsys):
+        # (m - beta) / resolution overflows to inf; the point pins w's top
+        cfg = config_negative_range()
+        cfg["model"]["w"] = expansion(6, 8.0, -4.0)
+        cfg["verify"] = {"m_points": [4.0, 1.7e308]}
+        assert main(["verify", write_config(tmp_path, cfg)]) == 0
+        top, far = read_tsv(capsys.readouterr().out)
+        assert far["m"] == 1.7e308
+        assert far["qubo_min"] == top["qubo_min"]
+        assert far["residual_at_min"] == top["residual_at_min"] == 0.0
+
     def test_undersized_z_range_fails_with_report(self, tmp_path, capsys):
         cfg = config_negative_range()
         cfg["penalty"]["z1"] = expansion(6, 1.0, 0.0)  # cannot reach z1 = 3
@@ -424,6 +436,12 @@ class TestSweep:
         assert len(rows) == 17
         assert rows[0]["m"] == -4.0
         assert rows[-1]["m"] == 4.0
+
+    def test_far_grid_clamps_to_the_weight_grid(self, tmp_path, capsys):
+        rows = self.sweep_rows(tmp_path, capsys, grid="1e308:1.7e308:7e307")
+        top = self.sweep_rows(tmp_path, capsys, grid="4:4:1")
+        assert [r["m"] for r in rows] == [1e308, 1.7e308]
+        assert [r["qubo_min"] for r in rows] == [top[0]["qubo_min"]] * 2
 
     def test_negative_half_monotone_decreasing(self, tmp_path, capsys):
         rows = self.sweep_rows(tmp_path, capsys)

@@ -1,7 +1,11 @@
 """Tests for the uniform binary expansion of continuous variables."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from helpers import all_assignments
 
 from reluqubo.encoding import BinaryExpansion, delta
@@ -35,6 +39,11 @@ class TestConstruction:
     def test_zero_depth_rejected(self):
         with pytest.raises(ValueError):
             BinaryExpansion(0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("depth", [True, 2.0, "3"])
+    def test_depth_of_another_type_rejected(self, depth):
+        with pytest.raises(ValueError, match="depth must be a positive integer"):
+            BinaryExpansion(depth, 1.0, 0.0)
 
     def test_depth_capped_at_double_precision(self):
         top = BinaryExpansion(53, 1.0, 0.0)
@@ -132,9 +141,46 @@ class TestQuantize:
         assert exp.decode(exp.quantize(1.5)) == 1.0
 
     def test_degenerate_alpha_zero(self):
-        exp = BinaryExpansion(2, 0.0, 5.0)
-        assert exp.quantize(123.0) == (0, 0)
-        assert exp.decode((0, 0)) == 5.0
+        # a grid of one point, whose bits drop out of every model
+        with pytest.raises(ValueError, match="nonzero coefficient, got 0.0"):
+            BinaryExpansion(2, 0.0, 5.0)
+
+    @pytest.mark.parametrize("depth, alpha", [(6, 5e-324), (53, 1e-308)])
+    def test_alpha_whose_bit_coefficient_rounds_to_zero(self, depth, alpha):
+        with pytest.raises(ValueError, match="nonzero coefficient"):
+            BinaryExpansion(depth, alpha, 5.0)
+
+    @pytest.mark.parametrize("depth, beta, value", [(2, -1e308, 1.7e308),
+                                                    (2, 1e308, -1.7e308),
+                                                    (53, 0.0, 99.0)])
+    def test_far_values_clamp_to_an_endpoint(self, depth, beta, value):
+        # value - beta overflows to +-inf at depth 2; at depth 53 the top
+        # index less 0.5 rounds to an even integer below it
+        exp = BinaryExpansion(depth, 3.0, beta)
+        assert exp.quantize(value) == (int(value > 0),) * depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 53), st.floats(0.0, 1e300), st.floats(-1e300, 1e300), st.data())
+def test_quantize_decode_roundtrip(depth, alpha, beta, data):
+    try:
+        exp = BinaryExpansion(depth, alpha, beta)
+    except ValueError:
+        return
+    assert exp.resolution > 0.0
+    assert np.count_nonzero(exp.to_affine(range(depth)).coeffs) == depth
+    # quantize's x = (value - beta) / resolution is off by a few relative
+    # roundings of 2^-53, about 2^(depth - 53) grid steps: near half a step
+    # past depth 50, and far more when the step itself is subnormal
+    assume(depth <= 48 and exp.resolution >= sys.float_info.min)
+    j = data.draw(st.integers(0, exp.n_levels - 1))
+    pattern = tuple((j >> k) & 1 for k in range(depth))
+    value = exp.decode(pattern)
+    assert exp.decode(exp.quantize(value)) == value
+    neighbours = [exp.decode(tuple((i >> k) & 1 for k in range(depth)))
+                  for i in (j - 1, j + 1) if 0 <= i < exp.n_levels]
+    if value not in neighbours:  # p's grid value is its own
+        assert exp.quantize(value) == pattern
 
 
 class TestToAffine:

@@ -24,7 +24,6 @@ from reluqubo.algebra import (
 )
 from reluqubo.encoding import BinaryExpansion, delta
 from reluqubo.formulation import (
-    AbsPenaltySpec,
     LinearModelSpec,
     ReluPenaltySpec,
     build_cost_plus_relu,
@@ -60,12 +59,6 @@ def value(expr, pattern):
 
 
 class TestSpecValidation:
-    def test_t_bounds_must_be_unit_negative(self):
-        with pytest.raises(ValueError):
-            ReluPenaltySpec(BinaryExpansion(2, 1.0, 0.0), Z_UNIT, Z_UNIT, 1.0)
-        with pytest.raises(ValueError):
-            ReluPenaltySpec(BinaryExpansion(2, 2.0, -1.0), Z_UNIT, Z_UNIT, 1.0)
-
     def test_z_lower_bound_zero(self):
         with pytest.raises(ValueError):
             ReluPenaltySpec(T2, BinaryExpansion(2, 1.0, 0.5), Z_UNIT, 1.0)
@@ -309,7 +302,7 @@ class TestRecommendations:
 
 class TestBuildAbsQubo:
     def build(self, m, z1_exp, z2_exp, M=64.0, d_t=2):
-        spec = AbsPenaltySpec(BinaryExpansion(d_t, 2.0, -1.0), z1_exp, z2_exp, M)
+        spec = ReluPenaltySpec(BinaryExpansion(d_t, 2.0, -1.0), z1_exp, z2_exp, M)
         t, z1, z2 = penalty_bits(spec)
         expr = build_relu_penalty(AffineExpr.from_constant(m), spec, t, z1, z2)
         model = quadratic_to_model(expr, [f"b{i}" for i in range(z2.stop)])
@@ -327,10 +320,24 @@ class TestBuildAbsQubo:
         z = BinaryExpansion(3, 2.0, 0.0)   # grid hits 2 exactly
         assert self.build(-2.0, z, z).energy == pytest.approx(2.0, abs=1e-9)
 
-    def test_wrong_t_bounds_rejected(self):
-        z = BinaryExpansion(3, 2.0, 0.0)
-        with pytest.raises(ValueError):
-            AbsPenaltySpec(BinaryExpansion(2, 1.0, -1.0), z, z, 8.0)
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-8, 7), st.integers(1, 8), st.data())
+def test_any_t_interval_gives_max_am_bm(a4, width4, data):
+    # t on [a, b] gives max(a*m, b*m) at every m on the z grid, with r = 0
+    # at the argmin, once M * res_z > b - a (the smallest nonzero |r| is res_z)
+    a, b = a4 / 4, min(a4 + width4, 8) / 4
+    t_exp = BinaryExpansion(2, b - a, a)
+    z = BinaryExpansion(3, 2.0, 0.0)
+    spec = ReluPenaltySpec(t_exp, z, z, 2 * (b - a) / z.resolution + 1)
+    m = data.draw(st.sampled_from(sorted({*z.grid(), *-z.grid()})))
+    t, z1, z2 = penalty_bits(spec)
+    expr = build_relu_penalty(AffineExpr.from_constant(float(m)), spec, t, z1, z2)
+    best = exhaustive_solve(quadratic_to_model(expr, [f"b{i}" for i in range(z2.stop)]))
+    assert best.energy == pytest.approx(max(a * m, b * m), abs=1e-9)
+    bits = best.assignment
+    r = -m - spec.z1_exp.decode(bits[z1.start:z1.stop]) + spec.z2_exp.decode(bits[z2.start:])
+    assert r == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBuildFromConfig:
@@ -369,7 +376,18 @@ class TestBuildFromConfig:
         cfg["penalty"]["z1"]["depth"] = "six"
         with pytest.raises(ConfigError) as err:
             build_from_config(cfg)
-        assert "penalty.z1" in err.value.path
+        assert err.value.path == "penalty.z1"
+        assert "depth must be a positive integer, got 'six'" in str(err.value)
+
+    def test_t_off_the_hinge_interval_names_penalty_t(self):
+        # verify, sweep and auto M assume the hinge; the spec takes any [a, b]
+        for alpha, beta in [(1.0, 0.0), (2.0, -1.0), (0.5, -1.0)]:
+            cfg = self.config()
+            cfg["penalty"]["t"] = {"depth": 2, "alpha": alpha, "beta": beta}
+            with pytest.raises(ConfigError) as err:
+                build_from_config(cfg)
+            assert err.value.path == "penalty.t"
+            assert "must cover exactly [-1, 0]" in str(err.value)
 
     def test_multi_dim_allocates_per_dimension(self):
         cfg = self.config()

@@ -100,7 +100,6 @@ UNUSED_PUBLIC_KEPT = {
     "qloss_min_form": "criterion 5's closed form of the q-loss yardstick",
     "legendre_conjugate_num": "criterion 4's Legendre-conjugate yardstick",
     "wolfe_dual_analytic": "criterion 3's Wolfe-dual yardstick; ROADMAP item 1 generalises it",
-    "AbsPenaltySpec": "the |m| gadget, until ROADMAP item 4 builds it from the hinge",
     "ising_from_qubo": "Ising output, until ROADMAP item 8 gives it a CLI path or drops it",
     "qubo_from_ising": "Ising input, until ROADMAP item 8 gives it a CLI path or drops it",
 }
