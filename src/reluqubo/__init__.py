@@ -22,7 +22,6 @@ from .formulation import (
     ReluPenaltySpec,
     build_cost_plus_relu,
     build_from_config,
-    build_relu_penalty,
     recommend_M,
 )
 from .oracle import (
@@ -65,7 +64,6 @@ __all__ = [
     "affine_mul",
     "build_cost_plus_relu",
     "build_from_config",
-    "build_relu_penalty",
     "delta",
     "energy",
     "exhaustive_solve",

@@ -154,9 +154,10 @@ def _as_float(x: object, name: str) -> float:
 
 
 def _indices(t: object) -> np.ndarray:
-    """A term index array as intp, or as object when it holds a Python int
-    past intp, which the range check refuses.  An array of anything but
-    integers, bools included, is a ValueError unless it is empty."""
+    """A term index array as intp, or as object when it holds a value past
+    intp, which the range check refuses by the value given.  An array of
+    anything but integers, bools included, is a ValueError unless it is
+    empty."""
     a = np.asarray(t)
     dtype = a.dtype
     # a sequence that mixes bools with ints infers an integer dtype; an
@@ -170,6 +171,8 @@ def _indices(t: object) -> np.ndarray:
         ok = dtype.kind in "iu" or a.size == 0
     if not ok:
         raise ValueError(f"term indices must be integers, got dtype {dtype}")
+    if dtype.kind == "u" and a.size and a.max() > np.iinfo(np.intp).max:
+        return a.astype(object)  # the cast to intp would wrap it negative
     try:
         return np.asarray(a, np.intp)
     except OverflowError:
@@ -246,6 +249,10 @@ class _TermModel:
             raise ValueError(f"expected {n} labels, got {len(self.labels)}")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be unique")
+        for k, label in enumerate(self.labels):  # what a qubo-v1 label line carries
+            if label.strip() != label or len(label.splitlines()) != 1:
+                raise ValueError(f"label {k} ({label!r}) must be one line, non-empty, "
+                                 f"without leading or trailing whitespace")
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -16,10 +16,11 @@ at feasibility, so any t assignment is optimal once r = 0.  The JSON
 config builds the hinge only.
 
 All continuous quantities are binary-expanded; every product here is
-affine times affine, so the result is structurally two-body.  Model bits
-are m's (for a linear model, LinearModelSpec.groups()), then t, z1, z2.
-Builders are pure functions over immutable specs and are safe to call
-concurrently.
+affine times affine, so the result is structurally two-body.  One
+builder, build_cost_plus_relu, lays out every model bit: m's (for a
+linear model, LinearModelSpec.groups()), then fresh t, z1, z2 bits, so
+no caller hands it bit ranges.  Builders are pure functions over
+immutable specs and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -167,44 +168,24 @@ def _finite(expr: QuadraticExpr, path: str) -> QuadraticExpr:
     return expr
 
 
-def build_relu_penalty(m_expr: AffineExpr,
-                       spec: ReluPenaltySpec,
-                       t_bits: range,
-                       z1_bits: range,
-                       z2_bits: range) -> QuadraticExpr:
-    """Two-body form of m*t + z1*(t - a) + z2*(b - t) + M*(-m - z1 + z2)^2.
-
-    [a, b] are the spec's t bounds.  Minimized jointly over the fresh t/z
-    bits this equals max(a*m, b*m) of the decoded m, up to the z-grid
-    resolution: the hinge penalty max(0, -m) for t on [-1, 0], |m| for
-    [-1, 1].  The t/z bit ranges must be disjoint from m's bits.
-    A product of forms that overflows is a ConfigError naming 'model',
-    and M times the squared residual one naming 'penalty.M'.
-    """
-    a, b = spec.t_exp.bounds
-    t = spec.t_exp.to_affine(t_bits)
-    z1 = spec.z1_exp.to_affine(z1_bits)
-    z2 = spec.z2_exp.to_affine(z2_bits)
-    residual = -m_expr - z1 + z2
-
-    penalty = affine_mul(m_expr, t)
-    penalty = quad_scale_add(penalty, affine_mul(z1, t - a), 1.0)
-    penalty = _finite(quad_scale_add(penalty, affine_mul(z2, b - t), 1.0), "model")
-    square = _finite(affine_mul(residual, residual), "model")
-    return _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
-
-
 def build_cost_plus_relu(cost: QuadraticExpr,
                          m_expr: AffineExpr,
                          spec: ReluPenaltySpec,
                          linear_spec: LinearModelSpec | None = None) -> BuiltModel:
-    """Assemble C(m) + the spec's ReLU-type penalty into one model.
+    """Assemble C(m) + m*t + z1*(t - a) + z2*(b - t) + M*(-m - z1 + z2)^2.
 
-    m's bits are model bits 0..k-1, k = len(m_expr.coeffs), and the cost
-    may only touch those; fresh t, z1, z2 bits follow them in that order.
-    With linear_spec, m is its build_linear_model_expr, and m's bits take
-    the groups of linear_spec.groups() in the variable map and labels;
-    without, they form one group 'm'.  Bit i of group g is labeled g[i].
+    [a, b] are the spec's t bounds.  Minimized jointly over the fresh t/z
+    bits the penalty part equals max(a*m, b*m) of the decoded m, up to
+    the z-grid resolution: the hinge penalty max(0, -m) for t on [-1, 0],
+    |m| for [-1, 1].  m's bits are model bits 0..k-1, k =
+    len(m_expr.coeffs), and the cost may only touch those; fresh t, z1,
+    z2 bits follow them in that order.  With linear_spec, m is its
+    build_linear_model_expr, and m's bits take the groups of
+    linear_spec.groups() in the variable map and labels; without, they
+    form one group 'm'.  Bit i of group g is labeled g[i].  A product of
+    forms that overflows is a ConfigError naming 'model', M times the
+    squared residual one naming 'penalty.M', and the sum with the cost
+    one naming 'cost.scale'.
     """
     k = len(m_expr.coeffs)
     if len(cost.matrix) > k:
@@ -216,7 +197,16 @@ def build_cost_plus_relu(cost: QuadraticExpr,
         ranges[name] = range(k, k + exp.depth)
         k += exp.depth
 
-    penalty = build_relu_penalty(m_expr, spec, ranges["t"], ranges["z1"], ranges["z2"])
+    a, b = spec.t_exp.bounds
+    t = spec.t_exp.to_affine(ranges["t"])
+    z1 = spec.z1_exp.to_affine(ranges["z1"])
+    z2 = spec.z2_exp.to_affine(ranges["z2"])
+    residual = -m_expr - z1 + z2
+    penalty = affine_mul(m_expr, t)
+    penalty = quad_scale_add(penalty, affine_mul(z1, t - a), 1.0)
+    penalty = _finite(quad_scale_add(penalty, affine_mul(z2, b - t), 1.0), "model")
+    square = _finite(affine_mul(residual, residual), "model")
+    penalty = _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
     total = _finite(quad_scale_add(cost, penalty, 1.0), "cost.scale")
     labels = [f"{name}[{i}]" for name, bits in ranges.items() for i in range(len(bits))]
     return BuiltModel(quadratic_to_model(total, labels), ranges, spec, linear_spec)

@@ -13,8 +13,9 @@ return an assignment of the full model with its energy re-evaluated.
 exhaustive_solve_many solves a family of patterns over one pinned index
 set: the model is folded once (a shared free-bit block, one diagonal per
 pattern) and each distinct pattern is enumerated once; exhaustive_solve
-is its one-pattern case.  fix_bits, which annealing uses for fixed=, is
-the one-pattern case of the same fold.  Annealing sets up each restart's
+is its one-pattern case.  fix_bits is the one-pattern case of the same
+fold, and annealing always walks its reduced model, which with no pins
+equals the model itself.  Annealing sets up each restart's
 local fields in one pass over the terms, as single-flip annealers do
 (Isakov et al., arXiv:1401.1084), then updates them per accepted flip:
 with one numpy add of an n x n coupling row on a dense model
@@ -416,12 +417,13 @@ def simulated_anneal(model: QuboModel,
     Each restart r runs an independent walk seeded with seed + r; within
     a sweep, variables are proposed in index order at the sweep's beta.
     Restarts share nothing and merge by (energy, assignment integer), so
-    the result is order-independent.  The reported energy is re-evaluated
-    from scratch, so it equals energy(model, assignment) exactly.  With
-    fixed, the walk runs on the reduced model from fix_bits, whose offset
-    carries the fixed contributions, so its restart energies are
-    full-model energies; the best assignment is lifted back to the full
-    model.  An empty model takes the same path: no sweep flips anything.
+    the result is order-independent.  Every call walks the reduced model
+    of fix_bits(model, fixed or {}), whose offset carries the fixed
+    contributions, so its restart energies are full-model energies; with
+    no pins it equals the model.  The best walk is lifted back to the
+    full model, and the reported energy is re-evaluated there, so it
+    equals energy(model, assignment) exactly.  An empty model takes the
+    same path: no sweep flips anything.
 
     An accepted flip of bit i adds +-c to the local field of each
     neighbour.  When 2|E| >= n * max(_DENSE_DEGREE, n // 16), that is one
@@ -443,16 +445,12 @@ def simulated_anneal(model: QuboModel,
     every walk runs here.
     """
     t0 = time.perf_counter()
-    if fixed:
-        sub, free = fix_bits(model, fixed)
-        result = simulated_anneal(sub, config)
-        assignment = _lift(model, fixed, free, result.assignment)
-        return SolveResult(assignment, energy(model, assignment), result.restart_energies,
-                           "sa", time.perf_counter() - t0)
-    n = model.n_vars
+    fixed = fixed or {}
+    sub, free = fix_bits(model, fixed)
+    n = sub.n_vars
 
-    pair = model.terms[0] != model.terms[1]
-    qi, qj, qc = (a[pair] for a in model.terms)
+    pair = sub.terms[0] != sub.terms[1]
+    qi, qj, qc = (a[pair] for a in sub.terms)
     adj: list[list[tuple[int, float]]] | None = None
     rows: list[np.ndarray] | None = None
     # the n*n matrix stays within a small multiple of adj's own memory
@@ -470,9 +468,10 @@ def simulated_anneal(model: QuboModel,
     if (hasattr(os, "sched_getaffinity")
             and config.sweeps * n * config.restarts >= _FORK_MIN_PROPOSALS):
         workers = min(len(os.sched_getaffinity(0)), config.restarts)
-    restart_best = _fan_out(partial(_walk, model, config, rows, adj), config.restarts, workers)
+    restart_best = _fan_out(partial(_walk, sub, config, rows, adj), config.restarts, workers)
 
-    restart_energies = [e for e, _ in restart_best]
     # on equal-length 0/1 tuples, comparing the highest bit first is integer order
-    best_e, best_b = min(restart_best, key=lambda p: (p[0], p[1][::-1]))
-    return SolveResult(best_b, best_e, restart_energies, "sa", time.perf_counter() - t0)
+    best_b = min(restart_best, key=lambda p: (p[0], p[1][::-1]))[1]
+    assignment = _lift(model, fixed, free, best_b)
+    return SolveResult(assignment, energy(model, assignment), [e for e, _ in restart_best],
+                       "sa", time.perf_counter() - t0)

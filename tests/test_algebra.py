@@ -155,14 +155,19 @@ def random_model(rng, n, density=0.6):
 @st.composite
 def qubo_models(draw):
     """Models of 0-8 vars with any finite coefficients (subnormals and
-    -0.0 included) and default or drawn labels; a label is one or more
-    letters, digits, punctuation or symbols, so it has no whitespace."""
+    -0.0 included) and default or drawn labels; a label is words of
+    letters, digits, punctuation or symbols joined by inner whitespace
+    that breaks no line, the labels a qubo-v1 line can carry."""
     n = draw(st.integers(0, 8))
     coeff = st.floats(allow_nan=False, allow_infinity=False)
     linear = draw(st.dictionaries(st.integers(0, n - 1), coeff)) if n else {}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     quadratic = draw(st.dictionaries(st.sampled_from(pairs), coeff)) if pairs else {}
-    label = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_size=5)
+    word = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_size=3)
+    gap = st.text(st.characters(categories=("Zs",), include_characters="\t\x1f"),
+                  min_size=1, max_size=2)
+    label = st.builds(lambda first, rest: first + "".join(g + w for g, w in rest),
+                      word, st.lists(st.tuples(gap, word), max_size=2))
     labels = draw(st.one_of(st.none(), st.lists(label, min_size=n, max_size=n, unique=True)))
     return qubo(n, linear, quadratic, draw(coeff), labels=labels)
 
@@ -489,9 +494,27 @@ class TestModelValidation:
             QuboModel(2, ([0, key[0]], [1, key[1]], [1.0, 1.0]))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("cls, pair", [(QuboModel, "quadratic"), (IsingModel, "J")])
+    @pytest.mark.parametrize("index", [[2 ** 63], np.array([2 ** 64 - 1], np.uint64), [2 ** 64]],
+                             ids=["list-2^63", "uint64-2^64-1", "list-2^64"])
+    def test_index_past_intp_is_named_as_given(self, cls, pair, index):
+        # a list of such ints infers uint64, whose cast to intp wraps negative
+        with pytest.raises(ValueError) as err:
+            cls(3, ([0], index, [1.0]))
+        assert str(err.value) == f"{pair} key (0, {int(index[0])}) must satisfy 0 <= i < j < n"
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             qubo(2, {}, {}, 0.0, labels=["a", "a"])
+
+    @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
+    @pytest.mark.parametrize("label", ["", "a\nb", "a\x0cb", "a\u2028b", " x", "x "],
+                             ids=["empty", "newline", "form-feed", "line-separator",
+                                  "leading-space", "trailing-space"])
+    def test_label_qubo_v1_cannot_carry_rejected(self, cls, label):
+        # export -> parse of such a label fails or drops its outer whitespace
+        with pytest.raises(ValueError, match="^" + re.escape(f"label 1 ({label!r}) must be one")):
+            cls(2, labels=["a", label])
 
     def test_out_of_range_keys_rejected(self):
         with pytest.raises(ValueError):

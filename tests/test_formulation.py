@@ -17,6 +17,7 @@ from reluqubo import formulation
 from reluqubo.algebra import (
     AffineExpr,
     QuadraticExpr,
+    QuboModel,
     affine_mul,
     energy,
     export_qubo,
@@ -29,7 +30,6 @@ from reluqubo.formulation import (
     build_cost_plus_relu,
     build_from_config,
     build_linear_model_expr,
-    build_relu_penalty,
     recommend_M,
     ConfigError,
 )
@@ -47,15 +47,18 @@ def penalty_bits(spec, start=0):
     return t, z1, z2
 
 
+def penalty_model(m, spec):
+    """The gadget alone at a constant m: m has no bits, so t, z1 and z2
+    start at bit 0, as penalty_bits(spec) lays them out."""
+    built = build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(m), spec)
+    assert [built.var_ranges[g] for g in ("t", "z1", "z2")] == list(penalty_bits(spec))
+    return built.model
+
+
 def value(expr, pattern):
-    """A form's value at a {0, 1} assignment: its constant plus every
-    coefficient whose bits are all set, in plain float arithmetic."""
-    total = expr.constant
-    if isinstance(expr, AffineExpr):
-        return total + sum(c for i, c in enumerate(expr.coeffs) if pattern[i])
-    q = expr.matrix
-    return total + sum(q[i, j] for i in range(len(q)) for j in range(i, len(q))
-                       if pattern[i] and pattern[j])
+    """An affine form's value at a {0, 1} assignment: its constant plus
+    every coefficient whose bit is set, in plain float arithmetic."""
+    return expr.constant + sum(c for i, c in enumerate(expr.coeffs) if pattern[i])
 
 
 class TestSpecValidation:
@@ -77,33 +80,27 @@ class TestSpecValidation:
 class TestBuildReluPenalty:
     def test_zero_m_zero_z_vanishes(self):
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_UNIT, 8.0)
-        t, z1, z2 = penalty_bits(spec)
-        expr = build_relu_penalty(AffineExpr.from_constant(0.0), spec, t, z1, z2)
+        model = penalty_model(0.0, spec)
         for t_pattern in all_assignments(2):
-            assert value(expr, t_pattern + (0,) * 6) == 0.0
+            assert energy(model, t_pattern + (0,) * 6) == 0.0
 
     def test_hand_value_at_minus_one(self):
         # t = -1, z1 = 1, z2 = 0 gives (-1)(-1) + 1*0 - 0 + M*0^2 = 1 = f(-1)
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_UNIT, 8.0)
-        t, z1, z2 = penalty_bits(spec)
-        expr = build_relu_penalty(AffineExpr.from_constant(-1.0), spec, t, z1, z2)
         pattern = (0, 0) + (1, 1, 1) + (0, 0, 0)
-        assert value(expr, pattern) == pytest.approx(1.0, abs=1e-12)
+        assert energy(penalty_model(-1.0, spec), pattern) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value_at_two(self):
         # t = 0, z1 = 0, z2 = 2 gives 0 + 0 - 0 + M*(-2 + 2)^2 = 0 = f(2)
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
-        t, z1, z2 = penalty_bits(spec)
-        expr = build_relu_penalty(AffineExpr.from_constant(2.0), spec, t, z1, z2)
         pattern = (1, 1) + (0, 0, 0) + (1, 1)
-        assert value(expr, pattern) == pytest.approx(0.0, abs=1e-12)
+        assert energy(penalty_model(2.0, spec), pattern) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [-1.3, -0.5, 0.0, 0.7, 2.0])
     def test_closed_form_identity(self, m):
         # every assignment satisfies E = z1 - t*r + M*r^2 with r = -m - z1 + z2
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 16.0)
-        t, z1, z2 = penalty_bits(spec)
-        expr = build_relu_penalty(AffineExpr.from_constant(m), spec, t, z1, z2)
+        model = penalty_model(m, spec)
         nbits = 2 + 3 + 2
         for pattern in all_assignments(nbits):
             t_val = spec.t_exp.decode(pattern[0:2])
@@ -111,26 +108,27 @@ class TestBuildReluPenalty:
             z2_val = spec.z2_exp.decode(pattern[5:7])
             r = -m - z1_val + z2_val
             expected = z1_val - t_val * r + spec.M * r * r
-            assert value(expr, pattern) == pytest.approx(expected, abs=1e-9)
+            assert energy(model, pattern) == pytest.approx(expected, abs=1e-9)
 
     def test_t_flip_free_at_zero_residual(self):
         # m on the z grid: z1 = 1, z2 = 0 makes r = 0, so any t is optimal
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_UNIT, 100.0)
-        t, z1, z2 = penalty_bits(spec)
-        expr = build_relu_penalty(AffineExpr.from_constant(-1.0), spec, t, z1, z2)
+        model = penalty_model(-1.0, spec)
         energies = []
         for t_pattern in all_assignments(2):
-            energies.append(value(expr, t_pattern + (1, 1, 1) + (0, 0, 0)))
+            energies.append(energy(model, t_pattern + (1, 1, 1) + (0, 0, 0)))
         assert max(energies) - min(energies) <= 1e-12
 
     def test_degree_bound_structural(self):
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
         t, z1, z2 = penalty_bits(spec, start=3)
         m_expr = BinaryExpansion(3, 4.0, -2.0).to_affine(range(3))
-        expr = build_relu_penalty(m_expr, spec, t, z1, z2)
-        assert isinstance(expr, QuadraticExpr)
-        assert expr.matrix.shape == (z2.stop, z2.stop)
-        assert not np.tril(expr.matrix, -1).any()
+        built = build_cost_plus_relu(QuadraticExpr(), m_expr, spec)
+        assert [built.var_ranges[g] for g in ("t", "z1", "z2")] == [t, z1, z2]
+        assert isinstance(built.model, QuboModel)
+        assert built.model.n_vars == z2.stop
+        i, j, _ = built.model.terms  # linear terms and pairs only
+        assert (i <= j).all()
 
 
 class TestBuildLinearModelExpr:
@@ -179,14 +177,17 @@ class TestBuildCostPlusRelu:
     def test_zero_cost_reduces_to_penalty(self):
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
         t, z1, z2 = penalty_bits(spec)
-        m_expr = AffineExpr.from_constant(-0.75)
-        penalty = build_relu_penalty(m_expr, spec, t, z1, z2)
-        built = build_cost_plus_relu(QuadraticExpr(), m_expr, spec)
+        built = build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(-0.75), spec)
         n = built.model.n_vars
         assert n == 2 + 3 + 2
         for pattern in all_assignments(n):
-            assert energy(built.model, pattern) == pytest.approx(value(penalty, pattern),
-                                                                 abs=1e-12)
+            penalty = decoded_objective(
+                {"t": spec.t_exp.decode(pattern[t.start:t.stop]),
+                 "z1": spec.z1_exp.decode(pattern[z1.start:z1.stop]),
+                 "z2": spec.z2_exp.decode(pattern[z2.start:z2.stop]),
+                 "M": spec.M},
+                -0.75, lambda m: 0.0)
+            assert energy(built.model, pattern) == pytest.approx(penalty, abs=1e-12)
 
     def test_quadratic_cost_minimum_at_representable_m(self):
         # C(m) = (m - 1)^2 over w grid [-1, 2] (step 0.2); both m = 1 and
@@ -303,10 +304,7 @@ class TestRecommendations:
 class TestBuildAbsQubo:
     def build(self, m, z1_exp, z2_exp, M=64.0, d_t=2):
         spec = ReluPenaltySpec(BinaryExpansion(d_t, 2.0, -1.0), z1_exp, z2_exp, M)
-        t, z1, z2 = penalty_bits(spec)
-        expr = build_relu_penalty(AffineExpr.from_constant(m), spec, t, z1, z2)
-        model = quadratic_to_model(expr, [f"b{i}" for i in range(z2.stop)])
-        return exhaustive_solve(model)
+        return exhaustive_solve(penalty_model(m, spec))
 
     def test_zero(self):
         z = BinaryExpansion(3, 2.0, 0.0)
@@ -332,8 +330,7 @@ def test_any_t_interval_gives_max_am_bm(a4, width4, data):
     spec = ReluPenaltySpec(t_exp, z, z, 2 * (b - a) / z.resolution + 1)
     m = data.draw(st.sampled_from(sorted({*z.grid(), *-z.grid()})))
     t, z1, z2 = penalty_bits(spec)
-    expr = build_relu_penalty(AffineExpr.from_constant(float(m)), spec, t, z1, z2)
-    best = exhaustive_solve(quadratic_to_model(expr, [f"b{i}" for i in range(z2.stop)]))
+    best = exhaustive_solve(penalty_model(float(m), spec))
     assert best.energy == pytest.approx(max(a * m, b * m), abs=1e-9)
     bits = best.assignment
     r = -m - spec.z1_exp.decode(bits[z1.start:z1.stop]) + spec.z2_exp.decode(bits[z2.start:])

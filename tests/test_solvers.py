@@ -353,6 +353,18 @@ class TestFixBits:
             coeffs = [model.offset, *model.linear.values(), *model.quadratic.values()]
             assert abs(energy(sub, free_bits) - full) <= 1e-9 * (1.0 + sum(map(abs, coeffs)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(models_with_fixed())
+    def test_no_pins_give_the_model_itself(self, case):
+        # annealing walks fix_bits' model whether or not anything is pinned
+        model = case[0]
+        sub, free = fix_bits(model, {})
+        assert sub == model
+        assert [(a.dtype, a.tobytes()) for a in sub.terms] == \
+            [(a.dtype, a.tobytes()) for a in model.terms]
+        assert math.copysign(1.0, sub.offset) == math.copysign(1.0, model.offset)
+        assert free == list(range(model.n_vars))
+
     def test_labels_follow_free_vars(self):
         m = qubo(3, {}, {}, 0.0, labels=["a", "b", "c"])
         sub, free = fix_bits(m, {1: 0})

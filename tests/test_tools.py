@@ -1,0 +1,28 @@
+"""tools/output_hashes.py, the byte-identity check of the benchmark
+workloads' CLI outputs, must keep running and give stable fingerprints."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import reluqubo
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_output_hashes_cover_every_workload_and_repeat():
+    src = str(Path(reluqubo.__file__).resolve().parent.parent)
+    argv = [sys.executable, str(ROOT / "tools" / "output_hashes.py"), src, "--smoke",
+            "--seeds", "1,2"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=300, check=True)
+            for _ in range(2)]
+    hashes = json.loads(runs[0].stdout)
+    assert sorted(hashes) == ["anneal_pinned", "anneal_wide", "exhaustive_full",
+                              "sweep_pinned"]
+    for by_seed in hashes.values():
+        assert sorted(by_seed) == ["1", "2"]
+        assert all(re.fullmatch("[0-9a-f]{64}", h) for h in by_seed.values())
+    assert hashes["anneal_wide"]["1"] != hashes["anneal_wide"]["2"]  # the SA seed is hashed
+    assert runs[1].stdout == runs[0].stdout

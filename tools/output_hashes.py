@@ -1,0 +1,82 @@
+"""Fingerprint every benchmark workload's CLI outputs, to show a change keeps them.
+
+    python3 tools/output_hashes.py SRC [--smoke] [--seeds 1,2,3]
+
+Imports `reluqubo.cli` from the source tree SRC and, for each workload of
+perfbench/workloads.py and each seed, writes the workload's configs to a
+fresh temporary directory and runs its CLI argv lists there, in this
+process.  One sha256 per workload and seed covers each command's argv,
+exit code and stdout, then the name and bytes of every file left in the
+directory.  stderr carries timings, so it is left out.  Prints one JSON
+object {workload: {seed: sha256}}; run it on two trees and compare.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+
+def run_cli(main, argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of main(argv); stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code if isinstance(exc.code, int) else 2
+    return rc, out.getvalue()
+
+
+def workload_hash(main, name: str, seed: int, smoke: bool) -> str:
+    workload = WORKLOADS[name](seed, smoke)
+    digest = hashlib.sha256()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            workload.write_inputs(Path(tmp))
+            for argv in workload.commands:
+                rc, stdout = run_cli(main, argv)
+                digest.update(json.dumps([argv, rc, stdout]).encode())
+            for path in sorted(Path(tmp).rglob("*")):
+                if path.is_file():
+                    digest.update(json.dumps(str(path.relative_to(tmp))).encode())
+                    digest.update(path.read_bytes())
+        finally:
+            os.chdir(home)
+    return digest.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", help="source tree that holds the reluqubo package")
+    parser.add_argument("--smoke", action="store_true", help="the workloads' tiny sizes")
+    parser.add_argument("--seeds", default="1,2,3", help="comma-separated workload seeds")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+
+    src = str(Path(args.src).resolve())
+    sys.path.insert(0, src)
+    import reluqubo.cli as cli
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        raise SystemExit(f"reluqubo.cli imported from {cli.__file__}, not {src}")
+
+    hashes = {name: {str(seed): workload_hash(cli.main, name, seed, args.smoke)
+                     for seed in seeds} for name in WORKLOADS}
+    print(json.dumps(hashes, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
