@@ -91,9 +91,6 @@ class AffineExpr:
         u, v = _aligned(self.coeffs, other.coeffs)
         return AffineExpr(u - v, self.constant - other.constant)
 
-    def __rsub__(self, other: float) -> "AffineExpr":
-        return AffineExpr(-self.coeffs, other - self.constant)
-
 
 @dataclass(eq=False)
 class QuadraticExpr:

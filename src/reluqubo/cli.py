@@ -38,7 +38,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(path, f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax or encoding, or an over-long integer
         raise ConfigError(path, f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(path, "invalid JSON: nested too deeply") from None
@@ -132,9 +132,8 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     for m, result in zip(ms, exhaustive_solve_many(built.model, fixes)):
         a = result.assignment
         if a not in decoded:
-            m_hat = built.decode_m(a)
-            decoded[a] = (result.energy - cost_scale * (m_hat - cost_target) ** 2,
-                          built.residual(a))
+            m_hat, _, _, _, residual = built.decode(a)
+            decoded[a] = (result.energy - cost_scale * (m_hat - cost_target) ** 2, residual)
         qubo_min, residual = decoded[a]
         reference = relu_reference(m)
         rows.append((m, qubo_min, reference, abs(qubo_min - reference), residual))

@@ -10,6 +10,7 @@ every bit enters a model and every grid has a positive step.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,6 +66,9 @@ class BinaryExpansion:
         """Grid spacing alpha / (2^depth - 1)."""
         return self.alpha / float(self.n_levels - 1)
 
+    def _level(self, j: int | np.ndarray) -> float | np.ndarray:
+        return self.beta + self.alpha * (j / float(self.n_levels - 1))
+
     def decode(self, bits: Sequence[int]) -> float:
         """Grid value realized by a {0,1}^depth bit pattern (LSB first)."""
         if len(bits) != self.depth:
@@ -74,21 +78,30 @@ class BinaryExpansion:
             if b not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
             j |= int(b) << k
-        return self.beta + self.alpha * (j / float(self.n_levels - 1))
+        return self._level(j)
 
     def quantize(self, value: float) -> tuple[int, ...]:
         """Bit pattern of the grid point nearest to value.
 
         Out-of-range values clamp to the nearest endpoint; exact midpoints
-        round toward the lower grid index.
+        round toward the lower grid index.  A value that a grid point
+        decodes to comes back as that point.
         """
         if not math.isfinite(value):
             raise ValueError(f"value must be finite, got {value!r}")
+        top = self.n_levels - 1
         # clamped before rounding: a far value would overflow to inf
-        x = min(max((value - self.beta) / self.resolution, 0.0), self.n_levels - 1)
+        x = min(max((value - self.beta) / self.resolution, 0.0), top)
         j = math.floor(x)
         if x - j > 0.5:  # exact, where x - 0.5 would round past 2^52
             j += 1
+        # x carries roundings of about 2^(depth - 53) steps, more on a
+        # subnormal step; a j a step or more off gives way to bisection
+        level = self._level
+        if (j > 0 and level(j - 1) >= value) or (j < top and level(j + 1) <= value):
+            j = bisect.bisect_left(range(1, top + 1), value, key=level)  # level(j+1) >= value
+            if j < top and level(j + 1) - value < value - level(j):
+                j += 1
         return tuple((j >> k) & 1 for k in range(self.depth))
 
     def to_affine(self, bits: range) -> AffineExpr:
@@ -102,5 +115,4 @@ class BinaryExpansion:
 
     def grid(self) -> np.ndarray:
         """All 2^depth grid values in increasing order."""
-        top = self.n_levels - 1
-        return self.beta + self.alpha * (np.arange(self.n_levels) / float(top))
+        return self._level(np.arange(self.n_levels))

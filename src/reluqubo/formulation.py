@@ -5,22 +5,15 @@ A ReLU-type f(m) = max(a*m, b*m) is the Legendre form max over t in
 t >= a and t <= b turn it into one gadget, minimized jointly over m's
 bits and fresh auxiliary variables t, z1, z2:
 
-    C(m) + m*t + z1*(t - a) + z2*(b - t) + M * (-m - z1 + z2)^2 .
+    C(m) + m*t + z1*(t - a) + z2*(b - t) + M*r^2,   r = -m - z1 + z2,
 
-With the residual r = -m - z1 + z2 the penalty part equals
--a*z1 + b*z2 - t*r + M*r^2; once a large M drives r to zero, its
-minimum over the feasible z grid is max(a*m, b*m).  The t interval of
-ReluPenaltySpec is the function: [-1, 0] gives the hinge penalty
-max(0, -m), [-1, 1] gives |m| and [0, 1] gives ReLU.  t is degenerate
-at feasibility, so any t assignment is optimal once r = 0.  The JSON
-config builds the hinge only.
-
-All continuous quantities are binary-expanded; every product here is
-affine times affine, so the result is structurally two-body.  One
-builder, build_cost_plus_relu, lays out every model bit: m's (for a
-linear model, LinearModelSpec.groups()), then fresh t, z1, z2 bits, so
-no caller hands it bit ranges.  Builders are pure functions over
-immutable specs and are safe to call concurrently.
+whose penalty part equals a*m + (b - a)*z2 - (t - a)*r + M*r^2.  Once
+a large M drives r to zero, any t is optimal and the minimum over the
+z grid is max(a*m, b*m): the t interval [-1, 0] of ReluPenaltySpec
+gives the hinge max(0, -m), [-1, 1] gives |m| and [0, 1] ReLU.  The
+JSON config builds the hinge only.  Every product is affine times
+affine, so the result is structurally two-body.  Builders are pure
+functions over immutable specs and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -116,41 +109,34 @@ class BuiltModel:
 
     var_ranges maps a group name ('w[0]', 't', 'z1', 'z2') to the range
     of model indices realizing it; build_cost_plus_relu lays them out
-    disjoint and covering all variables.  cost_params is the (target,
-    scale) of the quadratic cost scale*(m - target)^2 when the model was
-    built from a config.
+    disjoint and covering all variables.  m_expr is m's affine form over
+    the model bits.  cost_params is the (target, scale) of the quadratic
+    cost scale*(m - target)^2 when the model was built from a config.
     """
 
     model: QuboModel
     var_ranges: dict[str, range]
     penalty_spec: ReluPenaltySpec
+    m_expr: AffineExpr
     linear_spec: LinearModelSpec | None = None
     cost_params: tuple[float, float] | None = None
 
-    def group_bits(self, name: str, assignment: Sequence[int]) -> list[int]:
-        return [assignment[i] for i in self.var_ranges[name]]
+    def decode(self, assignment: Sequence[int]) -> tuple[float, float, float, float, float]:
+        """(m, t, z1, z2, r) at the given assignment, r = -m - z1 + z2; m is
+        sum_d x_d * w_d of the decoded weights, or m_expr's value without them."""
+        def value(name: str, exp: BinaryExpansion) -> float:
+            return exp.decode([assignment[i] for i in self.var_ranges[name]])
 
-    def decode_m(self, assignment: Sequence[int]) -> float:
-        """Decoded m = sum_d x_d * w_d at the given assignment."""
-        if self.linear_spec is None:
-            raise ValueError("model was built without a linear weight model")
-        total = 0.0
-        for d, x in enumerate(self.linear_spec.inputs):
-            bits = self.group_bits(f"w[{d}]", assignment)
-            total += x * self.linear_spec.w_exp.decode(bits)
-        return total
-
-    def decode_penalty_vars(self, assignment: Sequence[int]) -> tuple[float, float, float]:
-        """(t, z1, z2) decoded at the given assignment."""
-        spec = self.penalty_spec
-        return (spec.t_exp.decode(self.group_bits("t", assignment)),
-                spec.z1_exp.decode(self.group_bits("z1", assignment)),
-                spec.z2_exp.decode(self.group_bits("z2", assignment)))
-
-    def residual(self, assignment: Sequence[int]) -> float:
-        """Constraint violation -m - z1 + z2 at the given assignment."""
-        _, z1, z2 = self.decode_penalty_vars(assignment)
-        return -self.decode_m(assignment) - z1 + z2
+        lin, spec = self.linear_spec, self.penalty_spec
+        if lin is None:
+            m = sum((c for c, b in zip(self.m_expr.coeffs.tolist(), assignment) if b),
+                    self.m_expr.constant)
+        else:
+            m = 0.0
+            for d, x in enumerate(lin.inputs):
+                m += x * value(f"w[{d}]", lin.w_exp)
+        t, z1, z2 = value("t", spec.t_exp), value("z1", spec.z1_exp), value("z2", spec.z2_exp)
+        return m, t, z1, z2, -m - z1 + z2
 
 
 def build_linear_model_expr(spec: LinearModelSpec) -> AffineExpr:
@@ -172,20 +158,19 @@ def build_cost_plus_relu(cost: QuadraticExpr,
                          m_expr: AffineExpr,
                          spec: ReluPenaltySpec,
                          linear_spec: LinearModelSpec | None = None) -> BuiltModel:
-    """Assemble C(m) + m*t + z1*(t - a) + z2*(b - t) + M*(-m - z1 + z2)^2.
+    """C(m) plus the gadget, formed as a*m + (b - a)*z2 - (t - a)*r + M*r^2.
 
-    [a, b] are the spec's t bounds.  Minimized jointly over the fresh t/z
-    bits the penalty part equals max(a*m, b*m) of the decoded m, up to
-    the z-grid resolution: the hinge penalty max(0, -m) for t on [-1, 0],
-    |m| for [-1, 1].  m's bits are model bits 0..k-1, k =
-    len(m_expr.coeffs), and the cost may only touch those; fresh t, z1,
-    z2 bits follow them in that order.  With linear_spec, m is its
-    build_linear_model_expr, and m's bits take the groups of
-    linear_spec.groups() in the variable map and labels; without, they
-    form one group 'm'.  Bit i of group g is labeled g[i].  A product of
-    forms that overflows is a ConfigError naming 'model', M times the
-    squared residual one naming 'penalty.M', and the sum with the cost
-    one naming 'cost.scale'.
+    [a, b] are the spec's t bounds.  Its two products, (t - a)*(-r) and
+    r*r, give each coefficient the same float as the primal form's four:
+    each entry sums the same products, plus zeros.  m's bits are model
+    bits 0..k-1, k = len(m_expr.coeffs), and the cost may only touch
+    those; fresh t, z1, z2 bits follow them in that order.  With
+    linear_spec, m is its build_linear_model_expr, and m's bits take the
+    groups of linear_spec.groups() in the variable map and labels;
+    without, they form one group 'm'.  Bit i of group g is labeled g[i].
+    A product of forms that overflows is a ConfigError naming 'model', M
+    times the squared residual one naming 'penalty.M', and the sum with
+    the cost one naming 'cost.scale'.
     """
     k = len(m_expr.coeffs)
     if len(cost.matrix) > k:
@@ -193,23 +178,22 @@ def build_cost_plus_relu(cost: QuadraticExpr,
     ranges = linear_spec.groups() if linear_spec is not None else ({"m": range(k)} if k else {})
     if sum(map(len, ranges.values())) != k:
         raise ValueError(f"linear_spec's weight bits differ from the m expression's {k}")
+    forms = []
     for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
         ranges[name] = range(k, k + exp.depth)
+        forms.append(exp.to_affine(ranges[name]))
         k += exp.depth
-
+    t, z1, z2 = forms
     a, b = spec.t_exp.bounds
-    t = spec.t_exp.to_affine(ranges["t"])
-    z1 = spec.z1_exp.to_affine(ranges["z1"])
-    z2 = spec.z2_exp.to_affine(ranges["z2"])
     residual = -m_expr - z1 + z2
-    penalty = affine_mul(m_expr, t)
-    penalty = quad_scale_add(penalty, affine_mul(z1, t - a), 1.0)
-    penalty = _finite(quad_scale_add(penalty, affine_mul(z2, b - t), 1.0), "model")
+    dual = m_expr.scaled(a) + z2.scaled(b - a)  # linear, so all on the diagonal
+    dual = QuadraticExpr(np.diag(dual.coeffs), dual.constant)
+    penalty = _finite(quad_scale_add(affine_mul(t - a, -residual), dual, 1.0), "model")
     square = _finite(affine_mul(residual, residual), "model")
     penalty = _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
     total = _finite(quad_scale_add(cost, penalty, 1.0), "cost.scale")
     labels = [f"{name}[{i}]" for name, bits in ranges.items() for i in range(len(bits))]
-    return BuiltModel(quadratic_to_model(total, labels), ranges, spec, linear_spec)
+    return BuiltModel(quadratic_to_model(total, labels), ranges, spec, m_expr, linear_spec)
 
 
 def recommend_M(m_lo: float, m_hi: float,
@@ -232,6 +216,8 @@ def recommend_M(m_lo: float, m_hi: float,
 # with {expansion} = {"depth": d, "alpha": a, "beta": b}.  t covers
 # exactly [-1, 0]: a config builds the hinge.  "M": "auto" applies
 # recommend_M to the reachable m range.
+
+MAX_BUILD_VARS = 4096  # a build's n x n forms peak near 70 B per n^2: 1.2 GB at the cap
 
 
 def _require(cfg: Mapping, key: str, path: str) -> object:
@@ -300,6 +286,10 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     t_exp = _expansion_from_config(_require(pen_cfg, "t", "penalty"), "penalty.t")
     z1_exp = _expansion_from_config(_require(pen_cfg, "z1", "penalty"), "penalty.z1")
     z2_exp = _expansion_from_config(_require(pen_cfg, "z2", "penalty"), "penalty.z2")
+    n_vars = len(xs) * w_exp.depth + t_exp.depth + z1_exp.depth + z2_exp.depth
+    if n_vars > MAX_BUILD_VARS:
+        raise ConfigError("model.inputs", f"the model would have {n_vars} variables, "
+                                          f"more than the cap of {MAX_BUILD_VARS}")
     m_value = _require(pen_cfg, "M", "penalty")
     if m_value == "auto":
         M = recommend_M(*lin_spec.m_range(), z1_exp, z2_exp)

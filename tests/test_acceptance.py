@@ -268,7 +268,7 @@ def test_criterion_8_end_to_end_composition(composed_build):
         # continuous optimum of (m+1)^2 + max(0, -m): derivative
         # 2(m+1) - 1 = 0 gives m = -1/2, value 3/4
         assert abs(result.energy - 0.75) <= 0.25
-        m_hat = built.decode_m(result.assignment)
+        m_hat = built.decode(result.assignment)[0]
         assert abs(m_hat - (-0.5)) <= built.linear_spec.w_exp.resolution
 
 

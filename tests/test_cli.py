@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -178,6 +179,27 @@ class TestBuild:
         path.write_text("{ nope")
         code = main(["build", str(path), str(tmp_path / "m.qubo")])
         assert code == 2
+
+    def test_overlong_integer_literal_is_invalid_json(self, tmp_path, capsys):
+        # past Python's 4300-digit limit on int conversion, a ValueError
+        path = tmp_path / "long.json"
+        path.write_text('{"cost": ' + "9" * 5000 + "}")
+        code = main(["build", str(path), str(tmp_path / "m.qubo")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error at '{path}': invalid JSON: Exceeds the limit" in err
+
+    def test_over_the_variable_cap_is_input_error(self, tmp_path, capsys):
+        # 700 inputs of 6 weight bits plus 16 penalty bits: 4216 > 4096
+        cfg = config_negative_range()
+        cfg["model"]["inputs"] = [1.0] * 700
+        out = tmp_path / "m.qubo"
+        with mock.patch("reluqubo.formulation.build_linear_model_expr") as build:
+            code = main(["build", write_config(tmp_path, cfg), str(out)])
+        assert code == 2
+        assert not build.called and not out.exists()
+        err = capsys.readouterr().err
+        assert "config error at 'model.inputs': the model would have 4216 variables" in err
 
     def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -493,9 +515,10 @@ def pointwise_tsv(built, ms):
     for m in ms:
         fixed = {idx: b for idx, b in zip(w_range, lin.w_exp.quantize(m))}
         res = exhaustive_solve(built.model, fixed=fixed)
-        qubo_min = res.energy - scale * (built.decode_m(res.assignment) - target) ** 2
+        m_hat, _, _, _, residual = built.decode(res.assignment)
+        qubo_min = res.energy - scale * (m_hat - target) ** 2
         ref = relu_reference(m)
-        row = (m, qubo_min, ref, abs(qubo_min - ref), built.residual(res.assignment))
+        row = (m, qubo_min, ref, abs(qubo_min - ref), residual)
         lines.append("\t".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -216,7 +216,7 @@ class TestBuildCostPlusRelu:
             for p in all_assignments(10))
         assert result.energy == pytest.approx(best, abs=1e-9)
         assert result.energy == pytest.approx(0.0, abs=1e-9)
-        assert built.decode_m(result.assignment) == pytest.approx(1.0, abs=1e-12)
+        assert built.decode(result.assignment)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_tradeoff_cost_against_penalty(self):
         # C(m) = (m + 1)^2: the continuous optimum is 0.75 at m = -0.5
@@ -232,7 +232,7 @@ class TestBuildCostPlusRelu:
         built = build_cost_plus_relu(cost, m_expr, spec, linear_spec=LinearModelSpec((1.0,), w))
         result = exhaustive_solve(built.model)
         assert result.energy == pytest.approx(0.75, abs=0.15)
-        m_hat = built.decode_m(result.assignment)
+        m_hat = built.decode(result.assignment)[0]
         assert abs(m_hat - (-0.5)) <= w.resolution
 
     def test_cost_outside_m_bits_rejected(self):
@@ -251,7 +251,8 @@ class TestBuildCostPlusRelu:
         spec = ReluPenaltySpec(BinaryExpansion(3, 1.0, -1.0), z, z, 252.0)
         built = build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(m), spec)
         result = exhaustive_solve(built.model)
-        _, z1_hat, z2_hat = built.decode_penalty_vars(result.assignment)
+        m_hat, _, z1_hat, z2_hat, r = built.decode(result.assignment)
+        assert (m_hat, r) == (m, -m - z1_hat + z2_hat)
         opt = wolfe_dual_analytic(m)
         assert abs(z1_hat - opt.z1) <= z.resolution + 1e-9
         assert abs(z2_hat - opt.z2) <= z.resolution + 1e-9
@@ -488,6 +489,33 @@ def reference_build(cfg):
     return qubo(len(labels), linear, pairs, offset, labels=labels)
 
 
+def reference_gadget(lin, spec):
+    """The gadget for any t interval over lin's weight bits, with no cost,
+    in the reference algebra.  reference_build's primal form, from specs,
+    since a config holds only the hinge."""
+    labels, m = [], ({}, 0.0)
+    for d, x in enumerate(lin.inputs):
+        m = reference_add(m, reference_scaled(reference_expansion(lin.w_exp, len(labels)), x))
+        labels += [f"w[{d}][{k}]" for k in range(lin.w_exp.depth)]
+    forms = []
+    for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
+        forms.append(reference_expansion(exp, len(labels)))
+        labels += [f"{name}[{k}]" for k in range(exp.depth)]
+    t, z1, z2 = forms
+    a, b = spec.t_exp.bounds
+    residual = reference_add(reference_add(reference_scaled(m, -1.0),
+                                           reference_scaled(z1, -1.0)), z2)
+    t_minus_a = reference_add(t, reference_scaled(({}, a), -1.0))
+    b_minus_t = reference_add(({}, b), reference_scaled(t, -1.0))
+    penalty = reference_affine_mul(m, t)
+    penalty = reference_quad_scale_add(penalty, reference_affine_mul(z1, t_minus_a), 1.0)
+    penalty = reference_quad_scale_add(penalty, reference_affine_mul(z2, b_minus_t), 1.0)
+    penalty = reference_quad_scale_add(penalty, reference_affine_mul(residual, residual),
+                                       spec.M)
+    pairs, linear, offset = reference_quad_scale_add(({}, {}, 0.0), penalty, 1.0)
+    return qubo(len(labels), linear, pairs, offset, labels=labels)
+
+
 def readme_config(dim=1):
     """The README config with dim all-ones inputs (perfbench's models)."""
     def expansion(depth, alpha, beta):
@@ -576,8 +604,34 @@ class TestReferenceAlgebra:
                 assert exported(got) == model(want)
 
 
+@st.composite
+def t_intervals(draw):
+    """t expansions on [a, b] in quarters of [-2, 2], or on any interval."""
+    depth = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        a4 = draw(st.integers(-8, 7))
+        return BinaryExpansion(depth, draw(st.integers(1, 8 - a4)) / 4, a4 / 4)
+    return BinaryExpansion(depth, draw(st.floats(0.01, 4.0)), draw(st.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_intervals(), st.lists(st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 0.01),
+                               min_size=1, max_size=3), st.data())
+def test_dual_form_matches_primal_reference_bytes(t_exp, inputs, data):
+    def expansion(beta):
+        return BinaryExpansion(data.draw(st.integers(1, 4)), data.draw(st.floats(0.1, 9.0)),
+                               beta)
+
+    lin = LinearModelSpec(tuple(inputs), expansion(data.draw(st.floats(-3.0, 3.0))))
+    spec = ReluPenaltySpec(t_exp, expansion(0.0), expansion(0.0),
+                           data.draw(st.floats(0.01, 500.0)))
+    built = build_cost_plus_relu(QuadraticExpr(), build_linear_model_expr(lin), spec,
+                                 linear_spec=lin)
+    assert export_qubo(built.model) == export_qubo(reference_gadget(lin, spec))
+
+
 class TestLayerCalls:
-    @pytest.mark.parametrize("scale, products, sums", [(0.0, 4, 4), (1.0, 5, 5)])
+    @pytest.mark.parametrize("scale, products, sums", [(0.0, 2, 3), (1.0, 3, 4)])
     def test_build_calls_each_layer(self, scale, products, sums):
         # perfbench times these three layers by wrapping them in formulation
         calls = dict.fromkeys(("affine_mul", "quad_scale_add", "quadratic_to_model"), 0)

@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -19,4 +21,7 @@ def test_quickstart_runs():
     # f(-1.5) = 1.5 by at most the README's res_z * (1 + M * res_z)
     res_z, M = 4.0 / 63.0, 252.0
     assert 1.5 <= float(energy) <= 1.5 + res_z * (1.0 + M * res_z)
-    assert len(eval(state)) == 3  # (t, z1, z2)
+    m, t, z1, z2, r = eval(state)
+    # off the z grid no state reaches r = 0; the nearest z1 is 24 steps
+    assert (m, t, z2) == (-1.5, -1.0, 0.0)
+    assert z1 == pytest.approx(24 * res_z) and r == pytest.approx(1.5 - 24 * res_z)
