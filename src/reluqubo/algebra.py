@@ -228,6 +228,13 @@ def _term_dict(terms: Terms, pairs: bool) -> Mapping:
     return MappingProxyType(dict(zip(keys, c[on].tolist())))
 
 
+def _abs_sum_finite(constant: float, coeffs: np.ndarray) -> bool:
+    """Whether |constant| + sum |coeffs|, which bounds every energy and
+    partial sum of the form, is finite in float64; no overflow warning."""
+    with np.errstate(over="ignore"):
+        return math.isfinite(abs(constant) + np.abs(coeffs).sum())
+
+
 class _TermModel:
     """What QuboModel and IsingModel share: the checks of their fields, and
     equality, where equal labels mean equal sizes."""
@@ -240,6 +247,9 @@ class _TermModel:
         self.offset = _as_float(self.offset, "offset")
         if not math.isfinite(self.offset):
             raise ValueError(f"offset must be finite, got {self.offset!r}")
+        if not _abs_sum_finite(self.offset, self.terms[2]):
+            raise ValueError("|offset| + sum |coefficient| overflows float64, "
+                             "so energies would too")
         labels = (f"b{i}" for i in range(n)) if self.labels is None else self.labels
         self.labels = [str(s) for s in labels]
         if len(self.labels) != n:
@@ -278,6 +288,15 @@ class QuboModel(_TermModel):
     _names = ("n_vars", "linear", "quadratic")
 
 
+def _check_bits(assignment: Sequence[int], n: int) -> None:
+    """ValueError unless the assignment is n entries of 0 or 1."""
+    if len(assignment) != n:
+        raise ValueError(f"assignment length {len(assignment)} != n_vars {n}")
+    for b in assignment:
+        if b not in (0, 1):
+            raise ValueError(f"assignment entries must be 0 or 1, got {b!r}")
+
+
 def energy(model: QuboModel, assignment: Sequence[int]) -> float:
     """QUBO energy of a {0, 1} assignment, offset included.
 
@@ -286,12 +305,7 @@ def energy(model: QuboModel, assignment: Sequence[int]) -> float:
     np.add.accumulate keeps that order (np.sum would add pairwise), so
     the result does not depend on numpy's summation strategy.
     """
-    if len(assignment) != model.n_vars:
-        raise ValueError(
-            f"assignment length {len(assignment)} != n_vars {model.n_vars}")
-    for b in assignment:
-        if b not in (0, 1):
-            raise ValueError(f"assignment entries must be 0 or 1, got {b!r}")
+    _check_bits(assignment, model.n_vars)
     i, j, c = model.terms
     on = np.array(assignment, dtype=bool)
     return float(np.add.accumulate(np.concatenate(([model.offset], c[on[i] & on[j]])))[-1])

@@ -28,7 +28,9 @@ from .algebra import (
     AffineExpr,
     QuadraticExpr,
     QuboModel,
+    _abs_sum_finite,
     _as_float,
+    _check_bits,
     affine_mul,
     quad_scale_add,
     quadratic_to_model,
@@ -65,7 +67,7 @@ class ReluPenaltySpec:
                 raise ValueError(f"{name} expansion must have lower bound exactly 0, "
                                  f"got beta = {exp.beta}")
         if not (math.isfinite(self.M) and self.M > 0):
-            raise ValueError(f"penalty weight M must be positive, got {self.M!r}")
+            raise ValueError(f"penalty weight M must be finite and positive, got {self.M!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,10 @@ class BuiltModel:
 
     def decode(self, assignment: Sequence[int]) -> tuple[float, float, float, float, float]:
         """(m, t, z1, z2, r) at the given assignment, r = -m - z1 + z2; m is
-        sum_d x_d * w_d of the decoded weights, or m_expr's value without them."""
+        sum_d x_d * w_d of the decoded weights, or m_expr's value without them.
+        The assignment must be model.n_vars entries of 0 or 1."""
+        _check_bits(assignment, self.model.n_vars)
+
         def value(name: str, exp: BinaryExpansion) -> float:
             return exp.decode([assignment[i] for i in self.var_ranges[name]])
 
@@ -148,8 +153,9 @@ def build_linear_model_expr(spec: LinearModelSpec) -> AffineExpr:
 
 
 def _finite(expr: QuadraticExpr, path: str) -> QuadraticExpr:
-    """expr, or a ConfigError naming path when a coefficient overflowed."""
-    if not (math.isfinite(expr.constant) and np.isfinite(expr.matrix).all()):
+    """expr, or a ConfigError naming path when its |constant| + sum |coefficient|,
+    the bound QuboModel puts on a model's energies, overflows float64."""
+    if not _abs_sum_finite(expr.constant, expr.matrix):
         raise ConfigError(path, "the model's coefficients overflow float64")
     return expr
 
@@ -293,6 +299,8 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     m_value = _require(pen_cfg, "M", "penalty")
     if m_value == "auto":
         M = recommend_M(*lin_spec.m_range(), z1_exp, z2_exp)
+        if not math.isfinite(M):
+            raise ConfigError("penalty.M", "the automatic M overflows float64")
     else:
         M = _number(m_value, "penalty.M")
     if t_exp.bounds != (-1.0, 0.0):  # verify, sweep and auto M assume the hinge

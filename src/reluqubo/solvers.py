@@ -4,8 +4,7 @@ Exhaustive search is the desk-scale ground truth (capped at 30 free bits
 by default, RELUQUBO_BIT_CAP overrides).  It splits the free bits into
 halves and meets in the middle (Horowitz & Sahni, JACM 1974), in memory
 O(2^ceil(n/2) * n) plus one 2^18-entry chunk.  Float-exact ties go to the
-lowest assignment integer; mathematically tied t states may resolve
-differently from earlier versions.  Simulated annealing is a
+lowest assignment integer.  Simulated annealing is a
 single-bit-flip Metropolis walk with a geometric inverse-temperature
 schedule and independently seeded restarts; it is fully reproducible
 given (model, config).  Both solvers take fixed= to pin bits, and both

@@ -154,12 +154,14 @@ def random_model(rng, n, density=0.6):
 
 @st.composite
 def qubo_models(draw):
-    """Models of 0-8 vars with any finite coefficients (subnormals and
-    -0.0 included) and default or drawn labels; a label is words of
-    letters, digits, punctuation or symbols joined by inner whitespace
-    that breaks no line, the labels a qubo-v1 line can carry."""
+    """Models of 0-8 vars with any coefficients of magnitude up to 2^1018
+    (subnormals and -0.0 included), so that |offset| + sum |c| over at
+    most 37 values stays finite as a model requires, and default or drawn
+    labels; a label is words of letters, digits, punctuation or symbols
+    joined by inner whitespace that breaks no line, the labels a qubo-v1
+    line can carry."""
     n = draw(st.integers(0, 8))
-    coeff = st.floats(allow_nan=False, allow_infinity=False)
+    coeff = st.floats(-2.0 ** 1018, 2.0 ** 1018)
     linear = draw(st.dictionaries(st.integers(0, n - 1), coeff)) if n else {}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     quadratic = draw(st.dictionaries(st.sampled_from(pairs), coeff)) if pairs else {}
@@ -506,6 +508,18 @@ class TestModelValidation:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             qubo(2, {}, {}, 0.0, labels=["a", "a"])
+
+    @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
+    @pytest.mark.parametrize("terms, offset", [
+        (([0, 0, 1], [0, 1, 1], [1e308, 1e308, 1e308]), 0.0),
+        (([0], [1], [-1e308]), -1e308),
+    ], ids=["terms", "offset"])
+    def test_energies_past_float_range_rejected(self, cls, terms, offset):
+        # every value is finite, but an energy or a partial sum of one is not;
+        # an overflow warning would be an error here
+        with pytest.raises(ValueError, match=r"^\|offset\| \+ sum \|coefficient\| overflows"):
+            cls(2, terms, offset)
+        cls(2, ([0], [1], [1e308]), 7.9e307)  # 1.79e308, just inside
 
     @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
     @pytest.mark.parametrize("label", ["", "a\nb", "a\x0cb", "a\u2028b", " x", "x "],

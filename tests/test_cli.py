@@ -41,6 +41,42 @@ def config_positive_range():
     return cfg
 
 
+def grid_points(depth, alpha, beta):
+    top = (1 << depth) - 1
+    return [beta + alpha * (k / float(top)) for k in range(top + 1)]
+
+
+def readme_config(M="auto"):
+    """The README config, verified at every point of its 64-point w grid."""
+    cfg = config_negative_range()
+    cfg["model"]["w"] = expansion(6, 8.0, -4.0)
+    cfg["penalty"]["M"] = M
+    cfg["verify"] = {"m_points": grid_points(6, 8.0, -4.0)}
+    return cfg
+
+
+def eleven_var_config():
+    """w on [-4s, 3s] with step s = 0.4/7, z on [0, 0.4] with the same
+    step, depth 3 each, and t of depth 2: 11 vars, at every w point."""
+    s = 0.4 / 7
+    w = (3, 7 * s, -4 * s)
+    return {"cost": {"kind": "quadratic", "target": 0.0, "scale": 0.0},
+            "model": {"inputs": [1.0], "w": expansion(*w)},
+            "penalty": {"t": expansion(2, 1.0, -1.0), "z1": expansion(3, 0.4, 0.0),
+                        "z2": expansion(3, 0.4, 0.0), "M": 16.0},
+            "verify": {"m_points": grid_points(*w)}}
+
+
+def unreachable_residual_config():
+    """w of depth 6 on [-2, 2] has the z spacing 4/63, but its points are
+    odd multiples of 2/63, so no z1, z2 reach r = 0."""
+    cfg = config_negative_range()
+    cfg["model"]["w"] = expansion(6, 4.0, -2.0)
+    cfg["penalty"]["M"] = "auto"
+    cfg["verify"] = {"m_points": [-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]}
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -162,9 +198,10 @@ class TestBuild:
 
     @pytest.mark.parametrize("section, key, value, path", [
         ("penalty", "M", 1e308, "penalty.M"),
+        ("penalty", "M", 3e306, "penalty.M"),  # finite coefficients, but their sum is not
         ("model", "w", expansion(6, 1e200, -4.0), "model"),
         ("cost", "scale", 1e308, "cost.scale"),
-    ], ids=["penalty.M", "model", "cost.scale"])
+    ], ids=["penalty.M", "penalty.M-sum", "model", "cost.scale"])
     def test_overflowing_config_names_its_key(self, tmp_path, section, key, value, path):
         # in a child process, so a numpy overflow warning would show on stderr
         cfg = config_negative_range()
@@ -173,6 +210,19 @@ class TestBuild:
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith(f"error: config error at '{path}': ")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("penalty", "z1", expansion(6, 1e-320, 0.0)),  # a subnormal z step
+        ("model", "w", expansion(6, 1e308, -1e308)),
+    ], ids=["subnormal-z-step", "huge-w-range"])
+    def test_overflowing_auto_m_names_penalty_m(self, tmp_path, capsys, section, key, value):
+        cfg = config_negative_range()
+        cfg["penalty"]["M"] = "auto"
+        cfg[section][key] = value
+        code = main(["build", write_config(tmp_path, cfg), str(tmp_path / "m.qubo")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: config error at 'penalty.M': the automatic M overflows float64\n")
 
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -316,12 +366,34 @@ class TestSolve:
             "set RELUQUBO_BIT_CAP to raise it\n")
 
     def test_fix_by_index(self, tmp_path, capsys):
+        # and by the default labels b0, b1
         path = tmp_path / "m.qubo"
         path.write_text("qubo-v1\nvars 2\noffset 0.0\n0 0 -1.0\n1 1 -1.0\n")
         capsys.readouterr()
-        assert main(["solve", str(path), "--fix", "0=0"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["assignment"] == "01"
+        for fix, assignment in [("0=0", "01"), ("b0=0", "01"), ("1=0", "10"), ("b1=0", "10")]:
+            assert main(["solve", str(path), "--fix", fix]) == 0
+            assert json.loads(capsys.readouterr().out)["assignment"] == assignment
+
+    def test_fix_by_label_with_equals_sign_or_digits(self, tmp_path, capsys):
+        # NAME ends at the last '='; a label wins over an index of the same digits
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 3\noffset 0.0\n0 0 1.0\n1 1 -1.0\n2 2 -2.0\n"
+                        "label 0 a=b\nlabel 1 7\nlabel 2 1\n")
+        for fixes, assignment in [(["a=b=1", "7=0"], "101"), (["1=0"], "010"),
+                                  (["0=1"], "111"), (["2=0"], "010")]:
+            args = ["solve", str(path)] + [f"--fix={f}" for f in fixes]
+            assert main(args) == 0
+            assert json.loads(capsys.readouterr().out)["assignment"] == assignment
+
+    @pytest.mark.parametrize("solver", ["exhaustive", "sa"])
+    def test_energies_past_float_range_are_input_error(self, tmp_path, capsys, solver):
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 2\noffset 0.0\n0 0 1e308\n0 1 1e308\n1 1 1e308\n")
+        assert main(["solve", str(path), "--solver", solver]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: |offset| + sum |coefficient| overflows float64, "
+                                "so energies would too\n")
 
     def test_bad_fix_rejected(self, tmp_path, capsys):
         path = tmp_path / "m.qubo"
@@ -418,6 +490,30 @@ class TestVerify:
         rows = read_tsv(captured.out)  # report still emitted
         assert len(rows) == 1
         assert rows[0]["abs_error"] > 1.0
+
+    def test_readme_config_passes_at_auto_m(self, tmp_path, capsys):
+        cfg = readme_config()
+        ms = cfg["verify"]["m_points"]
+        assert main(["verify", write_config(tmp_path, cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == pointwise_tsv(build_from_config(cfg), ms)
+        assert captured.err == ("verify: 64/64 points within 1e-9 * max(1, |f|, |C|) "
+                                "of f at the pinned grid point\n")
+
+    @pytest.mark.parametrize("cfg, within", [
+        # rounding at this M alone moves the pinned minima by up to 0.012
+        (readme_config(M=1e12), "0/64"),
+        # M = 16 is auto M at depth 3; the sound threshold 1/r_min is 17.5
+        (eleven_var_config(), "1/8"),
+        # w points sit half a z step off the z grid: r = 0 is unreachable
+        (unreachable_residual_config(), "0/8"),
+    ], ids=["readme-M-1e12", "eleven-var-M-16", "r-unreachable"])
+    def test_minimum_off_f_at_the_pinned_point_fails(self, tmp_path, capsys, cfg, within):
+        ms = cfg["verify"]["m_points"]
+        assert main(["verify", write_config(tmp_path, cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == pointwise_tsv(build_from_config(cfg), ms)  # report still emitted
+        assert captured.err.startswith(f"verify: {within} points within ")
 
     def test_missing_points_is_input_error(self, tmp_path, capsys):
         cfg = config_negative_range()

@@ -279,6 +279,21 @@ class TestBuildCostPlusRelu:
         assert built.var_ranges["m"] == range(3)
         assert built.model.labels[:4] == ["m[0]", "m[1]", "m[2]", "t[0]"]
 
+    def test_decode_refuses_bad_assignments(self):
+        # the README quickstart model: m a constant, 16 bits of t, z1, z2
+        z = BinaryExpansion(6, 4.0, 0.0)
+        spec = ReluPenaltySpec(BinaryExpansion(4, 1.0, -1.0), z, z, 252.0)
+        built = build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(-1.5), spec)
+        for n in (3, 21):
+            with pytest.raises(ValueError, match=f"^assignment length {n} != n_vars 16$"):
+                built.decode([0] * n)
+        # without a linear spec, m is m_expr's value: a 2 must not count as a set bit
+        m_expr = BinaryExpansion(3, 2.0, 0.0).to_affine(range(3))
+        built = build_cost_plus_relu(QuadraticExpr(), m_expr,
+                                     ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0))
+        with pytest.raises(ValueError, match="^assignment entries must be 0 or 1, got 2$"):
+            built.decode([2] + [0] * (built.model.n_vars - 1))
+
     def test_linear_spec_bit_count_must_match_m(self):
         w = BinaryExpansion(3, 2.0, 0.0)
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
