@@ -14,31 +14,36 @@ set: the model is folded once (a shared free-bit block, one diagonal per
 pattern) and each distinct pattern is enumerated once; exhaustive_solve
 is its one-pattern case.  fix_bits is the one-pattern case of the same
 fold, and annealing always walks its reduced model, which with no pins
-equals the model itself.  Annealing sets up each restart's
-local fields in one pass over the terms, as single-flip annealers do
-(Isakov et al., arXiv:1401.1084), then updates them per accepted flip:
-with one numpy add of an n x n coupling row on a dense model
-(2|E| >= n * max(8, n // 16)), with a loop over the neighbours on a
-sparser one; both give identical results.  Restarts are independent
-walks, so a large enough annealing call walks them on every CPU of its
-affinity set, in children made by os.fork that send their results back
-over pipes; the output is the same bytes as from one process.  The
-exhaustive solver runs in one process.  The fold, the annealer's fields
-and every energy read the model's one term view, QuboModel.terms.
+equals the model itself.  Annealing sets up each restart's local fields
+in one pass over the terms, as single-flip annealers do (Isakov et al.,
+arXiv:1401.1084); the walk itself, which updates the fields over CSR
+neighbour lists per accepted flip, runs in the C kernel _anneal.c with
+CPython's Mersenne Twister, so it draws and rounds exactly as the same
+loop in Python would.  The kernel is compiled with cc at the first
+annealing call and cached next to the package's bytecode.  Restarts are
+independent walks, so a large enough annealing call walks them on every
+CPU of its affinity set, in children made by os.fork that send their
+results back over pipes; the output is the same bytes as from one
+process.  The exhaustive solver runs in one process.  The fold, the
+annealer's fields and every energy read the model's one term view,
+QuboModel.terms.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import operator
 import os
 import pickle
-import random
+import sys
+import tempfile
 import time
-from array import array
+import zlib
 from dataclasses import dataclass
-from functools import partial
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from functools import cache, partial
+from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -46,15 +51,18 @@ from .algebra import QuboModel, energy
 
 DEFAULT_BIT_CAP = 30
 _CHUNK_BITS = 18
-# Mean coupling degree from which annealing updates the local fields with
-# one numpy row per accepted flip instead of a loop over the neighbours.
-# Measured on random models of 16-208 vars: equal speed at degree 8, the
-# rows 1.4-1.8x slower at degree 2-4 and 2-3x faster at degree 32-207.
-_DENSE_DEGREE = 8
+# The annealing kernel, the command that compiles it and where the library
+# is cached: the package's bytecode directory, trusted as the .pyc files are.
+# No -ffast-math or -march=native: contraction or reassociation changes bits.
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_anneal.c")
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CACHE_DIR = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
 # Proposals (sweeps * n * restarts) from which annealing forks children to
 # walk restarts on the other CPUs: one fork plus the pickle of a share's
-# results costs 2-4 ms, and 2^16 proposals take 13-46 ms at 0.2-0.7 us each.
-_FORK_MIN_PROPOSALS = 1 << 16
+# results costs 2-4 ms, and the compiled walk takes 8-15 ns per proposal,
+# so on two CPUs forking breaks even at 2^18-2^19 proposals (16- and
+# 208-var models, in process).
+_FORK_MIN_PROPOSALS = 1 << 19
 
 
 class BitCapExceeded(RuntimeError):
@@ -72,6 +80,8 @@ class AnnealConfig:
     def __post_init__(self) -> None:
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        if self.sweeps > 2 ** 63 - 1:  # the kernel counts sweeps in an int64
+            raise ValueError("sweeps must be <= 2**63 - 1")
         # an infinite ratio jumps the ladder to inf, or to nan at inf / inf
         if not (0 < self.beta_initial <= self.beta_final
                 and self.beta_final / self.beta_initial < math.inf):
@@ -79,15 +89,14 @@ class AnnealConfig:
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
-    def schedule(self) -> Iterator[float]:
-        """Geometric beta ladder from beta_initial to beta_final, one beta
-        at a time, so a walk holds O(1) of it whatever the sweep count."""
+    def ladder(self) -> tuple[float, float]:
+        """(beta0, ratio) of the geometric beta ladder: sweep s runs at
+        beta0 * ratio ** s, from beta_initial to beta_final, or at
+        beta_final alone in one sweep.  A walk computes each beta as it
+        starts the sweep, so it holds O(1) of the ladder."""
         if self.sweeps == 1:
-            yield self.beta_final
-            return
-        ratio = (self.beta_final / self.beta_initial) ** (1.0 / (self.sweeps - 1))
-        for s in range(self.sweeps):
-            yield self.beta_initial * ratio ** s
+            return self.beta_final, 1.0
+        return self.beta_initial, (self.beta_final / self.beta_initial) ** (1.0 / (self.sweeps - 1))
 
 
 @dataclass
@@ -300,49 +309,87 @@ def _initial_fields(model: QuboModel, b: Sequence[int]) -> np.ndarray:
     return f
 
 
-def _walk(model: QuboModel, config: AnnealConfig, rows: list[np.ndarray] | None,
-          adj: list[list[tuple[int, float]]] | None,
-          restarts: Iterable[int]) -> list[tuple[float, tuple[int, ...]]]:
-    """(energy, bits) of the best state of each restart r in restarts: a
-    walk seeded with config.seed + r that updates the local fields with
-    the coupling rows when given, else with the neighbour lists adj."""
+def _build(path: str) -> None:
+    """Compile the kernel to path.  A missing or failing compiler is an
+    OSError with a one-line message, which the CLI reports as an error."""
+    import subprocess  # only on a cold cache: it adds to every CLI call's start-up
+    try:
+        proc = subprocess.run([*_CC, "-o", path, _KERNEL_SOURCE, "-lm"],
+                              capture_output=True, text=True)
+    except OSError as exc:
+        raise OSError(f"annealing compiles its kernel with a C compiler, and running "
+                      f"{_CC[0]!r} failed: {exc.strerror or exc}") from None
+    if proc.returncode != 0:
+        detail = (proc.stderr.strip().splitlines() or ["no message"])[0]
+        raise OSError(f"{_CC[0]!r} could not compile {_KERNEL_SOURCE} "
+                      f"(exit {proc.returncode}): {detail}")
+
+
+def _load(path: str) -> ctypes.CDLL:
+    lib = ctypes.CDLL(path)
+    p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.seed_bits.argtypes = (p, ctypes.c_char_p, i64, p, i64)
+    lib.walk.argtypes = (p, i64, i64, f64, f64, p, p, p, p, p, f64, p)
+    lib.seed_bits.restype = lib.walk.restype = None
+    return lib
+
+
+@cache
+def _kernel(cache_dir: str) -> ctypes.CDLL:
+    """The compiled walk of _anneal.c, loaded once per process and cache dir.
+
+    The library is named by the CRC-32 of the source, the compile command
+    and the interpreter's cache tag.  On a miss it is compiled to a mkstemp
+    name in cache_dir and moved into place by os.replace, so processes that
+    build at once each load a complete file.  When cache_dir cannot be
+    written, the library is built in a private mkdtemp directory (mode
+    0700), loaded and deleted.
+    """
+    with open(_KERNEL_SOURCE, "rb") as fh:
+        tag = zlib.crc32(b"\0".join([fh.read(), " ".join(_CC).encode(),
+                                      sys.implementation.cache_tag.encode()]))
+    path = os.path.join(cache_dir, f"_anneal-{tag:08x}.so")
+    if os.path.isfile(path):
+        return _load(path)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".so", "_anneal-", cache_dir)
+    except OSError:  # an unwritable cache: build for this process alone
+        with tempfile.TemporaryDirectory() as private:
+            _build(os.path.join(private, "_anneal.so"))
+            return _load(os.path.join(private, "_anneal.so"))
+    os.close(fd)
+    try:
+        _build(tmp)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return _load(path)
+
+
+def _restarts(kernel: ctypes.CDLL, model: QuboModel, config: AnnealConfig,
+              csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+              restarts: Iterable[int]) -> list[tuple[float, tuple[int, ...]]]:
+    """(energy, bits) of the best state of each restart r in restarts: the
+    kernel's walk seeded as random.Random(config.seed + r), from the fields
+    of _initial_fields and the energy of energy()."""
     n = model.n_vars
-    exp, add, subtract = math.exp, np.add, np.subtract
+    beta0, ratio = config.ladder()
+    start, nbr, coef = (a.ctypes.data for a in csr)
     found = []
     for r in restarts:
-        rng = random.Random(config.seed + r)
-        rnd = rng.random
-        b = [rng.randrange(2) for _ in range(n)]
+        seed = config.seed + r  # as random.Random seeds: |int|, or a float's hash as unsigned
+        seed = hash(seed) % 2 ** 64 if isinstance(seed, float) else abs(operator.index(seed))
+        words = max(1, (seed.bit_length() + 31) // 32)
+        mt = (ctypes.c_uint32 * 625)()  # MT19937's 624 words and its read position
+        b, best = np.empty(n, np.uint8), np.empty(n, np.uint8)
+        kernel.seed_bits(mt, seed.to_bytes(4 * words, "little"), words, b.ctypes.data, n)
         f = _initial_fields(model, b)
-        if rows is None:
-            f = f.tolist()
-        else:  # fv views f's memory; the scan reads f[i] as floats
-            f = array("d", f.tobytes())
-            fv = np.frombuffer(f)
-        e = energy(model, b)
-        best_e, best_b = e, list(b)
-        for beta in config.schedule():
-            for i in range(n):
-                de = -f[i] if b[i] else f[i]
-                if de > 0.0:
-                    bde = beta * de
-                    # acceptance below ~1e-18: reject without drawing
-                    if bde > 40.0 or rnd() >= exp(-bde):
-                        continue
-                s = -1 if b[i] else 1
-                b[i] ^= 1
-                e += de
-                if rows is None:
-                    for j, c in adj[i]:
-                        f[j] += s * c
-                elif s < 0:
-                    subtract(fv, rows[i], out=fv)
-                else:
-                    add(fv, rows[i], out=fv)
-                if e < best_e:
-                    best_e = e
-                    best_b = list(b)
-        found.append((energy(model, best_b), tuple(best_b)))
+        kernel.walk(mt, n, config.sweeps, beta0, ratio, start, nbr, coef, b.ctypes.data,
+                    f.ctypes.data, energy(model, b.tolist()), best.ctypes.data)
+        best_b = tuple(best.tolist())
+        found.append((energy(model, best_b), best_b))
     return found
 
 
@@ -424,16 +471,16 @@ def simulated_anneal(model: QuboModel,
     equals energy(model, assignment) exactly.  An empty model takes the
     same path: no sweep flips anything.
 
-    An accepted flip of bit i adds +-c to the local field of each
-    neighbour.  When 2|E| >= n * max(_DENSE_DEGREE, n // 16), that is one
-    numpy add or subtract of row i of an n x n coupling matrix, built once
-    per call; non-neighbours get +-0.0, which changes no field because a
-    field is never -0.0 (zero coefficients are pruned, and x + y rounds an
-    exact cancellation to +0.0).  Sparser models loop over the neighbours,
-    build no matrix and keep the fields in a Python list.  Either way a
-    restart starts from the fields of _initial_fields and the energy of
-    energy(), both read from the term view.  The betas are computed one
-    sweep at a time, so memory does not grow with config.sweeps.
+    The walk runs in the compiled kernel (_kernel), built at the first
+    call in a process, before any fork; a missing C compiler raises
+    OSError.  It draws the initial bits as random.Random(seed + r) does
+    with randrange(2), starts from the fields of _initial_fields and the
+    energy of energy(), and runs the loop of tests/test_solvers.py's
+    reference_anneal: an accepted flip of bit i adds +-c to the local
+    field of each neighbour in i's CSR row, built once per call with
+    int32 neighbour indices.  The betas are computed one sweep at a time
+    from AnnealConfig.ladder(), so memory does not grow with
+    config.sweeps.
 
     From sweeps * n * restarts >= _FORK_MIN_PROPOSALS on, the restarts
     are split over w = min(CPUs in this process's affinity set, restarts)
@@ -447,27 +494,24 @@ def simulated_anneal(model: QuboModel,
     fixed = fixed or {}
     sub, free = fix_bits(model, fixed)
     n = sub.n_vars
+    kernel = _kernel(_CACHE_DIR)
 
     pair = sub.terms[0] != sub.terms[1]
     qi, qj, qc = (a[pair] for a in sub.terms)
-    adj: list[list[tuple[int, float]]] | None = None
-    rows: list[np.ndarray] | None = None
-    # the n*n matrix stays within a small multiple of adj's own memory
-    if 2 * len(qc) >= n * max(_DENSE_DEGREE, n // 16):
-        dense = np.zeros((n, n))
-        dense[qi, qj] = qc
-        dense[qj, qi] = qc
-        rows = list(dense)
-    else:
-        adj = [[] for _ in range(n)]
-        for i, j, c in zip(qi.tolist(), qj.tolist(), qc.tolist()):
-            adj[i].append((j, c))
-            adj[j].append((i, c))
+    ends = np.concatenate((qi, qj))
+    # CSR: row i's neighbours and couplings are nbr and coef[start[i]:start[i + 1]].
+    # A stable sort, since the default one's SIMD code adds ~0.4 MB RSS at first use.
+    order = np.argsort(ends, kind="stable")
+    start = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=start[1:])
+    nbr = np.concatenate((qj, qi)).astype(np.int32)[order]
+    coef = np.concatenate((qc, qc))[order]
     workers = 1
     if (hasattr(os, "sched_getaffinity")
             and config.sweeps * n * config.restarts >= _FORK_MIN_PROPOSALS):
         workers = min(len(os.sched_getaffinity(0)), config.restarts)
-    restart_best = _fan_out(partial(_walk, sub, config, rows, adj), config.restarts, workers)
+    restart_best = _fan_out(partial(_restarts, kernel, sub, config, (start, nbr, coef)),
+                            config.restarts, workers)
 
     # on equal-length 0/1 tuples, comparing the highest bit first is integer order
     best_b = min(restart_best, key=lambda p: (p[0], p[1][::-1]))[1]

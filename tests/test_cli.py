@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import ctypes
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +18,7 @@ from reluqubo.cli import main
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import build_from_config, recommend_M
 from reluqubo.oracle import Grid1D, relu_reference
+from reluqubo import solvers
 from reluqubo.solvers import exhaustive_solve
 
 
@@ -657,6 +660,9 @@ BOUNDARY_ERRORS = {
     "sweeps 0": ({"m.qubo": "qubo-v1\nvars 1\noffset 0.0\n"},
                  ["solve", "@m.qubo", "--solver", "sa", "--sweeps", "0"],
                  "config error at 'solver flags': sweeps must be >= 1"),
+    "sweeps past int64": ({"m.qubo": "qubo-v1\nvars 1\noffset 0.0\n"},
+                          ["solve", "@m.qubo", "--solver", "sa", "--sweeps", str(10 ** 20)],
+                          "config error at 'solver flags': sweeps must be <= 2**63 - 1"),
     "non-object config": ({"c.json": "[1, 2]"}, ["build", "@c.json", "@m.qubo"],
                           "top-level config must be an object"),
     "linear cost": ({"c.json": changed_config("cost", "kind", "linear")},
@@ -687,3 +693,63 @@ def test_boundary_error_exits_2(tmp_path, capsys, files, argv, message):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert message in err
+
+
+class TestKernelBuild:
+    """The annealing kernel is compiled at the first SA solve of a process
+    into solvers._CACHE_DIR, here a fresh directory per test."""
+
+    SA = ["--solver", "sa", "--sweeps", "50", "--restarts", "3", "--seed", "4"]
+
+    @pytest.fixture
+    def model(self, tmp_path, capsys):
+        path = str(tmp_path / "m.qubo")
+        assert main(["build", write_config(tmp_path, config_negative_range()), path]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_processes_building_at_once_leave_one_library(self, tmp_path, capsys, model):
+        assert main(["solve", model, *self.SA]) == 0  # the package's own cache
+        want = capsys.readouterr().out
+        cache = tmp_path / "cache"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from reluqubo import solvers; "
+                "solvers._CACHE_DIR = sys.argv[2]; from reluqubo.cli import main; "
+                "sys.exit(main(sys.argv[3:]))")
+        src = str(Path(reluqubo.__file__).resolve().parent.parent)
+        procs = [subprocess.Popen([sys.executable, "-c", code, src, str(cache), "solve", model,
+                                   *self.SA], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) for _ in range(2)]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], outs
+        assert [out for out, _ in outs] == [want, want]
+        built = os.listdir(cache)
+        assert len(built) == 1 and built[0].startswith("_anneal-") and built[0].endswith(".so")
+        assert ctypes.CDLL(str(cache / built[0])).walk  # complete: it loads
+
+    def test_no_compiler_fails_sa_alone(self, tmp_path, monkeypatch, capsys, model):
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(solvers, "_CACHE_DIR", str(cache))
+        (tmp_path / "bin").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        assert main(["solve", model, *self.SA]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "C compiler" in err
+        assert os.listdir(cache) == []  # the failed build's temporary file is gone
+        cfg = write_config(tmp_path, config_negative_range() | {"verify": {"m_points": [-1.0]}})
+        for argv in (["build", cfg, str(tmp_path / "b.qubo")], ["solve", model],
+                     ["verify", cfg], ["sweep", cfg, "--grid=-1:0:0.5"]):
+            assert main(argv) == 0, argv  # a build would fail here, with no compiler
+
+    def test_unwritable_cache_builds_in_a_private_directory(self, tmp_path, monkeypatch, capsys,
+                                                            model):
+        assert main(["solve", model, *self.SA]) == 0
+        want = capsys.readouterr().out
+        (tmp_path / "file").write_text("")  # a cache directory below a file cannot be made
+        monkeypatch.setattr(solvers, "_CACHE_DIR", str(tmp_path / "file" / "cache"))
+        private = tmp_path / "tmp"
+        private.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        assert main(["solve", model, *self.SA]) == 0
+        assert capsys.readouterr().out == want
+        assert list(private.iterdir()) == []  # built, loaded and deleted

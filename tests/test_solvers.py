@@ -388,6 +388,9 @@ class TestAnnealConfig:
             AnnealConfig(beta_initial=2.0, beta_final=1.0)
         with pytest.raises(ValueError):
             AnnealConfig(restarts=0)
+        AnnealConfig(sweeps=2 ** 63 - 1)
+        with pytest.raises(ValueError, match="sweeps must be <= 2"):
+            AnnealConfig(sweeps=2 ** 63)  # the kernel counts sweeps in an int64
 
     @pytest.mark.parametrize("b0, b1", [(math.inf, math.inf), (1.0, math.inf),
                                         (math.nan, 1.0), (0.1, math.nan), (5e-324, 1.0)])
@@ -399,7 +402,7 @@ class TestAnnealConfig:
 
     def test_geometric_schedule(self):
         cfg = AnnealConfig(sweeps=5, beta_initial=0.1, beta_final=10.0)
-        sched = list(cfg.schedule())
+        sched = list(schedule(cfg))
         assert sched[0] == pytest.approx(0.1)
         assert sched[-1] == pytest.approx(10.0)
         ratios = [b / a for a, b in zip(sched, sched[1:])]
@@ -510,9 +513,16 @@ class TestSimulatedAnneal:
         assert d["assignment"] == "".join(str(b) for b in res.assignment)
 
 
+def schedule(config):
+    """The betas of AnnealConfig.ladder(), one per sweep."""
+    beta0, ratio = config.ladder()
+    return (beta0 * ratio ** s for s in range(config.sweeps))
+
+
 def reference_anneal(model, config, fixed=None):
-    """simulated_anneal with the local fields updated by a Python loop over
-    each flipped bit's neighbours: the reference for the dense-row update."""
+    """simulated_anneal as a Python loop, seeded by random.Random and
+    updating the local fields over each flipped bit's neighbours: the
+    reference for the compiled walk."""
     if fixed:
         sub, free = fix_bits(model, fixed)
         result = reference_anneal(sub, config)
@@ -544,7 +554,7 @@ def reference_anneal(model, config, fixed=None):
             f.append(lin[i] + s)
         e = energy(model, b)
         best_e, best_b = e, list(b)
-        for beta in config.schedule():
+        for beta in schedule(config):
             for i in range(n):
                 de = -f[i] if b[i] else f[i]
                 if de > 0.0:
@@ -567,15 +577,16 @@ def reference_anneal(model, config, fixed=None):
 
 @st.composite
 def anneal_cases(draw):
-    """Models on both sides of the dense-row threshold (mean degree 8):
-    complete graphs over 9-40 vars, chains, rings, random graphs and n = 1;
-    integer coefficients (whose sums cancel to exact zeros) or reals; an
-    optional pinned subset; a short schedule.  Coefficients come from a
-    drawn seed, so a complete graph does not fill hypothesis's buffer."""
-    kind = draw(st.sampled_from(["complete", "chain", "ring", "random", "single"]))
+    """Dense and sparse models: complete graphs over 9-40 vars, chains,
+    rings, random graphs, n = 1 and n = 0; integer coefficients (whose sums
+    cancel to exact zeros) or reals; an optional pinned subset; a short
+    schedule; seeds from -10^6 to 10^6 and past +-2^64, since CPython
+    seeds by |seed| in 32-bit words.  Coefficients come from a drawn
+    seed, so a complete graph does not fill hypothesis's buffer."""
+    kind = draw(st.sampled_from(["complete", "chain", "ring", "random", "single", "empty"]))
     n = draw({"complete": st.integers(9, 40), "chain": st.integers(2, 60),
               "ring": st.integers(3, 60), "random": st.integers(2, 24),
-              "single": st.just(1)}[kind])
+              "single": st.just(1), "empty": st.just(0)}[kind])
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     if draw(st.booleans()):
         def coeff():
@@ -597,22 +608,32 @@ def anneal_cases(draw):
     config = AnnealConfig(sweeps=draw(st.integers(1, 30)),
                           beta_initial=draw(st.sampled_from([0.05, 0.1, 1.0])),
                           beta_final=draw(st.sampled_from([1.0, 3.0, 10.0])),
-                          restarts=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10 ** 6)))
+                          restarts=draw(st.integers(1, 3)),
+                          seed=draw(st.integers(-10 ** 6, 10 ** 6) | st.integers(2 ** 64, 2 ** 100)
+                                    | st.integers(-2 ** 100, -2 ** 64)))
     return model, fixed, config
 
 
-class TestDenseRows:
+class TestCompiledWalk:
     @settings(max_examples=80, deadline=None)
     @given(anneal_cases())
     def test_matches_neighbour_loop_reference(self, case):
         model, fixed, config = case
         res = simulated_anneal(model, config, fixed=fixed)
         ref = reference_anneal(model, config, fixed=fixed)
-        assert res.to_json_dict() == ref.to_json_dict()
+        assert json.dumps(res.to_json_dict()) == json.dumps(ref.to_json_dict())
+
+    @pytest.mark.parametrize("seed", [2.5, -1.5, 3.0, True, 2 ** 64 - 1, -(2 ** 64)])
+    def test_seeds_as_random_random_takes_them(self, seed):
+        # a float seeds by its hash as an unsigned 64-bit word, an int by |int|
+        model = relu_instance(m=0.5).model
+        config = AnnealConfig(sweeps=20, restarts=3, seed=seed)
+        assert json.dumps(simulated_anneal(model, config).to_json_dict()) == \
+            json.dumps(reference_anneal(model, config).to_json_dict())
 
     def test_large_sparse_chain_builds_no_dense_matrix(self):
-        # a 20,000-variable chain has mean degree 2: the neighbour loop runs,
-        # and the 20,000^2 matrix (3.2 GB) is never allocated
+        # a 20,000-variable chain has mean degree 2: its CSR rows hold 2 * 19,999
+        # neighbours, and no 20,000^2 matrix (3.2 GB) is allocated
         n = 20_000
         rng = np.random.default_rng(13)
         linear = {i: float(c) for i, c in enumerate(rng.integers(-3, 4, size=n))}
@@ -661,7 +682,7 @@ class TestFanOut:
         config = AnnealConfig(sweeps=30, restarts=5, seed=3)
         want = json.dumps(simulated_anneal(model, config).to_json_dict())  # one process
         fan_out_on(monkeypatch, 3)
-        parent, calls, walk = os.getpid(), [], solvers._walk
+        parent, calls, walk = os.getpid(), [], solvers._restarts
 
         def counted(*args):
             if os.getpid() == parent:
@@ -676,7 +697,7 @@ class TestFanOut:
         def truncated(obj, fh, protocol):
             fh.write(pickle.dumps(obj, protocol)[:-3])
 
-        monkeypatch.setattr(solvers, "_walk", counted)
+        monkeypatch.setattr(solvers, "_restarts", counted)
         if failure == "fork":
             monkeypatch.setattr(os, "fork", no_fork)
         elif failure == "truncated":
@@ -695,7 +716,7 @@ class TestFanOut:
                 raise error("walk failed")
             time.sleep(60)  # the parent kills it long before
 
-        monkeypatch.setattr(solvers, "_walk", walk)
+        monkeypatch.setattr(solvers, "_restarts", walk)
         t0 = time.monotonic()
         with pytest.raises(error):
             simulated_anneal(relu_instance().model, AnnealConfig(sweeps=10, restarts=4))
@@ -704,15 +725,16 @@ class TestFanOut:
 
     @pytest.mark.parametrize("cpus, sweeps", [(1, 2000), (4, 10)])
     def test_one_cpu_or_a_small_call_forks_nothing(self, monkeypatch, cpus, sweeps):
-        # 12 vars x 4 restarts: 2000 sweeps pass _FORK_MIN_PROPOSALS, 10 do not
+        # 12 vars x 48 restarts: 2000 sweeps pass _FORK_MIN_PROPOSALS, 10 do not
+        assert 12 * 48 * 10 < solvers._FORK_MIN_PROPOSALS <= 12 * 48 * 2000
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
         def fork():
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", fork)
-        res = simulated_anneal(relu_instance().model, AnnealConfig(sweeps=sweeps, restarts=4))
-        assert len(res.restart_energies) == 4
+        res = simulated_anneal(relu_instance().model, AnnealConfig(sweeps=sweeps, restarts=48))
+        assert len(res.restart_energies) == 48
 
 
 class TestInitialFields:
