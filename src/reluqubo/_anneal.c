@@ -4,10 +4,14 @@
    The generator is CPython's MT19937 (Modules/_randommodule.c): seeding by
    init_by_array from the seed's 32-bit words, random()'s 53-bit draw and
    randrange(2)'s loop of 2-bit draws.  Its state is 624 words plus the
-   read position, held by the caller.  The walk visits the variables in
-   index order at beta0 * ratio**s in sweep s, updates the local fields
-   over CSR neighbour lists and copies the bits whenever the energy
-   drops below its best.  Build without -ffast-math or contraction
+   read position, held by the caller.  The local fields are summed over
+   CSR neighbour lists, each row's couplings in row order and the linear
+   term last.  The walk visits the variables in index order at
+   beta0 * ratio**s in sweep s, updates the fields over the same lists
+   and copies the bits whenever the energy drops below its best.  A call
+   writes only to the state it is given (mt, b, f, best) and only reads
+   the CSR lists, so walks on several threads at once can share the lists
+   and nothing else.  Build without -ffast-math or contraction
    (-ffp-contract=off), so every product and sum rounds as in Python. */
 
 #include <math.h>
@@ -82,6 +86,23 @@ void seed_bits(uint32_t *mt, const unsigned char *key, int64_t nkey,
             word = genrand(mt) >> 30;
         while (word >= 2);
         b[k] = (uint8_t)word;
+    }
+}
+
+/* Local field of every bit i of b: its couplings to set bits, summed in the
+   order of row i (nbr and coef[start[i]:start[i+1]]), then lin[i]. */
+void fields(int64_t n, const int64_t *start, const int32_t *nbr, const double *coef,
+            const double *lin, const uint8_t *b, double *f)
+{
+    double s;
+    int64_t i, k;
+
+    for (i = 0; i < n; i++) {
+        s = 0.0;
+        for (k = start[i]; k < start[i + 1]; k++)
+            if (b[nbr[k]])
+                s += coef[k];
+        f[i] = s + lin[i];
     }
 }
 

@@ -1,6 +1,7 @@
 """Command-line front end: build, solve, verify, sweep.
 
-Exit codes: 0 ok, 1 verification failure, 2 input or output error, 3 resource cap.
+Exit codes: 0 ok, 1 verification failure, 2 input or output error, 3 resource cap
+(the exhaustive bit cap, or memory ran out).
 stdout carries data (summaries, SolveResult JSON, TSV reports);
 diagnostics go to stderr.
 """
@@ -234,6 +235,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except BitCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_CAP
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except (ValueError, OSError) as exc:  # ConfigError and QuboParseError included
         print(f"error: {exc}", file=sys.stderr)

@@ -14,19 +14,18 @@ set: the model is folded once (a shared free-bit block, one diagonal per
 pattern) and each distinct pattern is enumerated once; exhaustive_solve
 is its one-pattern case.  fix_bits is the one-pattern case of the same
 fold, and annealing always walks its reduced model, which with no pins
-equals the model itself.  Annealing sets up each restart's local fields
-in one pass over the terms, as single-flip annealers do (Isakov et al.,
-arXiv:1401.1084); the walk itself, which updates the fields over CSR
-neighbour lists per accepted flip, runs in the C kernel _anneal.c with
-CPython's Mersenne Twister, so it draws and rounds exactly as the same
-loop in Python would.  The kernel is compiled with cc at the first
-annealing call and cached next to the package's bytecode.  Restarts are
-independent walks, so a large enough annealing call walks them on every
-CPU of its affinity set, in children made by os.fork that send their
-results back over pipes; the output is the same bytes as from one
-process.  The exhaustive solver runs in one process.  The fold, the
-annealer's fields and every energy read the model's one term view,
-QuboModel.terms.
+equals the model itself.  Annealing keeps every bit's local field, as
+single-flip annealers do (Isakov et al., arXiv:1401.1084): the C kernel
+_anneal.c sums each restart's fields over CSR neighbour lists and walks
+them, updating the fields per accepted flip, with CPython's Mersenne
+Twister, so it draws and rounds exactly as the same loop in Python
+would.  The kernel is compiled with cc at the first annealing call and
+cached next to the package's bytecode.  Restarts are independent walks,
+and the kernel runs without the GIL, so every call with two or more
+restarts walks them on threads, one per CPU of its affinity set; the
+output is the same bytes as from one thread.  The exhaustive solver runs
+in one thread.  The fold, the annealer's CSR lists and every energy read
+the model's one term view, QuboModel.terms.
 """
 
 from __future__ import annotations
@@ -36,14 +35,14 @@ import ctypes
 import math
 import operator
 import os
-import pickle
 import sys
 import tempfile
+import threading
 import time
 import zlib
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import BinaryIO, Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,12 +56,6 @@ _CHUNK_BITS = 18
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_anneal.c")
 _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _CACHE_DIR = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
-# Proposals (sweeps * n * restarts) from which annealing forks children to
-# walk restarts on the other CPUs: one fork plus the pickle of a share's
-# results costs 2-4 ms, and the compiled walk takes 8-15 ns per proposal,
-# so on two CPUs forking breaks even at 2^18-2^19 proposals (16- and
-# 208-var models, in process).
-_FORK_MIN_PROPOSALS = 1 << 19
 
 
 class BitCapExceeded(RuntimeError):
@@ -293,20 +286,26 @@ def exhaustive_solve_many(model: QuboModel,
     return [results[k] for k in slots]
 
 
-def _initial_fields(model: QuboModel, b: Sequence[int]) -> np.ndarray:
-    """Local field of every bit i: the sum of i's couplings to set bits, then
-    its linear term.  np.add.at adds in input order, and the term view lists
-    couplings in key order, so a field gets its lower neighbours, then its
-    upper ones, each ascending, and the linear term last."""
+def _csr(model: QuboModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(start, nbr, coef, lin) of the model for the kernel: row i's neighbours
+    and couplings are nbr and coef[start[i]:start[i + 1]], its lower
+    neighbours first, then its upper ones, each ascending (the term view
+    lists couplings in key order, and the sort is stable); lin[i] is i's
+    linear term.  So the kernel sums a field as np.add.at over the terms
+    would: couplings in neighbour order, then the linear term."""
     i, j, c = model.terms
-    lin = i == j
-    qi, qj, qc = i[~lin], j[~lin], c[~lin]
-    on = np.array(b, dtype=bool)
-    lo_set, hi_set = on[qi], on[qj]
-    f = np.zeros(model.n_vars)
-    np.add.at(f, np.concatenate((qj[lo_set], qi[hi_set], i[lin])),
-              np.concatenate((qc[lo_set], qc[hi_set], c[lin])))
-    return f
+    pair = i != j
+    qi, qj, qc = i[pair], j[pair], c[pair]
+    ends = np.concatenate((qj, qi))
+    # Stable, as QuboModel's lexsort: the default sort's SIMD code adds ~0.4 MB RSS.
+    order = np.argsort(ends, kind="stable")
+    start = np.zeros(model.n_vars + 1, np.int64)
+    np.cumsum(np.bincount(ends, minlength=model.n_vars), out=start[1:])
+    nbr = np.concatenate((qi, qj)).astype(np.int32)[order]
+    coef = np.concatenate((qc, qc))[order]
+    lin = np.zeros(model.n_vars)
+    lin[i[~pair]] = c[~pair]
+    return start, nbr, coef, lin
 
 
 def _build(path: str) -> None:
@@ -329,8 +328,9 @@ def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.seed_bits.argtypes = (p, ctypes.c_char_p, i64, p, i64)
+    lib.fields.argtypes = (i64, p, p, p, p, p, p)
     lib.walk.argtypes = (p, i64, i64, f64, f64, p, p, p, p, p, f64, p)
-    lib.seed_bits.restype = lib.walk.restype = None
+    lib.seed_bits.restype = lib.fields.restype = lib.walk.restype = None
     return lib
 
 
@@ -369,23 +369,23 @@ def _kernel(cache_dir: str) -> ctypes.CDLL:
 
 
 def _restarts(kernel: ctypes.CDLL, model: QuboModel, config: AnnealConfig,
-              csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+              csr: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
               restarts: Iterable[int]) -> list[tuple[float, tuple[int, ...]]]:
     """(energy, bits) of the best state of each restart r in restarts: the
-    kernel's walk seeded as random.Random(config.seed + r), from the fields
-    of _initial_fields and the energy of energy()."""
+    kernel's walk seeded as random.Random(config.seed + r), over the lists
+    of _csr(model), from the kernel's fields and the energy of energy()."""
     n = model.n_vars
     beta0, ratio = config.ladder()
-    start, nbr, coef = (a.ctypes.data for a in csr)
+    start, nbr, coef, lin = (a.ctypes.data for a in csr)
     found = []
     for r in restarts:
         seed = config.seed + r  # as random.Random seeds: |int|, or a float's hash as unsigned
         seed = hash(seed) % 2 ** 64 if isinstance(seed, float) else abs(operator.index(seed))
         words = max(1, (seed.bit_length() + 31) // 32)
         mt = (ctypes.c_uint32 * 625)()  # MT19937's 624 words and its read position
-        b, best = np.empty(n, np.uint8), np.empty(n, np.uint8)
+        b, best, f = np.empty(n, np.uint8), np.empty(n, np.uint8), np.empty(n)
         kernel.seed_bits(mt, seed.to_bytes(4 * words, "little"), words, b.ctypes.data, n)
-        f = _initial_fields(model, b)
+        kernel.fields(n, start, nbr, coef, lin, b.ctypes.data, f.ctypes.data)
         kernel.walk(mt, n, config.sweeps, beta0, ratio, start, nbr, coef, b.ctypes.data,
                     f.ctypes.data, energy(model, b.tolist()), best.ctypes.data)
         best_b = tuple(best.tolist())
@@ -393,62 +393,35 @@ def _restarts(kernel: ctypes.CDLL, model: QuboModel, config: AnnealConfig,
     return found
 
 
-def _send(walk: Callable[[range], list], share: range, w: int) -> NoReturn:
-    """In a forked child: write walk(share) pickled to the pipe end w, then
-    leave by os._exit, so that none of the parent's cleanup, atexit hooks
-    or buffered output runs twice.  Any failure exits 1."""
-    code = 1
-    try:
-        with open(w, "wb") as fh:
-            pickle.dump(walk(share), fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _fan_out(walk: Callable[[range], list], restarts: int, workers: int) -> list:
     """walk's items for restarts 0..restarts-1, in restart order.
 
     walk takes a range of restarts and returns one item per restart.  The
     restarts split into the shares r = k (mod workers).  Share 0 runs in
-    this process; each other share runs in a child made by os.fork, which
-    sends its items back pickled over a pipe.  A share whose fork fails,
-    or whose child exits non-zero or sends an incomplete pickle, runs here
-    after share 0.  Every child is reaped before the call returns or
-    raises; on an exception the unreaped ones are killed first.
+    the calling thread and each other share on a thread of its own.  A
+    share whose thread cannot start, or whose walk raises there, runs in
+    the calling thread after share 0, so any error surfaces here.  Every thread is joined before the call returns or raises.
     """
     shares = [range(k, restarts, workers) for k in range(workers)]
     found: list[list | None] = [None] * workers
-    pids: dict[int, int] = {}  # share -> pid of its child, until reaped
-    readers: dict[int, BinaryIO] = {}  # share -> read end of its child's pipe
+
+    def run(k: int) -> None:
+        with contextlib.suppress(Exception):  # share k runs again in the caller
+            found[k] = walk(shares[k])
+
+    threads = []
     try:
         for k in range(1, workers):
-            r, w = os.pipe()
+            thread = threading.Thread(target=run, args=(k,))
             try:
-                pid = os.fork()
-            except OSError:  # share k runs here below
-                os.close(r)
-                os.close(w)
+                thread.start()
+            except RuntimeError:  # no thread to be had: share k runs here below
                 continue
-            if pid == 0:
-                _send(walk, shares[k], w)
-            os.close(w)
-            pids[k], readers[k] = pid, open(r, "rb")
+            threads.append(thread)
         found[0] = walk(shares[0])
-        for k, reader in readers.items():
-            data = reader.read()
-            status = os.waitpid(pids.pop(k), 0)[1]
-            if os.waitstatus_to_exitcode(status) == 0:
-                with contextlib.suppress(pickle.UnpicklingError, EOFError):
-                    found[k] = pickle.loads(data)
     finally:
-        for reader in readers.values():
-            reader.close()
-        if pids:  # an exception left children unreaped
-            import signal  # only on this path, so start-up time and memory stay as they were
-            for pid in pids.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for thread in threads:
+            thread.join()
     for k, share in enumerate(shares):
         if found[k] is None:
             found[k] = walk(share)
@@ -472,45 +445,32 @@ def simulated_anneal(model: QuboModel,
     same path: no sweep flips anything.
 
     The walk runs in the compiled kernel (_kernel), built at the first
-    call in a process, before any fork; a missing C compiler raises
-    OSError.  It draws the initial bits as random.Random(seed + r) does
-    with randrange(2), starts from the fields of _initial_fields and the
+    call in a process, before any thread starts; a missing C compiler
+    raises OSError.  It draws the initial bits as random.Random(seed + r)
+    does with randrange(2), sums the fields over the CSR rows of _csr,
+    built once per call with int32 neighbour indices, starts from the
     energy of energy(), and runs the loop of tests/test_solvers.py's
     reference_anneal: an accepted flip of bit i adds +-c to the local
-    field of each neighbour in i's CSR row, built once per call with
-    int32 neighbour indices.  The betas are computed one sweep at a time
-    from AnnealConfig.ladder(), so memory does not grow with
+    field of each neighbour in i's row.  The betas are computed one sweep
+    at a time from AnnealConfig.ladder(), so memory does not grow with
     config.sweeps.
 
-    From sweeps * n * restarts >= _FORK_MIN_PROPOSALS on, the restarts
-    are split over w = min(CPUs in this process's affinity set, restarts)
-    workers: this process and w - 1 children made by os.fork (_fan_out).
-    A walk runs the same arithmetic in any process and the merge puts the
-    walks back in restart order, so every output is the same as from one
-    process.  Below that size, or where os.sched_getaffinity is missing,
-    every walk runs here.
+    The restarts are split over w = min(CPUs in this process's affinity
+    set, restarts) workers: the calling thread and w - 1 threads
+    (_fan_out), which walk at once, since the kernel runs without the
+    GIL.  A walk runs the same arithmetic on any thread and the merge
+    puts the walks back in restart order, so every output is the same as
+    from one thread.  Where os.sched_getaffinity is missing, every walk
+    runs in the calling thread.
     """
     t0 = time.perf_counter()
     fixed = fixed or {}
     sub, free = fix_bits(model, fixed)
-    n = sub.n_vars
     kernel = _kernel(_CACHE_DIR)
-
-    pair = sub.terms[0] != sub.terms[1]
-    qi, qj, qc = (a[pair] for a in sub.terms)
-    ends = np.concatenate((qi, qj))
-    # CSR: row i's neighbours and couplings are nbr and coef[start[i]:start[i + 1]].
-    # Stable, as QuboModel's lexsort: the default sort's SIMD code adds ~0.4 MB RSS.
-    order = np.argsort(ends, kind="stable")
-    start = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(ends, minlength=n), out=start[1:])
-    nbr = np.concatenate((qj, qi)).astype(np.int32)[order]
-    coef = np.concatenate((qc, qc))[order]
     workers = 1
-    if (hasattr(os, "sched_getaffinity")
-            and config.sweeps * n * config.restarts >= _FORK_MIN_PROPOSALS):
+    if hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), config.restarts)
-    restart_best = _fan_out(partial(_restarts, kernel, sub, config, (start, nbr, coef)),
+    restart_best = _fan_out(partial(_restarts, kernel, sub, config, _csr(sub)),
                             config.restarts, workers)
 
     # on equal-length 0/1 tuples, comparing the highest bit first is integer order

@@ -368,6 +368,23 @@ class TestSolve:
             "error: 31 free bits (2^31 = 2.1e9 states) exceeds the exhaustive cap of 30; "
             "set RELUQUBO_BIT_CAP to raise it\n")
 
+    def test_out_of_memory_is_resource_error(self, tmp_path, capsys, monkeypatch):
+        # a 52-free-bit solve under RELUQUBO_BIT_CAP=52 asks numpy for 13 GiB in
+        # _subset_sums; the stand-in raises as numpy does, allocating nothing
+        message = ("Unable to allocate 13.0 GiB for an array with shape (67108864, 26) "
+                   "and data type float64")
+
+        def no_memory(Q):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(solvers, "_split_argmin", no_memory)
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 8\noffset 0.0\n")
+        assert main(["solve", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {message}\n"
+
     def test_fix_by_index(self, tmp_path, capsys):
         # and by the default labels b0, b1
         path = tmp_path / "m.qubo"

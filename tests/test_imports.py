@@ -139,8 +139,8 @@ def test_every_public_name_is_used_outside_the_tests():
 
 
 def test_cli_import_loads_no_process_pool_module():
-    # annealing forks its children with os.fork; a pool module would add
-    # its import time to every CLI call
+    # annealing walks its restarts on threading.Thread, which the CLI's imports
+    # already load; a pool module would add its import time to every CLI call
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import reluqubo.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures', 'subprocess'} "
             "& set(sys.modules)))")

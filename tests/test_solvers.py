@@ -1,12 +1,11 @@
 """Tests for exhaustive enumeration and simulated annealing."""
 
 import dataclasses
-import errno
 import json
 import math
 import os
-import pickle
 import random
+import threading
 import time
 import tracemalloc
 
@@ -24,7 +23,6 @@ from reluqubo.solvers import (
     AnnealConfig,
     BitCapExceeded,
     SolveResult,
-    _initial_fields,
     exhaustive_solve,
     exhaustive_solve_many,
     fix_bits,
@@ -651,15 +649,8 @@ class TestCompiledWalk:
 
 
 def fan_out_on(monkeypatch, cpus):
-    """Annealing calls of any size split their restarts over cpus workers."""
-    monkeypatch.setattr(solvers, "_FORK_MIN_PROPOSALS", 0)
+    """Annealing calls split their restarts over min(cpus, restarts) workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-def assert_no_children():
-    # a zombie or a running child would be reaped or reported, not raise
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestFanOut:
@@ -668,73 +659,79 @@ class TestFanOut:
     def test_matches_reference_bytes(self, case, restarts, cpus):
         model, fixed, config = case
         config = dataclasses.replace(config, restarts=restarts)
+        before = threading.active_count()
         with pytest.MonkeyPatch.context() as mp:
             fan_out_on(mp, cpus)
             res = simulated_anneal(model, config, fixed=fixed)
-        assert_no_children()
+        assert threading.active_count() == before
         ref = reference_anneal(model, config, fixed=fixed)
         assert json.dumps(res.to_json_dict()) == json.dumps(ref.to_json_dict())
 
-    @pytest.mark.parametrize("failure, parent_walks", [
-        (None, 1), ("fork", 3), ("exit", 3), ("truncated", 3)])
+    @pytest.mark.parametrize("failure, parent_walks", [(None, 1), ("start", 3), ("raise", 3)])
     def test_failed_share_runs_in_the_parent(self, monkeypatch, failure, parent_walks):
+        # the parent is the calling thread: a share whose thread cannot start,
+        # or whose walk raises there, runs again in it
         model = relu_instance().model
         config = AnnealConfig(sweeps=30, restarts=5, seed=3)
-        want = json.dumps(simulated_anneal(model, config).to_json_dict())  # one process
+        want = json.dumps(reference_anneal(model, config).to_json_dict())
         fan_out_on(monkeypatch, 3)
-        parent, calls, walk = os.getpid(), [], solvers._restarts
+        parent, walk = threading.get_ident(), solvers._restarts
+        calls, elsewhere = [], []
 
         def counted(*args):
-            if os.getpid() == parent:
+            if threading.get_ident() == parent:
                 calls.append(args[-1])
-            elif failure == "exit":
-                os._exit(3)
+            else:
+                elsewhere.append(args[-1])
+                if failure == "raise":
+                    raise RuntimeError("walk failed")
             return walk(*args)
 
-        def no_fork():
-            raise OSError(errno.EAGAIN, "fork refused")
-
-        def truncated(obj, fh, protocol):
-            fh.write(pickle.dumps(obj, protocol)[:-3])
+        def no_start(thread):
+            raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(solvers, "_restarts", counted)
-        if failure == "fork":
-            monkeypatch.setattr(os, "fork", no_fork)
-        elif failure == "truncated":
-            monkeypatch.setattr(pickle, "dump", truncated)
+        if failure == "start":
+            monkeypatch.setattr(threading.Thread, "start", no_start)
+        before = threading.active_count()
         assert json.dumps(simulated_anneal(model, config).to_json_dict()) == want
-        assert_no_children()
+        assert threading.active_count() == before
         assert calls == [range(k, 5, 3) for k in range(parent_walks)]
+        threaded = [] if failure == "start" else [range(1, 5, 3), range(2, 5, 3)]
+        assert sorted(elsewhere, key=lambda share: share.start) == threaded
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_no_child_outlives_a_walk_that_raises(self, monkeypatch, error):
+        # the children are the worker threads: the parent's error propagates
+        # only once every one of them has finished its walk and been joined
         fan_out_on(monkeypatch, 3)
-        parent = os.getpid()
+        parent, finished = threading.get_ident(), []
 
         def walk(*args):
-            if os.getpid() == parent:
+            if threading.get_ident() == parent:
                 raise error("walk failed")
-            time.sleep(60)  # the parent kills it long before
+            time.sleep(0.2)  # the parent raises long before
+            finished.append(args[-1])
+            return [(0.0, ())] * len(args[-1])
 
         monkeypatch.setattr(solvers, "_restarts", walk)
-        t0 = time.monotonic()
+        before = threading.active_count()
         with pytest.raises(error):
             simulated_anneal(relu_instance().model, AnnealConfig(sweeps=10, restarts=4))
-        assert_no_children()
-        assert time.monotonic() - t0 < 30
+        assert threading.active_count() == before
+        assert sorted(finished, key=lambda share: share.start) == [range(1, 4, 3),
+                                                                   range(2, 4, 3)]
 
-    @pytest.mark.parametrize("cpus, sweeps", [(1, 2000), (4, 10)])
-    def test_one_cpu_or_a_small_call_forks_nothing(self, monkeypatch, cpus, sweeps):
-        # 12 vars x 48 restarts: 2000 sweeps pass _FORK_MIN_PROPOSALS, 10 do not
-        assert 12 * 48 * 10 < solvers._FORK_MIN_PROPOSALS <= 12 * 48 * 2000
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    @pytest.mark.parametrize("cpus, restarts", [(1, 48), (4, 1)])
+    def test_one_cpu_or_one_restart_starts_no_thread(self, monkeypatch, cpus, restarts):
+        fan_out_on(monkeypatch, cpus)
 
-        def fork():
-            raise AssertionError("forked")
+        def start(thread):
+            raise AssertionError("a thread started")
 
-        monkeypatch.setattr(os, "fork", fork)
-        res = simulated_anneal(relu_instance().model, AnnealConfig(sweeps=sweeps, restarts=48))
-        assert len(res.restart_energies) == 48
+        monkeypatch.setattr(threading.Thread, "start", start)
+        res = simulated_anneal(relu_instance().model, AnnealConfig(sweeps=20, restarts=restarts))
+        assert len(res.restart_energies) == restarts
 
 
 class TestInitialFields:
@@ -743,13 +740,18 @@ class TestInitialFields:
     def test_matches_neighbour_loop(self, case, seed):
         # the loop both update rules used to start from: each field sums its
         # couplings to set bits in neighbour-ascending order, then adds its
-        # linear term; hex() also tells -0.0 from 0.0
+        # linear term; the kernel's fields run over the CSR lists that
+        # simulated_anneal builds, and hex() also tells -0.0 from 0.0
         model = case[0]
         n = model.n_vars
         adj = [[] for _ in range(n)]
         for (i, j), c in model.quadratic.items():
             adj[i].append((j, c))
             adj[j].append((i, c))
+        kernel = solvers._kernel(solvers._CACHE_DIR)
+        csr = solvers._csr(model)
+        start, nbr, coef, lin = (a.ctypes.data for a in csr)
+        f = np.empty(n)
         rng = random.Random(seed)
         for _ in range(5):
             b = [rng.randrange(2) for _ in range(n)]
@@ -760,8 +762,9 @@ class TestInitialFields:
                     if b[j]:
                         s += c
                 want.append(model.linear.get(i, 0.0) + s)
-            assert [x.hex() for x in _initial_fields(model, b).tolist()] == \
-                [x.hex() for x in want]
+            bits = np.array(b, np.uint8)
+            kernel.fields(n, start, nbr, coef, lin, bits.ctypes.data, f.ctypes.data)
+            assert [x.hex() for x in f.tolist()] == [x.hex() for x in want]
 
 
 def loop_energy(model, bits):

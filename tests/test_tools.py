@@ -26,3 +26,14 @@ def test_output_hashes_cover_every_workload_and_repeat():
         assert all(re.fullmatch("[0-9a-f]{64}", h) for h in by_seed.values())
     assert hashes["anneal_wide"]["1"] != hashes["anneal_wide"]["2"]  # the SA seed is hashed
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_output_hashes_take_a_negative_seed_first():
+    # "--seeds -5,2" would read as an option; space-separated, -5 is a value
+    src = str(Path(reluqubo.__file__).resolve().parent.parent)
+    argv = [sys.executable, str(ROOT / "tools" / "output_hashes.py"), src, "--smoke",
+            "--seeds", "-5", "4294967296,2"]
+    hashes = json.loads(subprocess.run(argv, capture_output=True, text=True, timeout=300,
+                                       check=True).stdout)
+    for by_seed in hashes.values():
+        assert sorted(by_seed) == ["-5", "2", "4294967296"]

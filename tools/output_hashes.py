@@ -1,6 +1,6 @@
 """Fingerprint every benchmark workload's CLI outputs, to show a change keeps them.
 
-    python3 tools/output_hashes.py SRC [--smoke] [--seeds 1,2,3]
+    python3 tools/output_hashes.py SRC [--smoke] [--seeds SEED[,SEED...] ...]
 
 Imports `reluqubo.cli` from the source tree SRC and, for each workload of
 perfbench/workloads.py and each seed, writes the workload's configs to a
@@ -9,6 +9,8 @@ process.  One sha256 per workload and seed covers each command's argv,
 exit code and stdout, then the name and bytes of every file left in the
 directory.  stderr carries timings, so it is left out.  Prints one JSON
 object {workload: {seed: sha256}}; run it on two trees and compare.
+Seeds are given space- or comma-separated (`--seeds -5 4294967296`,
+`--seeds=1,2,3`); the default is 1, 2 and 3.
 """
 
 from __future__ import annotations
@@ -62,9 +64,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", help="source tree that holds the reluqubo package")
     parser.add_argument("--smoke", action="store_true", help="the workloads' tiny sizes")
-    parser.add_argument("--seeds", default="1,2,3", help="comma-separated workload seeds")
+    # argparse reads a lone "-5" as a value but "-5,2" as an option, so seeds may come
+    # one token each
+    parser.add_argument("--seeds", nargs="+", default=["1,2,3"], metavar="SEED",
+                        help="workload seeds, space- or comma-separated")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = [int(s) for token in args.seeds for s in token.split(",")]
 
     src = str(Path(args.src).resolve())
     sys.path.insert(0, src)
