@@ -108,14 +108,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _report_rows(built: BuiltModel, ms: Sequence[float]
                  ) -> tuple[list[tuple[float, float, float, float, float]], int]:
-    """Solve with each m pinned; rows of (m, qubo_min, reference, abs_err, residual),
-    and how many rows miss f(m_hat) by more than 1e-9 * max(1, |f(m_hat)|, |C(m_hat)|).
+    """Solve with each m pinned; rows of (m, qubo_min, reference, abs_error,
+    residual), and how many rows miss, that is, have an abs_error over
+    1e-9 * max(1, |f(m_hat)|, |C(m_hat)|).
 
     Every m pins the same w bits, so one family solve covers them all and
-    each distinct w pattern is folded and enumerated once.  qubo_min
-    excludes the configured quadratic cost C at the pinned grid point
-    m_hat, so the row isolates the penalty part against the hinge
-    reference; the row's reference is f at the requested m.
+    each distinct w pattern is folded and enumerated once.  m is the
+    requested point and every other column belongs to the pinned grid
+    point m_hat: qubo_min excludes the configured quadratic cost C(m_hat),
+    so the row isolates the penalty part, and reference is f(m_hat).
     """
     lin = built.linear_spec
     if lin.inputs != (1.0,):
@@ -124,20 +125,20 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     w_range = built.var_ranges["w[0]"]
     fixes = [dict(zip(w_range, lin.w_exp.quantize(m))) for m in ms]
     cost_target, cost_scale = built.cost_params
-    decoded: dict[tuple[int, ...], tuple[float, float, bool]] = {}  # per distinct result
+    tails: dict[tuple[int, ...], tuple[tuple[float, float, float, float], bool]] = {}
     rows, misses = [], 0
     for m, result in zip(ms, exhaustive_solve_many(built.model, fixes)):
         a = result.assignment
-        if a not in decoded:
+        if a not in tails:  # one row tail per distinct result
             m_hat, _, _, _, residual = built.decode(a)
             cost = cost_scale * (m_hat - cost_target) ** 2
             qubo_min, f_hat = result.energy - cost, relu_reference(m_hat)
-            within = abs(qubo_min - f_hat) <= 1e-9 * max(1.0, abs(f_hat), abs(cost))
-            decoded[a] = (qubo_min, residual, within)
-        qubo_min, residual, within = decoded[a]
+            error = abs(qubo_min - f_hat)
+            tails[a] = ((qubo_min, f_hat, error, residual),
+                        error <= 1e-9 * max(1.0, abs(f_hat), abs(cost)))
+        tail, within = tails[a]
         misses += not within
-        reference = relu_reference(m)
-        rows.append((m, qubo_min, reference, abs(qubo_min - reference), residual))
+        rows.append((m, *tail))
     return rows, misses
 
 

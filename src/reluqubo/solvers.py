@@ -116,10 +116,10 @@ def _bit_cap() -> int:
     raw = os.environ.get("RELUQUBO_BIT_CAP")
     if raw is None:
         return DEFAULT_BIT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RELUQUBO_BIT_CAP must be an integer, got {raw!r}") from None
+    with contextlib.suppress(ValueError):
+        if (cap := int(raw)) >= 0:
+            return cap
+    raise ValueError(f"RELUQUBO_BIT_CAP must be an integer >= 0, got {raw!r}")
 
 
 def _free_bits(model: QuboModel, fixes: Sequence[Mapping[int, int]]) -> list[int]:
@@ -187,19 +187,18 @@ def _lift(model: QuboModel, fixed: Mapping[int, int], free: Sequence[int],
     return tuple(bits[i] for i in range(model.n_vars))
 
 
-def _subset_sums(V: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Row k = start + the sum of the rows V[i] with bit i of k set (LSB = row 0),
-    by additive doubling: BLAS threads stall on such small products."""
-    S = np.empty((1 << len(V),) + start.shape)
-    S[0] = start
+def _subset_sums(V: np.ndarray, S: np.ndarray) -> None:
+    """Fill rows 1.. of S, of 2^len(V) rows: row k = S[0] + the sum of the rows
+    V[i] with bit i of k set (LSB = row 0), by additive doubling: BLAS
+    threads stall on such small products."""
     for i, v in enumerate(V):
         np.add(S[:1 << i], v, out=S[1 << i:2 << i])
-    return S
 
 
 def _energies(Q: np.ndarray) -> np.ndarray:
     """b·Q·bᵀ of all 2^n states b in integer order, Q upper-triangular."""
-    F = _subset_sums(Q, np.zeros(len(Q)))  # F[k, j] = sum_{i<j} b_i Q_ij for k < 2^j
+    F = np.zeros((1 << len(Q), len(Q)))
+    _subset_sums(Q, F)  # F[k, j] = sum_{i<j} b_i Q_ij for k < 2^j
     E = np.zeros(len(F))
     for j in range(len(Q)):
         np.add(E[:1 << j], Q[j, j] + F[:1 << j, j], out=E[1 << j:2 << j])
@@ -217,12 +216,15 @@ def _split_argmin(Q: np.ndarray) -> int:
     nl = (len(Q) + 1) // 2
     nh = len(Q) - nl
     E_lo, E_hi = _energies(Q[:nl, :nl]), _energies(Q[nl:, nl:])
-    G = _subset_sums(Q[:nl, nl:], np.zeros(nh))
+    G = np.zeros((1 << nl, nh))
+    _subset_sums(Q[:nl, nl:], G)
     r = min(nh, max(0, _CHUNK_BITS - nl))  # hi bits enumerated inside a chunk
+    block = np.empty((1 << r, 1 << nl))  # one working block, refilled per chunk
     best_k, best_e = 0, math.inf
     for c in range(1 << (nh - r)):
         upper = ((c >> np.arange(nh - r)) & 1).astype(bool)
-        block = _subset_sums(G.T[:r], E_lo + G[:, r:][:, upper].sum(axis=1))
+        np.add(E_lo, G[:, r:][:, upper].sum(axis=1), out=block[0])
+        _subset_sums(G.T[:r], block)
         block += E_hi[c << r:(c + 1) << r, None]
         local = int(np.argmin(block))
         if block.flat[local] < best_e:

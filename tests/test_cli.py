@@ -359,6 +359,15 @@ class TestSolve:
         path.write_text("qubo-v1\nvars 8\noffset 0.0\n")
         assert main(["solve", str(path)]) == 3
 
+    def test_negative_bit_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RELUQUBO_BIT_CAP", "-1")
+        path = tmp_path / "m.qubo"
+        path.write_text("qubo-v1\nvars 2\noffset 0.0\n")
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RELUQUBO_BIT_CAP must be an integer >= 0, got '-1'\n"
+
     def test_bit_cap_message_names_states_and_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("RELUQUBO_BIT_CAP", raising=False)
         path = tmp_path / "wide.qubo"
@@ -370,7 +379,7 @@ class TestSolve:
 
     def test_out_of_memory_is_resource_error(self, tmp_path, capsys, monkeypatch):
         # a 52-free-bit solve under RELUQUBO_BIT_CAP=52 asks numpy for 13 GiB in
-        # _subset_sums; the stand-in raises as numpy does, allocating nothing
+        # _energies; the stand-in raises as numpy does, allocating nothing
         message = ("Unable to allocate 13.0 GiB for an array with shape (67108864, 26) "
                    "and data type float64")
 
@@ -471,12 +480,13 @@ class TestVerify:
         # m = 0 sits on the weight grid: the all-zero z assignment is
         # feasible, so the minimum vanishes
         assert abs(rows[0]["qubo_min"]) <= 1e-9
-        assert rows[1]["reference"] == 2.0
-        assert rows[1]["abs_error"] <= 0.2
-        assert rows[2]["abs_error"] <= 0.2
+        # -2.0 is a midpoint of the weight grid and pins the lower point
+        w_exp = BinaryExpansion(6, 4.0, -4.0)
+        assert rows[1]["reference"] == relu_reference(w_exp.decode(w_exp.quantize(-2.0)))
+        assert rows[1]["reference"] == pytest.approx(2 + 2 / 63, abs=1e-15)
         for row in rows:
-            assert row["abs_error"] == pytest.approx(
-                abs(row["qubo_min"] - row["reference"]), abs=1e-15)
+            assert row["abs_error"] == abs(row["qubo_min"] - row["reference"])
+            assert row["abs_error"] <= 1e-9 * max(1.0, row["reference"])
 
     def test_positive_point_passes(self, tmp_path, capsys):
         cfg = config_positive_range()
@@ -486,7 +496,8 @@ class TestVerify:
         assert code == 0
         rows = read_tsv(captured.out)
         assert rows[1]["reference"] == 0.0
-        assert rows[1]["abs_error"] <= 0.2
+        for row in rows:
+            assert row["abs_error"] <= 1e-9 * max(1.0, row["reference"])
 
     def test_far_point_clamps_to_the_weight_grid(self, tmp_path, capsys):
         # (m - beta) / resolution overflows to inf; the point pins w's top
@@ -623,7 +634,8 @@ class TestSweep:
 
 
 def pointwise_tsv(built, ms):
-    """The verify/sweep TSV built one exhaustive_solve per m."""
+    """The verify/sweep TSV built one exhaustive_solve per m: every column
+    but m belongs to the pinned grid point m_hat."""
     lin = built.linear_spec
     w_range = built.var_ranges["w[0]"]
     target, scale = built.cost_params
@@ -633,7 +645,7 @@ def pointwise_tsv(built, ms):
         res = exhaustive_solve(built.model, fixed=fixed)
         m_hat, _, _, _, residual = built.decode(res.assignment)
         qubo_min = res.energy - scale * (m_hat - target) ** 2
-        ref = relu_reference(m)
+        ref = relu_reference(m_hat)
         row = (m, qubo_min, ref, abs(qubo_min - ref), residual)
         lines.append("\t".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"

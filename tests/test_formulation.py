@@ -477,8 +477,13 @@ def reference_build(cfg):
     """cfg's model built with the reference algebra from the specs that
     build_from_config reads, the cost product formed even at cost scale 0."""
     built = build_from_config(cfg)
-    lin, spec = built.linear_spec, built.penalty_spec
-    target, scale = built.cost_params
+    return reference_gadget(built.linear_spec, built.penalty_spec, built.cost_params)
+
+
+def reference_gadget(lin, spec, cost_params=(0.0, 0.0)):
+    """The gadget for any t interval over lin's weight bits, in the primal
+    penalty form and the reference algebra, plus the cost
+    scale * (m - target)^2 of cost_params = (target, scale)."""
     labels, m = [], ({}, 0.0)
     for d, x in enumerate(lin.inputs):
         m = reference_add(m, reference_scaled(reference_expansion(lin.w_exp, len(labels)), x))
@@ -489,6 +494,7 @@ def reference_build(cfg):
         labels += [f"{name}[{k}]" for k in range(exp.depth)]
     t, z1, z2 = forms
     a, b = spec.t_exp.bounds
+    target, scale = cost_params
     shifted = reference_add(m, reference_scaled(({}, target), -1.0))
     cost = reference_quad_scale_add(({}, {}, 0.0), reference_affine_mul(shifted, shifted), scale)
     residual = reference_add(reference_add(reference_scaled(m, -1.0),
@@ -501,33 +507,6 @@ def reference_build(cfg):
     penalty = reference_quad_scale_add(penalty, reference_affine_mul(residual, residual),
                                        spec.M)
     pairs, linear, offset = reference_quad_scale_add(cost, penalty, 1.0)
-    return qubo(len(labels), linear, pairs, offset, labels=labels)
-
-
-def reference_gadget(lin, spec):
-    """The gadget for any t interval over lin's weight bits, with no cost,
-    in the reference algebra.  reference_build's primal form, from specs,
-    since a config holds only the hinge."""
-    labels, m = [], ({}, 0.0)
-    for d, x in enumerate(lin.inputs):
-        m = reference_add(m, reference_scaled(reference_expansion(lin.w_exp, len(labels)), x))
-        labels += [f"w[{d}][{k}]" for k in range(lin.w_exp.depth)]
-    forms = []
-    for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
-        forms.append(reference_expansion(exp, len(labels)))
-        labels += [f"{name}[{k}]" for k in range(exp.depth)]
-    t, z1, z2 = forms
-    a, b = spec.t_exp.bounds
-    residual = reference_add(reference_add(reference_scaled(m, -1.0),
-                                           reference_scaled(z1, -1.0)), z2)
-    t_minus_a = reference_add(t, reference_scaled(({}, a), -1.0))
-    b_minus_t = reference_add(({}, b), reference_scaled(t, -1.0))
-    penalty = reference_affine_mul(m, t)
-    penalty = reference_quad_scale_add(penalty, reference_affine_mul(z1, t_minus_a), 1.0)
-    penalty = reference_quad_scale_add(penalty, reference_affine_mul(z2, b_minus_t), 1.0)
-    penalty = reference_quad_scale_add(penalty, reference_affine_mul(residual, residual),
-                                       spec.M)
-    pairs, linear, offset = reference_quad_scale_add(({}, {}, 0.0), penalty, 1.0)
     return qubo(len(labels), linear, pairs, offset, labels=labels)
 
 

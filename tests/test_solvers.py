@@ -136,6 +136,20 @@ class TestExhaustive:
             exhaustive_solve(m)
         assert exhaustive_solve(m, fixed={0: 0}).energy == 0.0
 
+    @pytest.mark.parametrize("raw", ["-1", "x", ""])
+    def test_cap_must_be_a_non_negative_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("RELUQUBO_BIT_CAP", raw)
+        with pytest.raises(ValueError) as exc:
+            exhaustive_solve(qubo(1, {}, {}, 0.0))
+        assert str(exc.value) == f"RELUQUBO_BIT_CAP must be an integer >= 0, got {raw!r}"
+
+    def test_zero_cap_allows_a_fully_pinned_solve(self, monkeypatch):
+        monkeypatch.setenv("RELUQUBO_BIT_CAP", "0")
+        m = qubo(1, {0: 2.0}, {}, 0.0)
+        assert exhaustive_solve(m, fixed={0: 1}).energy == 2.0
+        with pytest.raises(BitCapExceeded):
+            exhaustive_solve(m)
+
 
 def naive_minimum(model, fixed):
     """(energy, assignment) of the lowest free-bit integer among the minima,

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import reluqubo
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +39,15 @@ def test_output_hashes_take_a_negative_seed_first():
                                        check=True).stdout)
     for by_seed in hashes.values():
         assert sorted(by_seed) == ["-5", "2", "4294967296"]
+
+
+@pytest.mark.parametrize("token", ["1,,2", "x"])
+def test_output_hashes_refuse_a_bad_seed_as_usage_error(token):
+    src = str(Path(reluqubo.__file__).resolve().parent.parent)
+    argv = [sys.executable, str(ROOT / "tools" / "output_hashes.py"), src, "--smoke",
+            "--seeds", token]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert f"argument --seeds: expected integers, got {token!r}" in run.stderr
+    assert "Traceback" not in run.stderr

@@ -40,6 +40,14 @@ def run_cli(main, argv: list[str]) -> tuple[int, str]:
     return rc, out.getvalue()
 
 
+def seed_list(token: str) -> list[int]:
+    """The integer seeds of one comma-separated --seeds token."""
+    try:
+        return [int(s) for s in token.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {token!r}") from None
+
+
 def workload_hash(main, name: str, seed: int, smoke: bool) -> str:
     workload = WORKLOADS[name](seed, smoke)
     digest = hashlib.sha256()
@@ -66,10 +74,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="the workloads' tiny sizes")
     # argparse reads a lone "-5" as a value but "-5,2" as an option, so seeds may come
     # one token each
-    parser.add_argument("--seeds", nargs="+", default=["1,2,3"], metavar="SEED",
-                        help="workload seeds, space- or comma-separated")
+    parser.add_argument("--seeds", nargs="+", type=seed_list, default=[[1, 2, 3]],
+                        metavar="SEED", help="workload seeds, space- or comma-separated")
     args = parser.parse_args(argv)
-    seeds = [int(s) for token in args.seeds for s in token.split(",")]
+    seeds = [seed for token in args.seeds for seed in token]
 
     src = str(Path(args.src).resolve())
     sys.path.insert(0, src)
