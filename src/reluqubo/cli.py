@@ -15,7 +15,7 @@ from typing import Sequence, TextIO
 
 from .algebra import QuboModel, QuboParseError, _parse_index, export_qubo, parse_qubo
 from .formulation import BuiltModel, ConfigError, _number, build_from_config
-from .oracle import Grid1D, relu_reference
+from .oracle import MAX_GRID_POINTS, Grid1D, relu_reference
 from .solvers import (
     AnnealConfig,
     BitCapExceeded,
@@ -57,8 +57,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     built = build_from_config(_load_json(args.config))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(export_qubo(built.model))
-    spec = built.penalty_spec
-    lin = built.linear_spec
+    spec, lin = built.penalty_spec, built.m
     print(f"wrote {args.out}: {built.model.n_vars} vars "
           f"(w {lin.w_exp.depth}x{lin.dim}, t {spec.t_exp.depth}, z1 {spec.z1_exp.depth}, "
           f"z2 {spec.z2_exp.depth}), M={spec.M!r}")
@@ -118,7 +117,7 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     point m_hat: qubo_min excludes the configured quadratic cost C(m_hat),
     so the row isolates the penalty part, and reference is f(m_hat).
     """
-    lin = built.linear_spec
+    lin = built.m
     if lin.inputs != (1.0,):
         raise ConfigError("model.inputs", "verify/sweep need D=1 with inputs [1] "
                           "so m maps one-to-one onto the weight grid")
@@ -157,6 +156,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     points = verify_cfg["m_points"]
     if not isinstance(points, list) or not points:
         raise ConfigError("verify.m_points", "expected a non-empty array of numbers")
+    if len(points) > MAX_GRID_POINTS:  # --grid's cap
+        raise ConfigError("verify.m_points", f"has more than {MAX_GRID_POINTS} points")
     points = [_number(m, "verify.m_points") for m in points]
     rows, misses = _report_rows(built, points)
     _emit_tsv(rows, sys.stdout)

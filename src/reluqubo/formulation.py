@@ -105,39 +105,35 @@ class LinearModelSpec:
         return {f"w[{d}]": range(d * depth, (d + 1) * depth) for d in range(self.dim)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuiltModel:
-    """A built QUBO plus the bookkeeping to decode its bits.
+    """A built QUBO plus the specs it was built from, to decode its bits.
 
     var_ranges maps a group name ('w[0]', 't', 'z1', 'z2') to the range
     of model indices realizing it; build_cost_plus_relu lays them out
-    disjoint and covering all variables.  m_expr is m's affine form over
-    the model bits.  cost_params is the (target, scale) of the quadratic
-    cost scale*(m - target)^2 when the model was built from a config.
+    disjoint and covering all variables.  m is the LinearModelSpec of
+    the weight bits, or the constant m of a model without them, and
+    cost_params the (target, scale) of the cost scale*(m - target)^2.
     """
 
     model: QuboModel
     var_ranges: dict[str, range]
     penalty_spec: ReluPenaltySpec
-    m_expr: AffineExpr
-    linear_spec: LinearModelSpec | None = None
-    cost_params: tuple[float, float] | None = None
+    m: LinearModelSpec | float
+    cost_params: tuple[float, float]
 
     def decode(self, assignment: Sequence[int]) -> tuple[float, float, float, float, float]:
         """(m, t, z1, z2, r) at the given assignment, r = -m - z1 + z2; m is
-        sum_d x_d * w_d of the decoded weights, or m_expr's value without them.
+        sum_d x_d * w_d of the decoded weights, or the constant m.
         The assignment must be model.n_vars entries of 0 or 1."""
         _check_bits(assignment, self.model.n_vars)
 
         def value(name: str, exp: BinaryExpansion) -> float:
             return exp.decode([assignment[i] for i in self.var_ranges[name]])
 
-        lin, spec = self.linear_spec, self.penalty_spec
-        if lin is None:
-            m = sum((c for c, b in zip(self.m_expr.coeffs.tolist(), assignment) if b),
-                    self.m_expr.constant)
-        else:
-            m = 0.0
+        spec, m = self.penalty_spec, self.m
+        if isinstance(m, LinearModelSpec):
+            lin, m = m, 0.0
             for d, x in enumerate(lin.inputs):
                 m += x * value(f"w[{d}]", lin.w_exp)
         t, z1, z2 = value("t", spec.t_exp), value("z1", spec.z1_exp), value("z2", spec.z2_exp)
@@ -160,46 +156,49 @@ def _finite(expr: QuadraticExpr, path: str) -> QuadraticExpr:
     return expr
 
 
-def build_cost_plus_relu(cost: QuadraticExpr,
-                         m_expr: AffineExpr,
-                         spec: ReluPenaltySpec,
-                         linear_spec: LinearModelSpec | None = None) -> BuiltModel:
-    """C(m) plus the gadget, formed as a*m + (b - a)*z2 - (t - a)*r + M*r^2.
+def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
+                         cost: tuple[float, float] = (0.0, 0.0)) -> BuiltModel:
+    """C(m) = scale*(m - target)^2 of cost = (target, scale), plus the gadget
+    formed as a*m + (b - a)*z2 - (t - a)*r + M*r^2.
 
     [a, b] are the spec's t bounds.  Its two products, (t - a)*(-r) and
     r*r, give each coefficient the same float as the primal form's four:
-    each entry sums the same products, plus zeros.  m's bits are model
-    bits 0..k-1, k = len(m_expr.coeffs), and the cost may only touch
-    those; fresh t, z1, z2 bits follow them in that order.  With
-    linear_spec, m is its build_linear_model_expr, and m's bits take the
-    groups of linear_spec.groups() in the variable map and labels;
-    without, they form one group 'm'.  Bit i of group g is labeled g[i].
-    A product of forms that overflows is a ConfigError naming 'model', M
-    times the squared residual one naming 'penalty.M', and the sum with
-    the cost one naming 'cost.scale'.
+    each entry sums the same products, plus zeros.  m is a LinearModelSpec,
+    whose weight bits come first and take the groups of m.groups(), or a
+    constant with no bits; fresh t, z1, z2 bits follow in that order.  Bit
+    i of group g is labeled g[i].  A product of forms that overflows is a
+    ConfigError naming 'model', M times the squared residual one naming
+    'penalty.M', and the scaled cost one naming 'cost.scale'.
     """
-    k = len(m_expr.coeffs)
-    if len(cost.matrix) > k:
-        raise ValueError(f"cost uses bits outside the m expression's {k}")
-    ranges = linear_spec.groups() if linear_spec is not None else ({"m": range(k)} if k else {})
-    if sum(map(len, ranges.values())) != k:
-        raise ValueError(f"linear_spec's weight bits differ from the m expression's {k}")
-    forms = []
-    for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
-        ranges[name] = range(k, k + exp.depth)
-        forms.append(exp.to_affine(ranges[name]))
-        k += exp.depth
-    t, z1, z2 = forms
-    a, b = spec.t_exp.bounds
-    residual = -m_expr - z1 + z2
-    dual = m_expr.scaled(a) + z2.scaled(b - a)  # linear, so all on the diagonal
-    dual = QuadraticExpr(np.diag(dual.coeffs), dual.constant)
-    penalty = _finite(quad_scale_add(affine_mul(t - a, -residual), dual, 1.0), "model")
-    square = _finite(affine_mul(residual, residual), "model")
-    penalty = _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
-    total = _finite(quad_scale_add(cost, penalty, 1.0), "cost.scale")
-    labels = [f"{name}[{i}]" for name, bits in ranges.items() for i in range(len(bits))]
-    return BuiltModel(quadratic_to_model(total, labels), ranges, spec, m_expr, linear_spec)
+    target, scale = cost
+    # an overflowing product is a ConfigError naming its key, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(m, LinearModelSpec):
+            ranges, m_expr = m.groups(), build_linear_model_expr(m)
+        else:
+            m = float(m)
+            ranges, m_expr = {}, AffineExpr.from_constant(m)
+        cost_expr = QuadraticExpr()
+        if scale != 0.0:  # quad_scale_add would discard the whole product
+            shifted = m_expr - target
+            square = _finite(affine_mul(shifted, shifted), "model")
+            cost_expr = _finite(quad_scale_add(cost_expr, square, scale), "cost.scale")
+        k, forms = len(m_expr.coeffs), []
+        for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
+            ranges[name] = range(k, k + exp.depth)
+            forms.append(exp.to_affine(ranges[name]))
+            k += exp.depth
+        t, z1, z2 = forms
+        a, b = spec.t_exp.bounds
+        residual = -m_expr - z1 + z2
+        dual = m_expr.scaled(a) + z2.scaled(b - a)  # linear, so all on the diagonal
+        dual = QuadraticExpr(np.diag(dual.coeffs), dual.constant)
+        penalty = _finite(quad_scale_add(affine_mul(t - a, -residual), dual, 1.0), "model")
+        square = _finite(affine_mul(residual, residual), "model")
+        penalty = _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
+        total = _finite(quad_scale_add(cost_expr, penalty, 1.0), "cost.scale")
+        labels = [f"{name}[{i}]" for name, bits in ranges.items() for i in range(len(bits))]
+        return BuiltModel(quadratic_to_model(total, labels), ranges, spec, m, (target, scale))
 
 
 def recommend_M(m_lo: float, m_hi: float,
@@ -311,14 +310,4 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     except ValueError as exc:
         raise ConfigError("penalty", str(exc)) from None
 
-    # an overflowing product is a ConfigError naming its key, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        m_expr = build_linear_model_expr(lin_spec)
-        cost = QuadraticExpr()
-        if scale != 0.0:  # quad_scale_add would discard the whole product
-            shifted = m_expr - target
-            square = _finite(affine_mul(shifted, shifted), "model")
-            cost = _finite(quad_scale_add(cost, square, scale), "cost.scale")
-        built = build_cost_plus_relu(cost, m_expr, pen_spec, linear_spec=lin_spec)
-    built.cost_params = (target, scale)
-    return built
+    return build_cost_plus_relu(pen_spec, lin_spec, (target, scale))

@@ -19,7 +19,6 @@ from reluqubo.formulation import (
     build_cost_plus_relu,
     build_from_config,
 )
-from reluqubo.algebra import AffineExpr, QuadraticExpr
 from reluqubo.oracle import (
     Grid1D,
     legendre_conjugate_num,
@@ -75,7 +74,7 @@ def reference_builds():
 
 
 def solve_at_m(built, m):
-    w_exp = built.linear_spec.w_exp
+    w_exp = built.m.w_exp
     bits = w_exp.quantize(float(m))
     fixes = {built.var_ranges["w[0]"][k]: b for k, b in enumerate(bits)}
     return exhaustive_solve(built.model, fixed=fixes)
@@ -84,7 +83,7 @@ def solve_at_m(built, m):
 def test_criterion_1_relu_reproduction(reference_builds):
     with criterion(1, "hinge reproduction on the 64-point z-grids", budget_s=1.0):
         for built in reference_builds:
-            points = built.linear_spec.w_exp.grid()
+            points = built.m.w_exp.grid()
             assert len(points) == 64
             for m in points:
                 result = solve_at_m(built, m)
@@ -107,8 +106,7 @@ def test_criterion_2_t_degeneracy():
             m = alpha_z * dj / top
             z_exp = BinaryExpansion(d_z, alpha_z, 0.0)
             spec = ReluPenaltySpec(BinaryExpansion(d_t, 1.0, -1.0), z_exp, z_exp, M)
-            built = build_cost_plus_relu(QuadraticExpr(),
-                                         AffineExpr.from_constant(m), spec)
+            built = build_cost_plus_relu(spec, m)
             t_range = built.var_ranges["t"]
             for _ in range(50):
                 j1 = int(rng.integers(max(0, -dj), top - max(0, dj) + 1))
@@ -268,7 +266,7 @@ def test_criterion_8_end_to_end_composition(composed_build):
         # 2(m+1) - 1 = 0 gives m = -1/2, value 3/4
         assert abs(result.energy - 0.75) <= 0.25
         m_hat = built.decode(result.assignment)[0]
-        assert abs(m_hat - (-0.5)) <= built.linear_spec.w_exp.resolution
+        assert abs(m_hat - (-0.5)) <= built.m.w_exp.resolution
 
 
 def test_criterion_9_sa_agreement(reference_builds):
@@ -276,13 +274,13 @@ def test_criterion_9_sa_agreement(reference_builds):
         negative, positive = reference_builds
         instances = []
         for built in (negative, positive):
-            w_exp = built.linear_spec.w_exp
+            w_exp = built.m.w_exp
             for j in range(0, 64, 7):
                 instances.append((built, float(w_exp.grid()[j])))
         assert len(instances) == 20
         hits = 0
         for idx, (built, m) in enumerate(instances):
-            bits = built.linear_spec.w_exp.quantize(m)
+            bits = built.m.w_exp.quantize(m)
             fixes = {built.var_ranges["w[0]"][k]: b for k, b in enumerate(bits)}
             sub, _ = fix_bits(built.model, fixes)
             exact = exhaustive_solve(sub)

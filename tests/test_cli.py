@@ -18,7 +18,7 @@ from reluqubo.cli import main
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import build_from_config, recommend_M
 from reluqubo.oracle import Grid1D, relu_reference
-from reluqubo import solvers
+from reluqubo import cli, solvers
 from reluqubo.solvers import exhaustive_solve
 
 
@@ -289,7 +289,7 @@ class TestSolve:
         cfg = config_negative_range()
         model_path = self.build_model(tmp_path, cfg)
         built = build_from_config(cfg)
-        w_bits = built.linear_spec.w_exp.quantize(-2.0)
+        w_bits = built.m.w_exp.quantize(-2.0)
         fixes = [f"w[0][{k}]={b}" for k, b in enumerate(w_bits)]
         capsys.readouterr()
         args = ["solve", str(model_path)]
@@ -317,7 +317,7 @@ class TestSolve:
         cfg = config_negative_range()
         model_path = self.build_model(tmp_path, cfg)
         built = build_from_config(cfg)
-        w_bits = built.linear_spec.w_exp.quantize(-2.0)
+        w_bits = built.m.w_exp.quantize(-2.0)
         args = ["solve", str(model_path), "--solver", "sa", "--sweeps", "200",
                 "--restarts", "4", "--seed", "3"]
         args += [f"--fix=w[0][{k}]={b}" for k, b in enumerate(w_bits)]
@@ -562,6 +562,24 @@ class TestVerify:
         assert "verify.m_points" in captured.err
         assert captured.out == ""
 
+    def test_points_over_the_grid_cap_are_input_error(self, tmp_path, capsys, monkeypatch):
+        # --grid's cap, checked before any point is quantized or solved
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was quantized or solved past the cap")
+
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+        cfg = config_negative_range()
+        cfg["verify"] = {"m_points": [0.0, -1.0, -2.0, -3.0]}
+        with monkeypatch.context() as patch:
+            patch.setattr(BinaryExpansion, "quantize", refuse)
+            patch.setattr(cli, "exhaustive_solve_many", refuse)
+            assert main(["verify", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "config error at 'verify.m_points': has more than 3 points" in captured.err
+        assert captured.out == ""
+        cfg["verify"]["m_points"].pop()
+        assert main(["verify", write_config(tmp_path, cfg)]) == 0
+
     def test_multi_dim_model_rejected(self, tmp_path, capsys):
         cfg = config_negative_range()
         cfg["model"]["inputs"] = [1.0, 1.0]
@@ -636,7 +654,7 @@ class TestSweep:
 def pointwise_tsv(built, ms):
     """The verify/sweep TSV built one exhaustive_solve per m: every column
     but m belongs to the pinned grid point m_hat."""
-    lin = built.linear_spec
+    lin = built.m
     w_range = built.var_ranges["w[0]"]
     target, scale = built.cost_params
     lines = ["m\tqubo_min\treference\tabs_error\tresidual_at_min"]

@@ -5,6 +5,8 @@ variable values, enumerated over every bit assignment; the checked path
 is the coefficient algebra inside the built expressions and models.
 """
 
+import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,6 @@ from helpers import all_assignments, qubo
 from reluqubo import formulation
 from reluqubo.algebra import (
     AffineExpr,
-    QuadraticExpr,
     QuboModel,
     affine_mul,
     energy,
@@ -33,6 +34,7 @@ from reluqubo.formulation import (
     recommend_M,
     ConfigError,
 )
+from reluqubo.oracle import relu_reference
 from reluqubo.solvers import exhaustive_solve
 
 T2 = BinaryExpansion(2, 1.0, -1.0)
@@ -50,7 +52,7 @@ def penalty_bits(spec, start=0):
 def penalty_model(m, spec):
     """The gadget alone at a constant m: m has no bits, so t, z1 and z2
     start at bit 0, as penalty_bits(spec) lays them out."""
-    built = build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(m), spec)
+    built = build_cost_plus_relu(spec, m)
     assert [built.var_ranges[g] for g in ("t", "z1", "z2")] == list(penalty_bits(spec))
     return built.model
 
@@ -122,8 +124,7 @@ class TestBuildReluPenalty:
     def test_degree_bound_structural(self):
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
         t, z1, z2 = penalty_bits(spec, start=3)
-        m_expr = BinaryExpansion(3, 4.0, -2.0).to_affine(range(3))
-        built = build_cost_plus_relu(QuadraticExpr(), m_expr, spec)
+        built = build_cost_plus_relu(spec, LinearModelSpec((1.0,), BinaryExpansion(3, 4.0, -2.0)))
         assert [built.var_ranges[g] for g in ("t", "z1", "z2")] == [t, z1, z2]
         assert isinstance(built.model, QuboModel)
         assert built.model.n_vars == z2.stop
@@ -177,7 +178,8 @@ class TestBuildCostPlusRelu:
     def test_zero_cost_reduces_to_penalty(self):
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
         t, z1, z2 = penalty_bits(spec)
-        built = build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(-0.75), spec)
+        built = build_cost_plus_relu(spec, -0.75)
+        assert (built.m, built.cost_params) == (-0.75, (0.0, 0.0))
         n = built.model.n_vars
         assert n == 2 + 3 + 2
         for pattern in all_assignments(n):
@@ -193,15 +195,12 @@ class TestBuildCostPlusRelu:
         # C(m) = (m - 1)^2 over w grid [-1, 2] (step 0.2); both m = 1 and
         # z2 = 1 are representable, so the joint minimum is 0 at m = 1
         w = BinaryExpansion(4, 3.0, -1.0)
-        m_expr = w.to_affine(range(4))
-        shifted = m_expr - 1.0
-        cost = affine_mul(shifted, shifted)
         spec = ReluPenaltySpec(
             BinaryExpansion(2, 1.0, -1.0),
             BinaryExpansion(2, 3.0, 0.0),
             BinaryExpansion(2, 3.0, 0.0),
             M=24.0)
-        built = build_cost_plus_relu(cost, m_expr, spec, linear_spec=LinearModelSpec((1.0,), w))
+        built = build_cost_plus_relu(spec, LinearModelSpec((1.0,), w), (1.0, 1.0))
         result = exhaustive_solve(built.model)
 
         # independent oracle: enumerate decoded values
@@ -221,25 +220,27 @@ class TestBuildCostPlusRelu:
     def test_tradeoff_cost_against_penalty(self):
         # C(m) = (m + 1)^2: the continuous optimum is 0.75 at m = -0.5
         w = BinaryExpansion(4, 4.0, -2.0)
-        m_expr = w.to_affine(range(4))
-        shifted = m_expr - -1.0
-        cost = affine_mul(shifted, shifted)
         spec = ReluPenaltySpec(
             BinaryExpansion(2, 1.0, -1.0),
             BinaryExpansion(6, 4.0, 0.0),
             BinaryExpansion(6, 4.0, 0.0),
             M=252.0)
-        built = build_cost_plus_relu(cost, m_expr, spec, linear_spec=LinearModelSpec((1.0,), w))
+        built = build_cost_plus_relu(spec, LinearModelSpec((1.0,), w), (-1.0, 1.0))
         result = exhaustive_solve(built.model)
         assert result.energy == pytest.approx(0.75, abs=0.15)
         m_hat = built.decode(result.assignment)[0]
         assert abs(m_hat - (-0.5)) <= w.resolution
 
-    def test_cost_outside_m_bits_rejected(self):
-        spec = ReluPenaltySpec(T2, Z_UNIT, Z_UNIT, 8.0)
-        cost = QuadraticExpr(np.diag([1.0]))  # bit 0, but m has no bits
-        with pytest.raises(ValueError):
-            build_cost_plus_relu(cost, AffineExpr.from_constant(0.0), spec)
+    @pytest.mark.parametrize("M, cost, path", [(1.7e308, (0.0, 0.0), "penalty.M"),
+                                               (8.0, (0.0, 1.7e308), "cost.scale")])
+    def test_overflow_is_config_error_not_warning(self, M, cost, path):
+        spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, M)
+        lin = LinearModelSpec((1.0,), BinaryExpansion(2, 4.0, -2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                build_cost_plus_relu(spec, lin, cost)
+        assert err.value.path == path
 
     @pytest.mark.parametrize("m", [-2.0, -0.5, 0.0, 0.25, 3.0])
     def test_minimizer_decodes_to_dual_optimum(self, m):
@@ -249,7 +250,7 @@ class TestBuildCostPlusRelu:
 
         z = BinaryExpansion(6, 4.0, 0.0)
         spec = ReluPenaltySpec(BinaryExpansion(3, 1.0, -1.0), z, z, 252.0)
-        built = build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(m), spec)
+        built = build_cost_plus_relu(spec, m)
         result = exhaustive_solve(built.model)
         m_hat, _, z1_hat, z2_hat, r = built.decode(result.assignment)
         assert (m_hat, r) == (m, -m - z1_hat + z2_hat)
@@ -258,12 +259,9 @@ class TestBuildCostPlusRelu:
         assert abs(z2_hat - opt.z2) <= z.resolution + 1e-9
 
     def test_var_ranges_cover_model(self):
-        w = BinaryExpansion(3, 2.0, 0.0)
         w_bits = range(3)
-        m_expr = w.to_affine(w_bits)
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
-        built = build_cost_plus_relu(QuadraticExpr(), m_expr, spec,
-                                     linear_spec=LinearModelSpec((1.0,), w))
+        built = build_cost_plus_relu(spec, LinearModelSpec((1.0,), BinaryExpansion(3, 2.0, 0.0)))
         covered = sorted(i for r in built.var_ranges.values() for i in r)
         assert covered == list(range(built.model.n_vars))
         assert built.var_ranges["w[0]"] == w_bits
@@ -272,34 +270,16 @@ class TestBuildCostPlusRelu:
         assert built.var_ranges["z2"] == range(8, 10)
         assert built.model.labels[:4] == ["w[0][0]", "w[0][1]", "w[0][2]", "t[0]"]
 
-    def test_without_linear_spec_m_bits_form_group_m(self):
-        m_expr = BinaryExpansion(3, 2.0, 0.0).to_affine(range(3))
-        built = build_cost_plus_relu(QuadraticExpr(), m_expr,
-                                     ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0))
-        assert built.var_ranges["m"] == range(3)
-        assert built.model.labels[:4] == ["m[0]", "m[1]", "m[2]", "t[0]"]
-
     def test_decode_refuses_bad_assignments(self):
         # the README quickstart model: m a constant, 16 bits of t, z1, z2
         z = BinaryExpansion(6, 4.0, 0.0)
         spec = ReluPenaltySpec(BinaryExpansion(4, 1.0, -1.0), z, z, 252.0)
-        built = build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(-1.5), spec)
+        built = build_cost_plus_relu(spec, -1.5)
         for n in (3, 21):
             with pytest.raises(ValueError, match=f"^assignment length {n} != n_vars 16$"):
                 built.decode([0] * n)
-        # without a linear spec, m is m_expr's value: a 2 must not count as a set bit
-        m_expr = BinaryExpansion(3, 2.0, 0.0).to_affine(range(3))
-        built = build_cost_plus_relu(QuadraticExpr(), m_expr,
-                                     ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0))
         with pytest.raises(ValueError, match="^assignment entries must be 0 or 1, got 2$"):
-            built.decode([2] + [0] * (built.model.n_vars - 1))
-
-    def test_linear_spec_bit_count_must_match_m(self):
-        w = BinaryExpansion(3, 2.0, 0.0)
-        spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0)
-        with pytest.raises(ValueError, match="weight bits differ from the m expression.s 3"):
-            build_cost_plus_relu(QuadraticExpr(), w.to_affine(range(3)), spec,
-                                 linear_spec=LinearModelSpec((1.0, 2.0), w))
+            built.decode([2] + [0] * 15)
 
 
 class TestRecommendations:
@@ -412,6 +392,48 @@ class TestBuildFromConfig:
         assert built.model.labels[2] == "w[1][0]"
 
 
+def unreachable_r_config():
+    """m = x . w on inputs (1, 2, -3) with w depth 3 on [-1, 1]: 43 reachable m,
+    2/7 apart, of which only -4, 0 and 4 lie on the z grid (step 4/31)."""
+    def expansion(depth, alpha, beta):
+        return {"depth": depth, "alpha": alpha, "beta": beta}
+
+    return {"cost": {"kind": "quadratic", "target": 0.7, "scale": 0.3},
+            "model": {"inputs": [1.0, 2.0, -3.0], "w": expansion(3, 2.0, -1.0)},
+            "penalty": {"t": expansion(3, 1.0, -1.0), "z1": expansion(5, 4.0, 0.0),
+                        "z2": expansion(5, 4.0, 0.0), "M": "auto"}}
+
+
+def reachable_cost_plus_f_min(lin, target, scale):
+    """min over every weight assignment of scale*(m - target)^2 + f(m)."""
+    ms = [sum(x * w for x, w in zip(lin.inputs, ws))
+          for ws in itertools.product(lin.w_exp.grid().tolist(), repeat=lin.dim)]
+    return min(scale * (m - target) ** 2 + relu_reference(m) for m in ms)
+
+
+def test_unreachable_r_config_reachable_minimum():
+    cfg = unreachable_r_config()
+    lin = LinearModelSpec(cfg["model"]["inputs"], BinaryExpansion(**cfg["model"]["w"]))
+    z = BinaryExpansion(**cfg["penalty"]["z1"])
+    assert recommend_M(*lin.m_range(), z, z) == 186.0
+    # the minimum sits at m = 4/7, where r = 0 is out of reach
+    target, scale = cfg["cost"]["target"], cfg["cost"]["scale"]
+    assert reachable_cost_plus_f_min(lin, target, scale) == pytest.approx(
+        scale * (4 / 7 - target) ** 2, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="r = 0 is unreachable at the best m: the ground state has "
+                          "energy 0.12204 at m = 8/7, r = 0.0184 (ROADMAP items 1, 14)")
+def test_unreachable_r_build_is_refused_or_exact():
+    try:
+        built = build_from_config(unreachable_r_config())
+    except ConfigError:
+        return
+    best = reachable_cost_plus_f_min(built.m, *built.cost_params)
+    assert abs(exhaustive_solve(built.model).energy - best) <= 1e-9
+
+
 # --- reference: the dict-keyed float algebra -------------------------------
 #
 # Kept here, apart from the library, as the byte guard for the builder.  An
@@ -474,10 +496,10 @@ def reference_quad_scale_add(dst, src, scale):
 
 
 def reference_build(cfg):
-    """cfg's model built with the reference algebra from the specs that
-    build_from_config reads, the cost product formed even at cost scale 0."""
+    """cfg's model built with the reference algebra from the specs its
+    build records, the cost product formed even at cost scale 0."""
     built = build_from_config(cfg)
-    return reference_gadget(built.linear_spec, built.penalty_spec, built.cost_params)
+    return reference_gadget(built.m, built.penalty_spec, built.cost_params)
 
 
 def reference_gadget(lin, spec, cost_params=(0.0, 0.0)):
@@ -619,9 +641,11 @@ def test_dual_form_matches_primal_reference_bytes(t_exp, inputs, data):
     lin = LinearModelSpec(tuple(inputs), expansion(data.draw(st.floats(-3.0, 3.0))))
     spec = ReluPenaltySpec(t_exp, expansion(0.0), expansion(0.0),
                            data.draw(st.floats(0.01, 500.0)))
-    built = build_cost_plus_relu(QuadraticExpr(), build_linear_model_expr(lin), spec,
-                                 linear_spec=lin)
-    assert export_qubo(built.model) == export_qubo(reference_gadget(lin, spec))
+    cost = (data.draw(st.floats(-3.0, 3.0)),
+            data.draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))))
+    built = build_cost_plus_relu(spec, lin, cost)
+    assert (built.m, built.cost_params) == (lin, cost)
+    assert export_qubo(built.model) == export_qubo(reference_gadget(lin, spec, cost))
 
 
 class TestLayerCalls:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import all_assignments, qubo
 
-from reluqubo.algebra import AffineExpr, QuadraticExpr, energy
+from reluqubo.algebra import energy
 from reluqubo.encoding import BinaryExpansion
 from reluqubo import solvers
 from reluqubo.formulation import ReluPenaltySpec, build_cost_plus_relu, build_from_config
@@ -44,7 +44,7 @@ def relu_instance(m=-1.0, d_t=4, d_z=4, alpha_z=2.0, M=30.0):
         BinaryExpansion(d_z, alpha_z, 0.0),
         BinaryExpansion(d_z, alpha_z, 0.0),
         M)
-    return build_cost_plus_relu(QuadraticExpr(), AffineExpr.from_constant(m), spec)
+    return build_cost_plus_relu(spec, m)
 
 
 class TestExhaustive:
@@ -272,7 +272,7 @@ class TestExhaustiveSolveMany:
                         "z1": {"depth": 6, "alpha": 4.0, "beta": 0.0},
                         "z2": {"depth": 6, "alpha": 4.0, "beta": 0.0},
                         "M": "auto"}})
-        w_range, w_exp = built.var_ranges["w[0]"], built.linear_spec.w_exp
+        w_range, w_exp = built.var_ranges["w[0]"], built.m.w_exp
         fixes = [dict(zip(w_range, w_exp.quantize(m))) for m in np.arange(-4.0, 4.01, 0.1)]
         for fixed, res in zip(fixes, exhaustive_solve_many(built.model, fixes)):
             single = exhaustive_solve(built.model, fixed=fixed)
