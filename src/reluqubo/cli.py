@@ -147,10 +147,10 @@ def _emit_tsv(rows: Sequence[tuple[float, ...]], out: TextIO) -> None:
         out.write("\t".join(repr(v) for v in row) + "\n")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_json(args.config)
-    built = build_from_config(cfg)
-    verify_cfg = cfg.get("verify")
+def _verify_points(cfg: object) -> list[float]:
+    """The config's verify.m_points as floats; read before the model is
+    built, so a config refused for its points costs no build."""
+    verify_cfg = cfg.get("verify") if isinstance(cfg, dict) else None
     if not isinstance(verify_cfg, dict) or "m_points" not in verify_cfg:
         raise ConfigError("verify.m_points", "missing required key")
     points = verify_cfg["m_points"]
@@ -158,8 +158,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("verify.m_points", "expected a non-empty array of numbers")
     if len(points) > MAX_GRID_POINTS:  # --grid's cap
         raise ConfigError("verify.m_points", f"has more than {MAX_GRID_POINTS} points")
-    points = [_number(m, "verify.m_points") for m in points]
-    rows, misses = _report_rows(built, points)
+    return [_number(m, "verify.m_points") for m in points]
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    cfg = _load_json(args.config)
+    points = _verify_points(cfg)
+    rows, misses = _report_rows(build_from_config(cfg), points)
     _emit_tsv(rows, sys.stdout)
     print(f"verify: {len(rows) - misses}/{len(rows)} points within "
           f"1e-9 * max(1, |f|, |C|) of f at the pinned grid point", file=sys.stderr)
@@ -179,9 +184,8 @@ def _parse_grid(text: str) -> Grid1D:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
-    built = build_from_config(cfg)
-    grid = _parse_grid(args.grid)
-    rows, _ = _report_rows(built, [float(m) for m in grid.points()])
+    grid = _parse_grid(args.grid)  # before the build, which a bad grid need not pay
+    rows, _ = _report_rows(build_from_config(cfg), [float(m) for m in grid.points()])
     if args.out is None:
         _emit_tsv(rows, sys.stdout)
     else:

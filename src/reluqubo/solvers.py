@@ -1,18 +1,21 @@
 """Minimum-energy search: exact exhaustive enumeration and simulated annealing.
 
 Exhaustive search is the desk-scale ground truth (capped at 30 free bits
-by default, RELUQUBO_BIT_CAP overrides).  It splits the free bits into
-halves and meets in the middle (Horowitz & Sahni, JACM 1974), in memory
-O(2^ceil(n/2) * n) plus one 2^18-entry chunk.  Float-exact ties go to the
-lowest assignment integer.  Simulated annealing is a
+by default, RELUQUBO_BIT_CAP overrides; the cap counts every free bit).
+It sums out a greedy set of pairwise-uncoupled free bits, each adding
+min(0, its field) (bucket elimination, Dechter 2003), and splits the k
+other bits into halves that meet in the middle (Horowitz & Sahni, JACM
+1974), in memory O(2^ceil(k/2) * k) plus a 2^16-entry working block and
+its temp.  Exact ties of the kernel's energies go to the lowest full
+assignment integer.  Simulated annealing is a
 single-bit-flip Metropolis walk with a geometric inverse-temperature
 schedule and independently seeded restarts; it is fully reproducible
 given (model, config).  Both solvers take fixed= to pin bits, and both
 return an assignment of the full model with its energy re-evaluated.
 exhaustive_solve_many solves a family of patterns over one pinned index
 set: the model is folded once (a shared free-bit block, one diagonal per
-pattern) and each distinct pattern is enumerated once; exhaustive_solve
-is its one-pattern case.  fix_bits is the one-pattern case of the same
+pattern), every table of the block is built once, and each distinct
+pattern is enumerated once; exhaustive_solve is its one-pattern case.  fix_bits is the one-pattern case of the same
 fold, and annealing always walks its reduced model, which with no pins
 equals the model itself.  Annealing keeps every bit's local field, as
 single-flip annealers do (Isakov et al., arXiv:1401.1084): the C kernel
@@ -49,7 +52,7 @@ import numpy as np
 from .algebra import QuboModel, energy
 
 DEFAULT_BIT_CAP = 30
-_CHUNK_BITS = 18
+_CHUNK_BITS = 16  # the working block and its temp: 2^17 entries
 # The annealing kernel, the command that compiles it and where the library
 # is cached: the package's bytecode directory, trusted as the .pyc files are.
 # No -ffast-math or -march=native: contraction or reassociation changes bits.
@@ -205,42 +208,122 @@ def _energies(Q: np.ndarray) -> np.ndarray:
     return E
 
 
-def _split_argmin(Q: np.ndarray) -> int:
-    """Lowest assignment integer among the minima of b·Q·bᵀ, Q upper-triangular.
+def _min_out_set(Q: np.ndarray) -> np.ndarray:
+    """Ascending indices of pairwise-uncoupled bits of Q (nonzero
+    off-diagonal entries couple), picked greedily: lowest degree first,
+    index order on ties."""
+    coupled = (Q != 0) | (Q != 0).T
+    degree = coupled.sum(axis=1).tolist()
+    taken, blocked = [], np.zeros(len(Q), dtype=bool)
+    # sorted(), not numpy's sorts, which page in 0.1-0.25 MB of code (RSS)
+    for i in sorted(range(len(Q)), key=degree.__getitem__):
+        if not blocked[i]:
+            taken.append(i)
+            blocked |= coupled[i]
+    return np.array(sorted(taken), dtype=np.intp)
 
-    Meet in the middle over lo = the low ceil(n/2) bits and hi = the rest:
-    E(hi, lo) = E_hi[hi] + E_lo[lo] + sum_{j in hi} b_j G[lo, j], scanned in
-    (hi, lo) row chunks of 2^_CHUNK_BITS entries (one row, if longer).  Flat
-    argmins and a strict comparison across chunks keep the lowest integer.
+
+def _lowest(bits: np.ndarray) -> np.ndarray:
+    """The row of a 0/1 matrix that reads as the lowest integer, column 0
+    the least significant bit."""
+    for j in reversed(range(bits.shape[1])):
+        if len(bits) == 1:
+            break
+        if (zero := ~bits[:, j]).any():
+            bits = bits[zero]
+    return bits[0]
+
+
+def _min_out_argmins(Q: np.ndarray, diagonals: np.ndarray) -> list[np.ndarray]:
+    """Free-bit values (bool) of the lowest assignment integer among the
+    minima of b·(Q + diag(d))·bᵀ, for each row d of diagonals; Q is the
+    shared strictly upper-triangular coupling block.
+
+    The pairwise-uncoupled bits S of _min_out_set are summed out (bucket
+    elimination, Dechter 2003): bit s adds min(0, field_s), its field
+    d_s + A_s[lo] + B_s[hi] being its linear term plus its couplings to
+    the enumerated bits, and is 1 exactly when field_s < 0.  The other
+    bits meet in the middle (Horowitz & Sahni, JACM 1974) over lo = their
+    low ceil(n/2) bits and hi = the rest:
+    E = E_hi[hi] + E_lo[lo] + sum_{j in hi} b_j G[lo, j] + sum_s min(0, field_s),
+    scanned in (hi, lo) row chunks of 2^_CHUNK_BITS entries (one row, if
+    longer).  d_s + B_s[hi] is folded into the row term, which leaves one
+    np.minimum(A_s[lo], -(d_s + B_s[hi])) and one add per s and chunk.
+    Every table that does not depend on d (S, G, A, B and the off-diagonal
+    half energies) is built once; each pattern adds its diagonal subset
+    sums.  Equal kernel energies go to the lowest full assignment integer:
+    the tied states of a chunk are all compared, since a summed-out bit
+    may be the highest bit that differs.
     """
-    nl = (len(Q) + 1) // 2
-    nh = len(Q) - nl
-    E_lo, E_hi = _energies(Q[:nl, :nl]), _energies(Q[nl:, nl:])
+    n = len(Q)
+    S = _min_out_set(Q)
+    enumerated = np.ones(n, dtype=bool)
+    enumerated[S] = False
+    R = np.flatnonzero(enumerated)  # np.setdiff1d would import numpy.ma: +1.1 MB RSS
+    nl = (len(R) + 1) // 2
+    nh = len(R) - nl
+    lo, hi = R[:nl], R[nl:]
+    E_lo, E_hi = _energies(Q[np.ix_(lo, lo)]), _energies(Q[np.ix_(hi, hi)])
     G = np.zeros((1 << nl, nh))
-    _subset_sums(Q[:nl, nl:], G)
+    _subset_sums(Q[np.ix_(lo, hi)], G)
+    coupling = Q + Q.T
+    A, B = np.zeros((1 << nl, len(S))), np.zeros((1 << nh, len(S)))
+    _subset_sums(coupling[np.ix_(lo, S)], A)
+    _subset_sums(coupling[np.ix_(hi, S)], B)
+    G, A, B = (np.ascontiguousarray(X.T) for X in (G, A, B))  # one row per bit
     r = min(nh, max(0, _CHUNK_BITS - nl))  # hi bits enumerated inside a chunk
-    block = np.empty((1 << r, 1 << nl))  # one working block, refilled per chunk
-    best_k, best_e = 0, math.inf
-    for c in range(1 << (nh - r)):
-        upper = ((c >> np.arange(nh - r)) & 1).astype(bool)
-        np.add(E_lo, G[:, r:][:, upper].sum(axis=1), out=block[0])
-        _subset_sums(G.T[:r], block)
-        block += E_hi[c << r:(c + 1) << r, None]
-        local = int(np.argmin(block))
-        if block.flat[local] < best_e:
-            best_e = float(block.flat[local])
-            best_k = (c << (r + nl)) + local
-    return best_k
+    block = np.empty((1 << r, 1 << nl))  # the working block and its temp, refilled per chunk
+    temp = np.empty_like(block) if len(S) else block
+    lo_bits, hi_bits = np.arange(nl), np.arange(nh)
+
+    found = []
+    for d in diagonals:
+        D_lo, D_hi = np.zeros(1 << nl), np.zeros(1 << nh)
+        _subset_sums(d[lo], D_lo)
+        _subset_sums(d[hi], D_hi)
+        e_lo = E_lo + D_lo
+        neg_field = -(B + d[S, None])  # -(d_s + B_s[hi]), one row per s
+        e_hi = E_hi + D_hi - neg_field.sum(axis=0)
+        best_e, best = math.inf, np.zeros(n, dtype=bool)
+        for c in range(1 << (nh - r)):
+            rows = slice(c << r, (c + 1) << r)
+            block[0] = e_lo
+            for j in range(r, nh):
+                if c >> (j - r) & 1:
+                    block[0] += G[j]
+            _subset_sums(G[:r], block)
+            block += e_hi[rows, None]
+            for a, b in zip(A, neg_field):
+                np.minimum(a, b[rows, None], out=temp)
+                block += temp
+            e = block.flat[int(np.argmin(block))]
+            if e > best_e:
+                continue
+            row, col = np.divmod(np.flatnonzero(block == e), 1 << nl)
+            row += c << r
+            tied = np.empty((len(col), n), dtype=bool)
+            tied[:, lo] = (col[:, None] >> lo_bits) & 1
+            tied[:, hi] = (row[:, None] >> hi_bits) & 1
+            tied[:, S] = (A[:, col] < neg_field[:, row]).T
+            if e == best_e:
+                tied = np.vstack((best, tied))
+            best_e, best = e, _lowest(tied)
+        found.append(best)
+    return found
 
 
 def exhaustive_solve(model: QuboModel,
                      fixed: Mapping[int, int] | None = None) -> SolveResult:
-    """Global minimum by enumeration of every free-bit assignment.
+    """Global minimum over every free-bit assignment.
 
-    Deterministic: float-exact energy ties go to the lowest assignment
-    integer (LSB = lowest free variable).  Fixed bits are folded into the
-    free bits' block in O(|E| + nf^2).  Raises BitCapExceeded when the
-    free-bit count exceeds the cap (default 30, env RELUQUBO_BIT_CAP).
+    A greedy set of pairwise-uncoupled free bits is summed out, each bit
+    set exactly when its field is negative, and the other free bits are
+    enumerated (_min_out_argmins).  Deterministic: exact ties of the
+    kernel's energies go to the lowest assignment integer (LSB = lowest
+    free variable); the reported energy is re-evaluated by energy().
+    Fixed bits are folded into the free bits' block in O(|E| + nf^2).
+    Raises BitCapExceeded when the free-bit count, summed-out bits
+    included, exceeds the cap (default 30, env RELUQUBO_BIT_CAP).
     """
     return exhaustive_solve_many(model, [fixed or {}])[0]
 
@@ -252,9 +335,11 @@ def exhaustive_solve_many(model: QuboModel,
     Every pattern must pin the same indices.  The model is folded once:
     the free x free block is shared, and each distinct pattern gets its
     own diagonal, summed in the same order as a single solve sums it, so
-    each result equals the single solve's exactly.  Each distinct pattern
-    is enumerated once; duplicate patterns share one result, and every
-    result carries the wall time of the whole call.
+    each result equals the single solve's exactly.  The block fixes the
+    summed-out bits, and its cross sums, couplings and off-diagonal half
+    energies are built once for the family; each distinct pattern adds
+    its diagonal and is enumerated once.  Duplicate patterns share one
+    result, and every result carries the wall time of the whole call.
     """
     t0 = time.perf_counter()
     if not fixes:
@@ -277,11 +362,8 @@ def exhaustive_solve_many(model: QuboModel,
     Q[k, l] = c
 
     solved = []
-    diag = np.diag_indices(len(free))
-    for fixed, d in zip(patterns, diagonals):
-        Q[diag] = d
-        best_k = _split_argmin(Q)
-        assignment = _lift(model, fixed, free, ((best_k >> k) & 1 for k in range(len(free))))
+    for fixed, bits in zip(patterns, _min_out_argmins(Q, diagonals)):
+        assignment = _lift(model, fixed, free, bits.astype(np.uint8).tolist())
         solved.append((assignment, energy(model, assignment)))
     wall = time.perf_counter() - t0
     results = [SolveResult(a, e, [], "exhaustive", wall) for a, e in solved]

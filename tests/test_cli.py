@@ -383,10 +383,10 @@ class TestSolve:
         message = ("Unable to allocate 13.0 GiB for an array with shape (67108864, 26) "
                    "and data type float64")
 
-        def no_memory(Q):
+        def no_memory(Q, diagonals):
             raise MemoryError(message)
 
-        monkeypatch.setattr(solvers, "_split_argmin", no_memory)
+        monkeypatch.setattr(solvers, "_min_out_argmins", no_memory)
         path = tmp_path / "m.qubo"
         path.write_text("qubo-v1\nvars 8\noffset 0.0\n")
         assert main(["solve", str(path)]) == 3
@@ -580,6 +580,28 @@ class TestVerify:
         cfg["verify"]["m_points"].pop()
         assert main(["verify", write_config(tmp_path, cfg)]) == 0
 
+    @pytest.mark.parametrize("verify_cfg, message", [
+        (None, "missing required key"),
+        ({"m_points": "none"}, "expected a non-empty array of numbers"),
+        ({"m_points": []}, "expected a non-empty array of numbers"),
+        ({"m_points": [0.0, -1.0, -2.0, -3.0]}, "has more than 3 points"),
+        ({"m_points": [0.0, "x"]}, "expected a number, got 'x'"),
+    ], ids=["missing", "not-a-list", "empty", "over-the-cap", "not-a-number"])
+    def test_points_are_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                 verify_cfg, message):
+        def no_build(cfg):
+            raise AssertionError("the model was built before the points were checked")
+
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
+        monkeypatch.setattr(cli, "build_from_config", no_build)
+        cfg = config_negative_range()
+        if verify_cfg is not None:
+            cfg["verify"] = verify_cfg
+        assert main(["verify", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config error at 'verify.m_points': {message}\n"
+        assert captured.out == ""
+
     def test_multi_dim_model_rejected(self, tmp_path, capsys):
         cfg = config_negative_range()
         cfg["model"]["inputs"] = [1.0, 1.0]
@@ -640,6 +662,18 @@ class TestSweep:
     def test_bad_grid_is_input_error(self, tmp_path, capsys):
         cfg = config_negative_range()
         assert main(["sweep", write_config(tmp_path, cfg), "--grid", "0:1"]) == 2
+
+    @pytest.mark.parametrize("grid", ["0:1", "a:1:0.5", "1:0:0.5", "0:1:1e-10"])
+    def test_grid_is_refused_before_the_build(self, tmp_path, capsys, monkeypatch, grid):
+        def no_build(cfg):
+            raise AssertionError("the model was built before --grid was parsed")
+
+        monkeypatch.setattr(cli, "build_from_config", no_build)
+        assert main(["sweep", write_config(tmp_path, config_negative_range()),
+                     f"--grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config error at '--grid': ")
+        assert captured.out == ""
 
     def test_grid_over_point_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
         def points(self):

@@ -92,7 +92,7 @@ class TestExhaustive:
         assert res.energy == pytest.approx(naive, abs=1e-12)
 
     def test_planted_minimum_across_chunks(self):
-        # 19 free bits forces the chunked path (chunk size 2^18)
+        # 19 uncoupled free bits: every one is summed out, none enumerated
         rng = np.random.default_rng(6)
         n = 19
         target = tuple(int(b) for b in rng.integers(0, 2, size=n))
@@ -153,17 +153,20 @@ class TestExhaustive:
 
 def naive_minimum(model, fixed):
     """(energy, assignment) of the lowest free-bit integer among the minima,
-    by plain enumeration and energy()."""
+    by plain enumeration: every free-bit state's energy at once as s·Q·sᵀ
+    plus the offset (exact for integer coefficients), the first minimum in
+    integer order, and its energy re-evaluated by energy()."""
     free = [i for i in range(model.n_vars) if i not in fixed]
-    best = None
-    for free_bits in all_assignments(len(free)):
-        bits = dict(fixed)
-        bits.update(zip(free, free_bits))
-        pattern = tuple(bits[i] for i in range(model.n_vars))
-        e = energy(model, pattern)
-        if best is None or e < best[0]:
-            best = (e, pattern)
-    return best
+    states = np.zeros((1 << len(free), model.n_vars))
+    for i, b in fixed.items():
+        states[:, i] = b
+    states[:, free] = (np.arange(1 << len(free))[:, None] >> np.arange(len(free))) & 1
+    Q = np.zeros((model.n_vars, model.n_vars))
+    i, j, c = model.terms
+    Q[i, j] = c
+    energies = model.offset + ((states @ Q) * states).sum(axis=1)
+    pattern = tuple(int(b) for b in states[int(np.argmin(energies))])
+    return energy(model, pattern), pattern
 
 
 @st.composite
@@ -197,9 +200,9 @@ class TestSplitKernel:
             assert res.energy == naive_e
 
     def test_planted_tie_across_chunks_prefers_lower_integer(self):
-        # 20 free bits: lo = bits 0..9, hi = bits 10..19, chunks of 2^8 hi rows.
-        # Bits 1..18 are pinned to a target by their linear terms; bits 0 and
-        # 19 tie between (1, 0) and (0, 1), which sit in hi chunks 0 and 2.
+        # Bits 1..18 are pinned to a target by their linear terms and summed
+        # out; bits 0 and 19 tie between (1, 0) and (0, 1).  Bit 0 is summed
+        # out too, so only bit 19 is enumerated.
         n = 20
         rng = np.random.default_rng(11)
         target = [int(b) for b in rng.integers(0, 2, size=n)]
@@ -237,6 +240,185 @@ class TestSplitKernel:
         naive_e, naive_bits = naive_minimum(sub, {})
         assert res.energy == naive_e
         assert tuple(res.assignment[i] for i in free) == naive_bits
+
+
+def squares_model(n, forms, linear=(), quadratic=()):
+    """QUBO over n bits of sum (v·x - c)^2 over the (v, c) pairs of forms,
+    plus extra linear and quadratic terms; integer coefficients, so every
+    float sum is exact."""
+    W = sum(np.outer(v, v) for v, _ in forms)
+    lin = np.diag(W) - 2 * sum(c * np.asarray(v) for v, c in forms)
+    lin_terms = {i: float(lin[i]) for i in range(n) if lin[i]}
+    quad_terms = {(i, j): float(2 * W[i, j]) for i in range(n) for j in range(i + 1, n)
+                  if W[i, j]}
+    lin_terms.update(linear)
+    quad_terms.update(quadratic)
+    return qubo(n, lin_terms, quad_terms, float(sum(c * c for _, c in forms)))
+
+
+def unit(n, i):
+    return np.eye(n, dtype=int)[i]
+
+
+def minned(model, fixed=None):
+    """Model indices that the exhaustive kernel sums out."""
+    fixed = fixed or {}
+    free = solvers._free_bits(model, [fixed])
+    (k, l, c), _, _ = solvers._fold(model, free, [fixed])
+    Q = np.zeros((len(free), len(free)))
+    Q[k, l] = c
+    return [free[s] for s in solvers._min_out_set(Q)]
+
+
+class TestMinOut:
+    """The kernel sums out pairwise-uncoupled free bits and enumerates the rest."""
+
+    def test_planted_minimum_on_a_dense_model_across_chunks(self):
+        # (w·(x - t))^2 + |x - t|^2 couples every pair, so one bit is summed
+        # out and 20 are enumerated: lo 10 bits, hi 10 bits in 16 chunks
+        n = 21
+        rng = np.random.default_rng(21)
+        target = rng.integers(0, 2, size=n)
+        target[-4:] = 1  # the top hi bits: the minimum sits in the last chunk
+        w = rng.integers(1, 4, size=n)
+        model = squares_model(n, [(w, int(w @ target))]
+                              + [(unit(n, i), int(target[i])) for i in range(n)])
+        assert minned(model) == [0]
+        res = exhaustive_solve(model)
+        assert res.assignment == tuple(target.tolist())
+        assert res.energy == 0.0
+
+    def test_planted_tie_on_a_dense_model_keeps_the_earlier_chunk(self):
+        # every bit but 1 and 19 sits at its target; x1 + x19 = 1 ties
+        # (1, 0) against (0, 1), which sit in different hi chunks
+        n = 21
+        rng = np.random.default_rng(22)
+        target = rng.integers(0, 2, size=n)
+        rest = [i for i in range(n) if i not in (1, 19)]
+        w = np.zeros(n, dtype=int)
+        w[rest] = rng.integers(1, 4, size=len(rest))
+        w[[1, 19]] = 1
+        pair = unit(n, 1) + unit(n, 19)
+        model = squares_model(n, [(w, int(w[rest] @ target[rest]) + 1), (pair, 1)]
+                              + [(unit(n, i), int(target[i])) for i in rest])
+        assert minned(model) == [0]
+        res = exhaustive_solve(model)
+        expect = target.copy()
+        expect[[1, 19]] = 1, 0
+        assert res.assignment == tuple(expect.tolist())
+        assert res.energy == 0.0
+
+    def test_tie_decided_by_a_summed_out_top_bit(self):
+        # Bits 0..19: a dense planted model, zero only at t, with t19 = 1 and
+        # weight 1 on bit 19, so every x with x19 = 0 has energy >= 2.  Bit 20
+        # has field -2 + 3·x19: summed out, it lowers every x19 = 0 state by
+        # 2, so the x19 = 0 states at 2 tie at 0 with bit 20 set, in the
+        # lower half of the hi chunks, against (t, 0) in the upper half.
+        # (t, 0) is the lowest integer, as bit 20 is the highest bit that
+        # differs, so the first tie found must give way to a later one.
+        n, core = 21, 20
+        rng = np.random.default_rng(23)
+        target = np.append(rng.integers(0, 2, size=core), 0)
+        target[core - 1] = 1
+        w = np.append(rng.integers(1, 4, size=core), 0)
+        w[core - 1] = 1
+        model = squares_model(n, [(w, int(w @ target))]
+                              + [(unit(n, i), int(target[i])) for i in range(core)],
+                              linear={core: -2.0}, quadratic={(core - 1, core): 3.0})
+        assert minned(model) == [0, core]
+        res = exhaustive_solve(model)
+        assert res.assignment == tuple(target.tolist())
+        assert res.energy == 0.0
+        # the x19 = 0 ties really are there
+        flipped = target.copy()
+        flipped[[core - 1, core]] = 0, 1
+        assert energy(model, tuple(flipped.tolist())) == 0.0
+
+    @pytest.mark.parametrize("depths, cost_scale, pinned", [
+        ((7, 3, 7), 1.0, False),  # exhaustive_full's model: 3 of 24 free bits
+        ((6, 4, 6), 0.0, True),   # the README model, w pinned as verify and sweep pin it
+    ], ids=["unpinned-24", "readme-w-pinned"])
+    def test_built_models_sum_out_their_t_bits(self, depths, cost_scale, pinned):
+        d_w, d_t, d_z = depths
+        built = build_from_config({
+            "cost": {"kind": "quadratic", "target": -1.0, "scale": cost_scale},
+            "model": {"inputs": [1.0], "w": {"depth": d_w, "alpha": 8.0, "beta": -4.0}},
+            "penalty": {"t": {"depth": d_t, "alpha": 1.0, "beta": -1.0},
+                        "z1": {"depth": d_z, "alpha": 4.0, "beta": 0.0},
+                        "z2": {"depth": d_z, "alpha": 4.0, "beta": 0.0}, "M": "auto"}})
+        fixed = {i: 0 for i in built.var_ranges["w[0]"]} if pinned else {}
+        assert minned(built.model, fixed) == list(built.var_ranges["t"])
+
+    def test_empty_graph_sums_out_every_bit(self):
+        model = qubo(5, {0: -1.0, 2: 2.0, 3: 0.0, 4: -0.5}, {}, 1.0)
+        assert minned(model) == [0, 1, 2, 3, 4]
+        res = exhaustive_solve(model)
+        assert res.assignment == (1, 0, 0, 0, 1)
+        assert res.energy == -0.5
+
+    def test_complete_graph_sums_out_one_bit(self):
+        model = qubo(4, {}, {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)}, 0.0)
+        assert minned(model) == [0]
+
+
+@st.composite
+def structured_families(draw):
+    """Models of 0-16 free bits and 0-3 pinned ones, whose free x free
+    coupling graph is sparse, bipartite, block-diagonal, empty or complete;
+    pinned bits couple anywhere.  1-4 patterns over the pinned bits;
+    integer or arbitrary real coefficients."""
+    n_free, n_pin = draw(st.integers(0, 16)), draw(st.integers(0, 3))
+    n = n_free + n_pin
+    order = draw(st.permutations(range(n)))
+    free, pinned = sorted(order[:n_free]), sorted(order[n_free:])
+    kind = draw(st.sampled_from(["sparse", "bipartite", "block", "empty", "complete"]))
+    integer = draw(st.booleans())
+    coeff = (st.integers(-3, 3).filter(bool).map(float) if integer
+             else st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False).filter(bool))
+    side = [draw(st.integers(0, 3)) for _ in free]  # bipartite side or block id
+    chance = st.integers(0, 3)
+
+    def coupled(a, b):
+        if kind == "sparse":
+            return draw(chance) == 0
+        if kind == "bipartite":
+            return side[a] % 2 != side[b] % 2 and draw(chance) > 0
+        if kind == "block":
+            return side[a] == side[b] and draw(chance) > 0
+        return kind == "complete"
+
+    quadratic = {(free[a], free[b]): draw(coeff)
+                 for a in range(n_free) for b in range(a + 1, n_free) if coupled(a, b)}
+    quadratic.update({tuple(sorted((p, i))): draw(coeff) for p in pinned for i in range(n)
+                      if i != p and draw(chance) == 0})
+    linear = {i: draw(coeff) for i in range(n) if draw(st.booleans())}
+    model = qubo(n, linear, quadratic, draw(coeff))
+    patterns = draw(st.lists(st.lists(st.integers(0, 1), min_size=n_pin, max_size=n_pin),
+                             min_size=1, max_size=4))
+    return model, [dict(zip(pinned, bits)) for bits in patterns], kind, integer
+
+
+class TestMinOutProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(structured_families())
+    def test_matches_naive_enumeration(self, case):
+        model, fixes, kind, integer = case
+        free = [i for i in range(model.n_vars) if i not in fixes[0]]
+        if kind == "empty":
+            assert minned(model, fixes[0]) == free
+        elif kind == "complete" and free:
+            assert len(minned(model, fixes[0])) == 1
+        i, j, c = model.terms
+        scale = 1.0 + abs(model.offset) + float(np.abs(c).sum())
+        for fixed, res in zip(fixes, exhaustive_solve_many(model, fixes)):
+            naive_e, naive_pattern = naive_minimum(model, fixed)
+            assert all(res.assignment[i] == b for i, b in fixed.items())
+            assert res.energy == energy(model, res.assignment)
+            if integer:  # float sums are exact, so ties are exact too
+                assert res.energy == naive_e
+                assert res.assignment == naive_pattern
+            else:
+                assert abs(res.energy - naive_e) <= 1e-9 * scale
 
 
 @st.composite
