@@ -15,9 +15,10 @@ return an assignment of the full model with its energy re-evaluated.
 exhaustive_solve_many solves a family of patterns over one pinned index
 set: the model is folded once (a shared free-bit block, one diagonal per
 pattern), every table of the block is built once, and each distinct
-pattern is enumerated once; exhaustive_solve is its one-pattern case.  fix_bits is the one-pattern case of the same
-fold, and annealing always walks its reduced model, which with no pins
-equals the model itself.  Annealing keeps every bit's local field, as
+pattern is enumerated once; exhaustive_solve is its one-pattern case.
+fix_bits is the one-pattern case of the same fold, and annealing always
+walks its reduced model, which with no pins equals the model itself.
+Annealing keeps every bit's local field, as
 single-flip annealers do (Isakov et al., arXiv:1401.1084): the C kernel
 _anneal.c sums each restart's fields over CSR neighbour lists and walks
 them, updating the fields per accepted flip, with CPython's Mersenne
@@ -273,7 +274,7 @@ def _min_out_argmins(Q: np.ndarray, diagonals: np.ndarray) -> list[np.ndarray]:
     G, A, B = (np.ascontiguousarray(X.T) for X in (G, A, B))  # one row per bit
     r = min(nh, max(0, _CHUNK_BITS - nl))  # hi bits enumerated inside a chunk
     block = np.empty((1 << r, 1 << nl))  # the working block and its temp, refilled per chunk
-    temp = np.empty_like(block) if len(S) else block
+    temp = np.empty_like(block)
     lo_bits, hi_bits = np.arange(nl), np.arange(nh)
 
     found = []

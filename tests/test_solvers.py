@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import all_assignments, qubo
+from helpers import qubo
 
 from reluqubo.algebra import energy
 from reluqubo.encoding import BinaryExpansion
