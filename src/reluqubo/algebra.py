@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -425,16 +426,12 @@ def _parse_index(token: str, where: str) -> int:
 
 def parse_qubo(text: str) -> QuboModel:
     """Parse the qubo-v1 text format; inverse of export_qubo."""
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
-    if len(rows) < 3:
-        raise QuboParseError("truncated file: expected qubo-v1 header")
-
-    (ln0, magic), (ln1, vars_line), (ln2, offset_line) = rows[0], rows[1], rows[2]
+    rows = ((lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and not line.startswith("#"))  # one pass: header, then the rest
+    try:
+        (ln0, magic), (ln1, vars_line), (ln2, offset_line) = islice(rows, 3)
+    except ValueError:
+        raise QuboParseError("truncated file: expected qubo-v1 header") from None
     if magic != FORMAT_MAGIC:
         raise QuboParseError(f"line {ln0}: expected {FORMAT_MAGIC!r} header, got {magic!r}")
     parts = vars_line.split()
@@ -455,7 +452,7 @@ def parse_qubo(text: str) -> QuboModel:
 
     ti, tj, tc = [], [], []  # the terms' i, j and c
     labels: dict[int, str] = {}
-    for lineno, line in rows[3:]:
+    for lineno, line in rows:
         parts = line.split()
         if parts[0] == "label":
             if len(parts) < 3:

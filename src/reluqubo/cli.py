@@ -116,11 +116,9 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     requested point and every other column belongs to the pinned grid
     point m_hat: qubo_min excludes the configured quadratic cost C(m_hat),
     so the row isolates the penalty part, and reference is f(m_hat).
+    The model has D = 1 with inputs [1]; _check_one_input refuses others.
     """
     lin = built.m
-    if lin.inputs != (1.0,):
-        raise ConfigError("model.inputs", "verify/sweep need D=1 with inputs [1] "
-                          "so m maps one-to-one onto the weight grid")
     w_range = built.var_ranges["w[0]"]
     fixes = [dict(zip(w_range, lin.w_exp.quantize(m))) for m in ms]
     cost_target, cost_scale = built.cost_params
@@ -161,9 +159,27 @@ def _verify_points(cfg: object) -> list[float]:
     return [_number(m, "verify.m_points") for m in points]
 
 
+def _check_one_input(cfg: object) -> None:
+    """verify/sweep's D = 1 rule, judged before the build, so a config
+    refused for its inputs costs no build.  Inputs that are not a
+    non-empty list of finite numbers are left to build_from_config."""
+    model_cfg = cfg.get("model") if isinstance(cfg, dict) else None
+    inputs = model_cfg.get("inputs") if isinstance(model_cfg, dict) else None
+    if not isinstance(inputs, list) or not inputs:
+        return
+    try:
+        xs = [_number(x, "model.inputs") for x in inputs]
+    except ConfigError:
+        return
+    if xs != [1.0]:
+        raise ConfigError("model.inputs", "verify/sweep need D=1 with inputs [1] "
+                          "so m maps one-to-one onto the weight grid")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     points = _verify_points(cfg)
+    _check_one_input(cfg)
     rows, misses = _report_rows(build_from_config(cfg), points)
     _emit_tsv(rows, sys.stdout)
     print(f"verify: {len(rows) - misses}/{len(rows)} points within "
@@ -185,6 +201,7 @@ def _parse_grid(text: str) -> Grid1D:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     grid = _parse_grid(args.grid)  # before the build, which a bad grid need not pay
+    _check_one_input(cfg)
     rows, _ = _report_rows(build_from_config(cfg), [float(m) for m in grid.points()])
     if args.out is None:
         _emit_tsv(rows, sys.stdout)
@@ -210,11 +227,12 @@ def _make_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="minimize a qubo-v1 model file")
     p_solve.add_argument("model")
     p_solve.add_argument("--solver", choices=("exhaustive", "sa"), default="exhaustive")
-    p_solve.add_argument("--sweeps", type=int, default=1000)
-    p_solve.add_argument("--beta0", type=float, default=0.1)
-    p_solve.add_argument("--beta1", type=float, default=10.0)
-    p_solve.add_argument("--restarts", type=int, default=8)
-    p_solve.add_argument("--seed", type=int, default=0)
+    anneal = AnnealConfig()
+    p_solve.add_argument("--sweeps", type=int, default=anneal.sweeps)
+    p_solve.add_argument("--beta0", type=float, default=anneal.beta_initial)
+    p_solve.add_argument("--beta1", type=float, default=anneal.beta_final)
+    p_solve.add_argument("--restarts", type=int, default=anneal.restarts)
+    p_solve.add_argument("--seed", type=int, default=anneal.seed)
     p_solve.add_argument("--fix", action="append", default=[], metavar="NAME=BIT",
                          help="pin a variable to 0 or 1 by its label, or by its index when "
                               "no label is NAME; NAME ends at the last '='; repeatable")

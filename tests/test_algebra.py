@@ -176,8 +176,9 @@ def qubo_models(draw):
 
 @st.composite
 def qubo_texts(draw):
-    """Arbitrary text, or a qubo-v1 header followed by lines of tokens
-    that the parser must accept or refuse one by one."""
+    """Arbitrary text, or a qubo-v1 header, with comment and blank lines
+    before and between its lines, followed by lines of tokens that the
+    parser must accept or refuse one by one."""
     if draw(st.booleans()):
         return draw(st.text())
     index = st.sampled_from(["0", "1", "2", "-1", "\u00b9", "7" * 5000])
@@ -187,7 +188,11 @@ def qubo_texts(draw):
     lines = draw(st.lists(st.one_of(term, st.lists(token, max_size=4).map(" ".join)),
                           max_size=8))
     n = draw(st.sampled_from(["0", "1", "2", "3", "x", "-1"]))
-    return "\n".join([FORMAT_MAGIC, f"vars {n}", "offset 0.0", *lines])
+    skipped = st.lists(st.sampled_from(["", "  ", "# note", "\t# label 0 x"]), max_size=2)
+    header = []
+    for line in (FORMAT_MAGIC, f"vars {n}", "offset 0.0"):
+        header += [*draw(skipped), line]
+    return "\n".join([*header, *lines])
 
 
 def dense_energy(model, pattern):
@@ -333,6 +338,26 @@ class TestQuboFormat:
     def test_malformed_rejected(self, bad):
         with pytest.raises(QuboParseError):
             parse_qubo(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n\nqubo-v2\nvars 0\noffset 0.0\n",
+         "line 3: expected 'qubo-v1' header, got 'qubo-v2'"),
+        ("qubo-v1\n# c\n\nvars x\noffset 0.0\n", "line 4: expected 'vars <n>', got 'vars x'"),
+        ("qubo-v1\n  \nvars 2000000\noffset 0.0\n",
+         f"line 3: vars 2000000 exceeds the limit of {MAX_VARS}"),
+        ("\n# c\nqubo-v1\n#\nvars 1\n\noffset\n",
+         "line 7: expected 'offset <float>', got 'offset'"),
+        ("qubo-v1\nvars 1\n  \n# c\noffset nope\n", "line 5: bad float 'nope'"),
+        ("qubo-v1\nvars 1\n#\noffset 0.0\n\n# c\n0 0 x\n", "line 7: bad float 'x'"),
+        ("# only\n  # comments\n\n", "truncated file: expected qubo-v1 header"),
+        ("", "truncated file: expected qubo-v1 header"),
+        ("qubo-v2\n# c\nvars 1\n", "truncated file: expected qubo-v1 header"),
+    ], ids=["magic", "vars", "vars-cap", "offset", "offset-float", "first-term",
+            "only-comments", "empty", "two-lines"])
+    def test_header_errors_name_their_line_past_skipped_lines(self, text, message):
+        with pytest.raises(QuboParseError) as info:
+            parse_qubo(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("n", [MAX_VARS + 1, 10 ** 12])
     def test_vars_over_cap_rejected_before_allocating(self, n):

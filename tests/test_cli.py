@@ -19,7 +19,7 @@ from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import build_from_config, recommend_M
 from reluqubo.oracle import Grid1D, relu_reference
 from reluqubo import cli, solvers
-from reluqubo.solvers import exhaustive_solve
+from reluqubo.solvers import AnnealConfig, exhaustive_solve
 
 
 def expansion(depth, alpha, beta):
@@ -284,6 +284,10 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["energy"] == 1.25
         assert payload["assignment"] == "00"
+
+    def test_flags_default_to_anneal_config(self):
+        args = cli._make_parser().parse_args(["solve", "m.qubo"])
+        assert cli._anneal_config(args) == AnnealConfig()
 
     def test_fixed_m_reproduces_direct_solve(self, tmp_path, capsys):
         cfg = config_negative_range()
@@ -683,6 +687,57 @@ class TestSweep:
         for grid in ("0:1:1e-10", "0:1000000:1", "-1e308:1e308:1e-300"):
             assert main(["sweep", write_config(tmp_path, cfg), f"--grid={grid}"]) == 2
             assert "--grid" in capsys.readouterr().err
+
+
+class TestOneInputRule:
+    """verify and sweep judge the D = 1 rule on the config, before the build."""
+
+    ARGS = {"verify": [], "sweep": ["--grid=-1:0:0.5"]}
+
+    def run(self, tmp_path, monkeypatch, command, inputs, build=True):
+        if not build:
+            def no_build(cfg):
+                raise AssertionError("the model was built before the D = 1 rule was checked")
+            monkeypatch.setattr(cli, "build_from_config", no_build)
+        cfg = config_negative_range()
+        cfg["model"]["inputs"] = inputs
+        cfg["verify"] = {"m_points": [-1.0, 0.0]}
+        return main([command, write_config(tmp_path, cfg), *self.ARGS[command]])
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("inputs", [[1.0] * 600, [1.0, 1.0], [2], [0.0], [-1]])
+    def test_other_inputs_are_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                       command, inputs):
+        assert self.run(tmp_path, monkeypatch, command, inputs, build=False) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: config error at 'model.inputs': verify/sweep need D=1 "
+                                "with inputs [1] so m maps one-to-one onto the weight grid\n")
+        assert captured.out == ""
+
+    def test_inputs_are_named_before_the_cost(self, tmp_path, capsys, monkeypatch):
+        cfg = config_negative_range()
+        cfg["cost"]["kind"] = "linear"
+        cfg["model"]["inputs"] = [1.0, 1.0]
+        cfg["verify"] = {"m_points": [0.0]}
+        assert main(["verify", write_config(tmp_path, cfg)]) == 2
+        assert "config error at 'model.inputs': verify/sweep need D=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("inputs", [[1], [1.0]])
+    def test_one_unit_input_passes(self, tmp_path, capsys, monkeypatch, command, inputs):
+        assert self.run(tmp_path, monkeypatch, command, inputs) == 0
+
+    @pytest.mark.parametrize("inputs, message", [
+        ([], "'model.inputs': expected a non-empty array of numbers"),
+        ("1", "'model.inputs': expected a non-empty array of numbers"),
+        ([True], "'model.inputs[0]': expected a number, got True"),
+        ([1.0, "x"], "'model.inputs[1]': expected a number, got 'x'"),
+        ([1.0, 10 ** 400], "'model.inputs[1]': must be finite"),
+    ])
+    def test_malformed_inputs_keep_the_build_message(self, tmp_path, capsys, monkeypatch,
+                                                     inputs, message):
+        assert self.run(tmp_path, monkeypatch, "verify", inputs) == 2
+        assert f"config error at {message}" in capsys.readouterr().err
 
 
 def pointwise_tsv(built, ms):

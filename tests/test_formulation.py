@@ -35,7 +35,7 @@ from reluqubo.formulation import (
     ConfigError,
 )
 from reluqubo.oracle import relu_reference
-from reluqubo.solvers import exhaustive_solve
+from reluqubo.solvers import exhaustive_solve, exhaustive_solve_many
 
 T2 = BinaryExpansion(2, 1.0, -1.0)
 Z_UNIT = BinaryExpansion(3, 1.0, 0.0)     # grid step 1/7, hits 0 and 1
@@ -331,6 +331,40 @@ def test_any_t_interval_gives_max_am_bm(a4, width4, data):
     bits = best.assignment
     r = -m - spec.z1_exp.decode(bits[z1.start:z1.stop]) + spec.z2_exp.decode(bits[z2.start:])
     assert r == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def sound_pinned_builds(draw):
+    """Hinge builds of D = 1 on dyadic grids where the paper's claim holds
+    at every w grid point: z1 = z2 with step s = 2^p on [0, s(2^d - 1)],
+    w on a grid of step k*s inside +-z_top, so r = 0 is reachable at
+    every m and the smallest nonzero |r| is s, and M = margin / s > 1/s."""
+    s = 2.0 ** draw(st.integers(-3, 1))
+    depth_z = draw(st.integers(2, 4))
+    top = (1 << depth_z) - 1  # z_top / s
+    z = BinaryExpansion(depth_z, s * top, 0.0)
+    depth_w = draw(st.integers(1, depth_z))
+    levels = (1 << depth_w) - 1
+    k = draw(st.integers(1, 2 * top // levels))
+    low = draw(st.integers(-top, top - k * levels))  # the w grid's lowest point / s
+    w = BinaryExpansion(depth_w, k * s * levels, low * s)
+    t = BinaryExpansion(draw(st.integers(1, 3)), 1.0, -1.0)
+    spec = ReluPenaltySpec(t, z, z, draw(st.floats(1.01, 4.0)) / s)
+    return build_cost_plus_relu(spec, LinearModelSpec((1.0,), w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sound_pinned_builds())
+def test_pinned_minimum_is_f_with_r_zero_at_every_w_grid_point(built):
+    w_range = built.var_ranges["w[0]"]
+    patterns = list(itertools.product((0, 1), repeat=len(w_range)))
+    results = exhaustive_solve_many(built.model, [dict(zip(w_range, p)) for p in patterns])
+    for pattern, result in zip(patterns, results):
+        m, _, _, _, r = built.decode(result.assignment)
+        assert m == built.m.w_exp.decode(pattern)
+        f = relu_reference(m)
+        assert abs(result.energy - f) <= 1e-9 * max(1.0, abs(f))
+        assert abs(r) <= 1e-12 * max(1.0, abs(m))
 
 
 class TestBuildFromConfig:
