@@ -72,10 +72,6 @@ class AffineExpr:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         self.constant = float(self.constant)
 
-    @classmethod
-    def from_constant(cls, c: float) -> "AffineExpr":
-        return cls(np.zeros(0), c)
-
     def scaled(self, scale: float) -> "AffineExpr":
         return AffineExpr(self.coeffs * scale, self.constant * scale)
 

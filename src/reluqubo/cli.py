@@ -14,7 +14,7 @@ import sys
 from typing import Sequence, TextIO
 
 from .algebra import QuboModel, QuboParseError, _parse_index, export_qubo, parse_qubo
-from .formulation import BuiltModel, ConfigError, _number, build_from_config
+from .formulation import BuiltModel, ConfigError, _number, build_from_config, read_config
 from .oracle import MAX_GRID_POINTS, Grid1D, relu_reference
 from .solvers import (
     AnnealConfig,
@@ -116,7 +116,7 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     requested point and every other column belongs to the pinned grid
     point m_hat: qubo_min excludes the configured quadratic cost C(m_hat),
     so the row isolates the penalty part, and reference is f(m_hat).
-    The model has D = 1 with inputs [1]; _check_one_input refuses others.
+    The model has D = 1 with inputs [1]; _build_one_input refuses others.
     """
     lin = built.m
     w_range = built.var_ranges["w[0]"]
@@ -159,28 +159,20 @@ def _verify_points(cfg: object) -> list[float]:
     return [_number(m, "verify.m_points") for m in points]
 
 
-def _check_one_input(cfg: object) -> None:
-    """verify/sweep's D = 1 rule, judged before the build, so a config
-    refused for its inputs costs no build.  Inputs that are not a
-    non-empty list of finite numbers are left to build_from_config."""
-    model_cfg = cfg.get("model") if isinstance(cfg, dict) else None
-    inputs = model_cfg.get("inputs") if isinstance(model_cfg, dict) else None
-    if not isinstance(inputs, list) or not inputs:
-        return
-    try:
-        xs = [_number(x, "model.inputs") for x in inputs]
-    except ConfigError:
-        return
-    if xs != [1.0]:
+def _build_one_input(cfg: object) -> BuiltModel:
+    """build_from_config(cfg) for verify/sweep, which need D = 1 with inputs
+    [1]; the rule is judged on read_config's checked specs, so a config
+    refused for its inputs costs no build."""
+    if read_config(cfg)[1].inputs != (1.0,):
         raise ConfigError("model.inputs", "verify/sweep need D=1 with inputs [1] "
                           "so m maps one-to-one onto the weight grid")
+    return build_from_config(cfg)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     points = _verify_points(cfg)
-    _check_one_input(cfg)
-    rows, misses = _report_rows(build_from_config(cfg), points)
+    rows, misses = _report_rows(_build_one_input(cfg), points)
     _emit_tsv(rows, sys.stdout)
     print(f"verify: {len(rows) - misses}/{len(rows)} points within "
           f"1e-9 * max(1, |f|, |C|) of f at the pinned grid point", file=sys.stderr)
@@ -201,8 +193,7 @@ def _parse_grid(text: str) -> Grid1D:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     grid = _parse_grid(args.grid)  # before the build, which a bad grid need not pay
-    _check_one_input(cfg)
-    rows, _ = _report_rows(build_from_config(cfg), [float(m) for m in grid.points()])
+    rows, _ = _report_rows(_build_one_input(cfg), [float(m) for m in grid.points()])
     if args.out is None:
         _emit_tsv(rows, sys.stdout)
     else:

@@ -142,7 +142,7 @@ class BuiltModel:
 
 def build_linear_model_expr(spec: LinearModelSpec) -> AffineExpr:
     """Affine form of m = sum_d x_d * w_d over the weight bits of spec.groups()."""
-    m = AffineExpr.from_constant(0.0)
+    m = AffineExpr()
     for x, bits in zip(spec.inputs, spec.groups().values()):
         m = m + spec.w_exp.to_affine(bits).scaled(x)
     return m
@@ -177,7 +177,7 @@ def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
             ranges, m_expr = m.groups(), build_linear_model_expr(m)
         else:
             m = float(m)
-            ranges, m_expr = {}, AffineExpr.from_constant(m)
+            ranges, m_expr = {}, AffineExpr(constant=m)
         cost_expr = QuadraticExpr()
         if scale != 0.0:  # quad_scale_add would discard the whole product
             shifted = m_expr - target
@@ -255,11 +255,13 @@ def _expansion_from_config(cfg: object, path: str) -> BinaryExpansion:
         raise ConfigError(path, str(exc)) from None
 
 
-def build_from_config(cfg: Mapping) -> BuiltModel:
-    """Build a model from the JSON config schema above.
+def read_config(cfg: Mapping) -> tuple[ReluPenaltySpec, LinearModelSpec,
+                                       tuple[float, float]]:
+    """The checked (penalty spec, m spec, cost (target, scale)) of the JSON
+    config schema above, the arguments of build_cost_plus_relu; builds nothing.
 
-    Raises ConfigError (with the offending JSON path) on any schema or
-    value problem.
+    Raises ConfigError naming the first offending JSON path on any schema
+    or value problem, a model over MAX_BUILD_VARS variables included.
     """
     if not isinstance(cfg, Mapping):
         raise ConfigError("", "top-level config must be an object")
@@ -310,4 +312,9 @@ def build_from_config(cfg: Mapping) -> BuiltModel:
     except ValueError as exc:
         raise ConfigError("penalty", str(exc)) from None
 
-    return build_cost_plus_relu(pen_spec, lin_spec, (target, scale))
+    return pen_spec, lin_spec, (target, scale)
+
+
+def build_from_config(cfg: Mapping) -> BuiltModel:
+    """Build a model from the JSON config schema above (read_config)."""
+    return build_cost_plus_relu(*read_config(cfg))

@@ -209,19 +209,18 @@ def _energies(Q: np.ndarray) -> np.ndarray:
     return E
 
 
-def _min_out_set(Q: np.ndarray) -> np.ndarray:
-    """Ascending indices of pairwise-uncoupled bits of Q (nonzero
-    off-diagonal entries couple), picked greedily: lowest degree first,
-    index order on ties."""
-    coupled = (Q != 0) | (Q != 0).T
+def _min_out_set(coupled: np.ndarray) -> np.ndarray:
+    """Mask of pairwise-uncoupled bits of the symmetric bool pattern
+    coupled, picked greedily: lowest degree first, index order on ties."""
     degree = coupled.sum(axis=1).tolist()
-    taken, blocked = [], np.zeros(len(Q), dtype=bool)
+    taken = np.zeros(len(coupled), dtype=bool)
+    blocked = taken.copy()
     # sorted(), not numpy's sorts, which page in 0.1-0.25 MB of code (RSS)
-    for i in sorted(range(len(Q)), key=degree.__getitem__):
+    for i in sorted(range(len(coupled)), key=degree.__getitem__):
         if not blocked[i]:
-            taken.append(i)
+            taken[i] = True
             blocked |= coupled[i]
-    return np.array(sorted(taken), dtype=np.intp)
+    return taken
 
 
 def _lowest(bits: np.ndarray) -> np.ndarray:
@@ -257,17 +256,16 @@ def _min_out_argmins(Q: np.ndarray, diagonals: np.ndarray) -> list[np.ndarray]:
     may be the highest bit that differs.
     """
     n = len(Q)
-    S = _min_out_set(Q)
-    enumerated = np.ones(n, dtype=bool)
-    enumerated[S] = False
-    R = np.flatnonzero(enumerated)  # np.setdiff1d would import numpy.ma: +1.1 MB RSS
+    coupling = Q + Q.T
+    summed = _min_out_set(coupling != 0)
+    # not np.setdiff1d, which would import numpy.ma: +1.1 MB RSS
+    S, R = np.flatnonzero(summed), np.flatnonzero(~summed)
     nl = (len(R) + 1) // 2
     nh = len(R) - nl
     lo, hi = R[:nl], R[nl:]
     E_lo, E_hi = _energies(Q[np.ix_(lo, lo)]), _energies(Q[np.ix_(hi, hi)])
     G = np.zeros((1 << nl, nh))
     _subset_sums(Q[np.ix_(lo, hi)], G)
-    coupling = Q + Q.T
     A, B = np.zeros((1 << nl, len(S))), np.zeros((1 << nh, len(S)))
     _subset_sums(coupling[np.ix_(lo, S)], A)
     _subset_sums(coupling[np.ix_(hi, S)], B)

@@ -1,6 +1,13 @@
-"""Test-only helpers: every {0, 1} assignment, and models written as dicts."""
+"""Test-only helpers: every {0, 1} assignment, models written as dicts,
+and the benchmark's modules loaded from perfbench/."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 from reluqubo.algebra import QuboModel
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def all_assignments(n):
@@ -14,3 +21,12 @@ def qubo(n, linear, quadratic, offset=0.0, labels=None):
     keys = [(i, i) for i in linear] + list(quadratic)
     return QuboModel(n, ([i for i, _ in keys], [j for _, j in keys],
                          [*linear.values(), *quadratic.values()]), offset, labels)
+
+
+def load(name):
+    """perfbench/<name>.py as a module, which is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module

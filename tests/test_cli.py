@@ -690,22 +690,24 @@ class TestSweep:
 
 
 class TestOneInputRule:
-    """verify and sweep judge the D = 1 rule on the config, before the build."""
+    """verify and sweep judge the D = 1 rule on read_config's checked specs,
+    before the build."""
 
     ARGS = {"verify": [], "sweep": ["--grid=-1:0:0.5"]}
 
-    def run(self, tmp_path, monkeypatch, command, inputs, build=True):
+    def run(self, tmp_path, monkeypatch, command, inputs, build=True, cost_kind="quadratic"):
         if not build:
             def no_build(cfg):
                 raise AssertionError("the model was built before the D = 1 rule was checked")
             monkeypatch.setattr(cli, "build_from_config", no_build)
         cfg = config_negative_range()
+        cfg["cost"]["kind"] = cost_kind
         cfg["model"]["inputs"] = inputs
         cfg["verify"] = {"m_points": [-1.0, 0.0]}
         return main([command, write_config(tmp_path, cfg), *self.ARGS[command]])
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
-    @pytest.mark.parametrize("inputs", [[1.0] * 600, [1.0, 1.0], [2], [0.0], [-1]])
+    @pytest.mark.parametrize("inputs", [[1.0] * 600, [1.0, 1.0], [2], [0.5], [-1]])
     def test_other_inputs_are_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
                                                        command, inputs):
         assert self.run(tmp_path, monkeypatch, command, inputs, build=False) == 2
@@ -714,13 +716,20 @@ class TestOneInputRule:
                                 "with inputs [1] so m maps one-to-one onto the weight grid\n")
         assert captured.out == ""
 
-    def test_inputs_are_named_before_the_cost(self, tmp_path, capsys, monkeypatch):
-        cfg = config_negative_range()
-        cfg["cost"]["kind"] = "linear"
-        cfg["model"]["inputs"] = [1.0, 1.0]
-        cfg["verify"] = {"m_points": [0.0]}
-        assert main(["verify", write_config(tmp_path, cfg)]) == 2
-        assert "config error at 'model.inputs': verify/sweep need D=1" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("inputs, cost_kind, message", [
+        ([0.0], "quadratic", "'model.inputs[0]': must be nonzero, got 0.0"),
+        ([1.0] * 700, "quadratic", "'model.inputs': the model would have 4216 variables, "
+                                   "more than the cap of 4096"),
+        ([1.0, 1.0], "linear", "'cost.kind': unsupported cost kind 'linear'"),
+    ], ids=["zero-input", "over-the-cap", "cost-first"])
+    def test_the_first_broken_key_is_named_before_the_build(self, tmp_path, capsys, monkeypatch,
+                                                            command, inputs, cost_kind, message):
+        assert self.run(tmp_path, monkeypatch, command, inputs, build=False,
+                        cost_kind=cost_kind) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config error at {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("inputs", [[1], [1.0]])

@@ -2,25 +2,15 @@
 and a benchmark worker must run a workload to the end, traced or not."""
 
 import importlib
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import PERFBENCH, load
 
 import reluqubo
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_trace_target_resolves():
