@@ -2,10 +2,10 @@
 
 A variable with expansion (depth d, multiplier alpha, offset beta) takes
 the values  beta + alpha * j / (2^d - 1)  for j = 0 .. 2^d - 1, i.e. the
-uniform grid on [beta, alpha + beta].  Bit k (1-based, LSB first) carries
-weight alpha * delta(k) with delta(k) = 2^(k-1) / (2^d - 1).  An expansion
-refuses an alpha that gives a bit coefficient or the grid step of 0, so
-every bit enters a model and every grid has a positive step.
+uniform grid on [beta, alpha + beta].  Bit k (0-based, LSB first) carries
+the weight alpha * 2^k / (2^d - 1), weights[k].  An expansion refuses an
+alpha that gives a bit weight or the grid step of 0, so every bit enters
+a model and every grid has a positive step.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ from .algebra import AffineExpr
 MAX_DEPTH = 53
 
 
-def delta(k: int, depth: int) -> float:
-    """Bit weight 2^(k-1) / (2^depth - 1) for k in 1..depth."""
-    if not 1 <= k <= depth:
-        raise ValueError(f"bit index {k} out of range 1..{depth}")
-    return float(1 << (k - 1)) / float((1 << depth) - 1)
-
-
 @dataclass(frozen=True)
 class BinaryExpansion:
     """(depth, alpha, beta) triple fixing a uniform grid on [beta, alpha+beta]."""
@@ -49,7 +42,7 @@ class BinaryExpansion:
             raise ValueError("alpha and beta must be finite")
         # a bit of coefficient 0 drops out of every model, and a subnormal
         # alpha can round the smallest coefficient or the grid step to 0
-        if not (self.alpha * delta(1, self.depth) > 0.0 and self.resolution > 0.0):
+        if not (self.weights[0] > 0.0 and self.resolution > 0.0):
             raise ValueError(f"alpha must be positive and give every bit a nonzero "
                              f"coefficient, got {self.alpha!r}")
 
@@ -60,6 +53,12 @@ class BinaryExpansion:
     @property
     def bounds(self) -> tuple[float, float]:
         return (self.beta, self.alpha + self.beta)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """Coefficient alpha * 2^k / (2^depth - 1) of bit k, LSB first."""
+        top = float(self.n_levels - 1)
+        return tuple(self.alpha * (float(1 << k) / top) for k in range(self.depth))
 
     @property
     def resolution(self) -> float:
@@ -105,12 +104,12 @@ class BinaryExpansion:
         return tuple((j >> k) & 1 for k in range(self.depth))
 
     def to_affine(self, bits: range) -> AffineExpr:
-        """Affine form beta + sum alpha*delta(k)*b_k over the model bits in
-        bits, which lists the LSB first."""
+        """Affine form beta + sum weights[k]*b_k over the model bits in bits,
+        which lists the LSB first."""
         if len(bits) != self.depth:
             raise ValueError(f"expected {self.depth} bits, got {len(bits)}")
         coeffs = np.zeros(bits.stop)
-        coeffs[bits] = [self.alpha * delta(k, self.depth) for k in range(1, self.depth + 1)]
+        coeffs[bits] = self.weights
         return AffineExpr(coeffs, self.beta)
 
     def grid(self) -> np.ndarray:

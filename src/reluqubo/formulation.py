@@ -35,7 +35,7 @@ from .algebra import (
     quad_scale_add,
     quadratic_to_model,
 )
-from .encoding import BinaryExpansion, delta
+from .encoding import BinaryExpansion
 
 
 class ConfigError(ValueError):
@@ -64,10 +64,11 @@ class ReluPenaltySpec:
     def __post_init__(self) -> None:
         for name, exp in (("z1", self.z1_exp), ("z2", self.z2_exp)):
             if exp.beta != 0.0:
-                raise ValueError(f"{name} expansion must have lower bound exactly 0, "
-                                 f"got beta = {exp.beta}")
+                raise ConfigError(f"penalty.{name}", f"{name} expansion must have lower "
+                                                     f"bound exactly 0, got beta = {exp.beta}")
         if not (math.isfinite(self.M) and self.M > 0):
-            raise ValueError(f"penalty weight M must be finite and positive, got {self.M!r}")
+            raise ConfigError("penalty.M", f"penalty weight M must be finite and positive, "
+                                           f"got {self.M!r}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,16 @@ class LinearModelSpec:
     def __post_init__(self) -> None:
         if len(self.inputs) < 1:
             raise ValueError("need at least one input dimension")
+        object.__setattr__(self, "inputs", tuple(float(x) for x in self.inputs))
+        step = self.w_exp.weights[0]  # bit k of w[d] enters m as weights[k] * x_d
         for d, x in enumerate(self.inputs):
             if not math.isfinite(x):
                 raise ValueError(f"input x[{d}] must be finite, got {x!r}")
-        object.__setattr__(self, "inputs", tuple(float(x) for x in self.inputs))
+            if x == 0.0:
+                raise ConfigError(f"model.inputs[{d}]", f"must be nonzero, got {x!r}")
+            if step * x == 0.0:
+                raise ConfigError(f"model.inputs[{d}]", f"{x!r} times the weight step {step!r} "
+                                                        f"is 0, so its weight bits drop out of m")
 
     @property
     def dim(self) -> int:
@@ -99,39 +106,57 @@ class LinearModelSpec:
             hi += max(a, b)
         return (lo, hi)
 
-    def groups(self) -> dict[str, range]:
-        """Model bits of each weight: w[d] holds the depth bits from d * depth on."""
-        depth = self.w_exp.depth
-        return {f"w[{d}]": range(d * depth, (d + 1) * depth) for d in range(self.dim)}
+
+MAX_BUILD_VARS = 4096  # a build's n x n forms peak near 70 B per n^2: 1.2 GB at the cap
+
+
+def _layout(m: LinearModelSpec | float,
+            penalty: Sequence[BinaryExpansion] = ()) -> dict[str, range]:
+    """Model bits of each group: w[d] the depth bits from d * depth on (none
+    for a constant m), then t, z1, z2 those of the expansions in penalty.
+    Over MAX_BUILD_VARS bits in all, a ConfigError naming 'model.inputs'."""
+    dim, depth = (m.dim, m.w_exp.depth) if isinstance(m, LinearModelSpec) else (0, 0)
+    n_vars = dim * depth + sum(exp.depth for exp in penalty)
+    if n_vars > MAX_BUILD_VARS:
+        raise ConfigError("model.inputs", f"the model would have {n_vars} variables, "
+                                          f"more than the cap of {MAX_BUILD_VARS}")
+    ranges = {f"w[{d}]": range(d * depth, (d + 1) * depth) for d in range(dim)}
+    k = dim * depth
+    for name, exp in zip(("t", "z1", "z2"), penalty):
+        ranges[name], k = range(k, k + exp.depth), k + exp.depth
+    return ranges
 
 
 @dataclass(frozen=True)
 class BuiltModel:
     """A built QUBO plus the specs it was built from, to decode its bits.
 
-    var_ranges maps a group name ('w[0]', 't', 'z1', 'z2') to the range
-    of model indices realizing it; build_cost_plus_relu lays them out
-    disjoint and covering all variables.  m is the LinearModelSpec of
-    the weight bits, or the constant m of a model without them, and
-    cost_params the (target, scale) of the cost scale*(m - target)^2.
+    m is the LinearModelSpec of the weight bits, or the constant m of a
+    model without them, and cost_params the (target, scale) of the cost
+    scale*(m - target)^2.
     """
 
     model: QuboModel
-    var_ranges: dict[str, range]
     penalty_spec: ReluPenaltySpec
     m: LinearModelSpec | float
     cost_params: tuple[float, float]
+
+    @property
+    def var_ranges(self) -> dict[str, range]:
+        """Model indices of each group ('w[0]', 't', 'z1', 'z2'), as the build laid them out."""
+        spec = self.penalty_spec
+        return _layout(self.m, (spec.t_exp, spec.z1_exp, spec.z2_exp))
 
     def decode(self, assignment: Sequence[int]) -> tuple[float, float, float, float, float]:
         """(m, t, z1, z2, r) at the given assignment, r = -m - z1 + z2; m is
         sum_d x_d * w_d of the decoded weights, or the constant m.
         The assignment must be model.n_vars entries of 0 or 1."""
         _check_bits(assignment, self.model.n_vars)
+        ranges, spec, m = self.var_ranges, self.penalty_spec, self.m
 
         def value(name: str, exp: BinaryExpansion) -> float:
-            return exp.decode([assignment[i] for i in self.var_ranges[name]])
+            return exp.decode([assignment[i] for i in ranges[name]])
 
-        spec, m = self.penalty_spec, self.m
         if isinstance(m, LinearModelSpec):
             lin, m = m, 0.0
             for d, x in enumerate(lin.inputs):
@@ -141,11 +166,9 @@ class BuiltModel:
 
 
 def build_linear_model_expr(spec: LinearModelSpec) -> AffineExpr:
-    """Affine form of m = sum_d x_d * w_d over the weight bits of spec.groups()."""
-    m = AffineExpr()
-    for x, bits in zip(spec.inputs, spec.groups().values()):
-        m = m + spec.w_exp.to_affine(bits).scaled(x)
-    return m
+    """Affine form of m = sum_d x_d * w_d over the weight bits of _layout(spec)."""
+    terms = zip(spec.inputs, _layout(spec).values())
+    return sum((spec.w_exp.to_affine(bits).scaled(x) for x, bits in terms), AffineExpr())
 
 
 def _finite(expr: QuadraticExpr, path: str) -> QuadraticExpr:
@@ -164,31 +187,28 @@ def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
     [a, b] are the spec's t bounds.  Its two products, (t - a)*(-r) and
     r*r, give each coefficient the same float as the primal form's four:
     each entry sums the same products, plus zeros.  m is a LinearModelSpec,
-    whose weight bits come first and take the groups of m.groups(), or a
-    constant with no bits; fresh t, z1, z2 bits follow in that order.  Bit
-    i of group g is labeled g[i].  A product of forms that overflows is a
-    ConfigError naming 'model', M times the squared residual one naming
-    'penalty.M', and the scaled cost one naming 'cost.scale'.
+    whose weight bits come first, or a constant; t, z1, z2 bits follow
+    (_layout, which refuses a model over MAX_BUILD_VARS bits before any
+    product).  Bit i of group g is labeled g[i].  An overflowing product
+    of forms is a ConfigError naming 'model', M times the squared residual
+    one naming 'penalty.M', and the scaled cost one naming 'cost.scale'.
     """
     target, scale = cost
+    exps = (spec.t_exp, spec.z1_exp, spec.z2_exp)
+    ranges = _layout(m, exps)
     # an overflowing product is a ConfigError naming its key, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(m, LinearModelSpec):
-            ranges, m_expr = m.groups(), build_linear_model_expr(m)
+            m_expr = build_linear_model_expr(m)
         else:
             m = float(m)
-            ranges, m_expr = {}, AffineExpr(constant=m)
+            m_expr = AffineExpr(constant=m)
         cost_expr = QuadraticExpr()
         if scale != 0.0:  # quad_scale_add would discard the whole product
             shifted = m_expr - target
             square = _finite(affine_mul(shifted, shifted), "model")
             cost_expr = _finite(quad_scale_add(cost_expr, square, scale), "cost.scale")
-        k, forms = len(m_expr.coeffs), []
-        for name, exp in (("t", spec.t_exp), ("z1", spec.z1_exp), ("z2", spec.z2_exp)):
-            ranges[name] = range(k, k + exp.depth)
-            forms.append(exp.to_affine(ranges[name]))
-            k += exp.depth
-        t, z1, z2 = forms
+        t, z1, z2 = (exp.to_affine(ranges[name]) for name, exp in zip(("t", "z1", "z2"), exps))
         a, b = spec.t_exp.bounds
         residual = -m_expr - z1 + z2
         dual = m_expr.scaled(a) + z2.scaled(b - a)  # linear, so all on the diagonal
@@ -198,7 +218,7 @@ def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
         penalty = _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
         total = _finite(quad_scale_add(cost_expr, penalty, 1.0), "cost.scale")
         labels = [f"{name}[{i}]" for name, bits in ranges.items() for i in range(len(bits))]
-        return BuiltModel(quadratic_to_model(total, labels), ranges, spec, m, (target, scale))
+        return BuiltModel(quadratic_to_model(total, labels), spec, m, (target, scale))
 
 
 def recommend_M(m_lo: float, m_hi: float,
@@ -221,8 +241,6 @@ def recommend_M(m_lo: float, m_hi: float,
 # with {expansion} = {"depth": d, "alpha": a, "beta": b}.  t covers
 # exactly [-1, 0]: a config builds the hinge.  "M": "auto" applies
 # recommend_M to the reachable m range.
-
-MAX_BUILD_VARS = 4096  # a build's n x n forms peak near 70 B per n^2: 1.2 GB at the cap
 
 
 def _require(cfg: Mapping, key: str, path: str) -> object:
@@ -279,24 +297,13 @@ def read_config(cfg: Mapping) -> tuple[ReluPenaltySpec, LinearModelSpec,
         raise ConfigError("model.inputs", "expected a non-empty array of numbers")
     xs = tuple(_number(x, f"model.inputs[{d}]") for d, x in enumerate(inputs))
     w_exp = _expansion_from_config(_require(model_cfg, "w", "model"), "model.w")
-    # bit k of w[d] enters m with coefficient (alpha * delta(k)) * x_d
-    step = w_exp.alpha * delta(1, w_exp.depth)
-    for d, x in enumerate(xs):
-        if x == 0.0:
-            raise ConfigError(f"model.inputs[{d}]", f"must be nonzero, got {x!r}")
-        if step * x == 0.0:
-            raise ConfigError(f"model.inputs[{d}]", f"{x!r} times the weight step {step!r} "
-                                                    f"is 0, so its weight bits drop out of m")
     lin_spec = LinearModelSpec(xs, w_exp)
 
     pen_cfg = _require(cfg, "penalty", "")
     t_exp = _expansion_from_config(_require(pen_cfg, "t", "penalty"), "penalty.t")
     z1_exp = _expansion_from_config(_require(pen_cfg, "z1", "penalty"), "penalty.z1")
     z2_exp = _expansion_from_config(_require(pen_cfg, "z2", "penalty"), "penalty.z2")
-    n_vars = len(xs) * w_exp.depth + t_exp.depth + z1_exp.depth + z2_exp.depth
-    if n_vars > MAX_BUILD_VARS:
-        raise ConfigError("model.inputs", f"the model would have {n_vars} variables, "
-                                          f"more than the cap of {MAX_BUILD_VARS}")
+    _layout(lin_spec, (t_exp, z1_exp, z2_exp))
     m_value = _require(pen_cfg, "M", "penalty")
     if m_value == "auto":
         M = recommend_M(*lin_spec.m_range(), z1_exp, z2_exp)
@@ -307,12 +314,7 @@ def read_config(cfg: Mapping) -> tuple[ReluPenaltySpec, LinearModelSpec,
     if t_exp.bounds != (-1.0, 0.0):  # verify, sweep and auto M assume the hinge
         raise ConfigError("penalty.t", f"must cover exactly [-1, 0], the hinge's t "
                                        f"interval, got {t_exp.bounds}")
-    try:
-        pen_spec = ReluPenaltySpec(t_exp, z1_exp, z2_exp, M)
-    except ValueError as exc:
-        raise ConfigError("penalty", str(exc)) from None
-
-    return pen_spec, lin_spec, (target, scale)
+    return ReluPenaltySpec(t_exp, z1_exp, z2_exp, M), lin_spec, (target, scale)
 
 
 def build_from_config(cfg: Mapping) -> BuiltModel:

@@ -80,8 +80,6 @@ def qloss_min_form(m: float, q: float, t_grid: Grid1D) -> float:
     if not q < 0:
         raise ValueError(f"q must be negative, got {q!r}")
     t = t_grid.points()
-    if t.size == 0:
-        raise ValueError("empty grid")
     values = (m - t) ** 2 + (1.0 - q) ** 2 * (1.0 - np.sign(t - 1.0)) / 2.0
     return float(values.min())
 

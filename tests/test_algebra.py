@@ -292,6 +292,16 @@ class TestIsingConversion:
             assert abs(ising.energy(spins_for(pattern)) - e_q) <= tol
             assert abs(energy(back, pattern) - e_q) <= tol
 
+    @pytest.mark.parametrize("spins, message", [
+        ([1], "spin vector length 1 != n_spins 2"),
+        ([1, 0], "spins must be -1 or +1, got 0"),
+        ([2, 1], "spins must be -1 or +1, got 2"),
+    ], ids=["length", "zero", "two"])
+    def test_energy_refuses_bad_spins(self, spins, message):
+        with pytest.raises(ValueError) as err:
+            IsingModel(2, ([0], [1], [1.0])).energy(spins)
+        assert str(err.value) == message
+
     def test_j_diagonal_never_stored(self):
         rng = np.random.default_rng(9)
         ising = ising_from_qubo(random_model(rng, 6))
@@ -591,6 +601,18 @@ class TestModelValidation:
         with pytest.raises(ValueError) as err:
             cls(*args)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("cls, size", [(QuboModel, "n_vars"), (IsingModel, "n_spins")])
+    @pytest.mark.parametrize("args, message", [
+        ((-1,), "{size} must be >= 0"),
+        ((3, ([0, 1], [1], [1.0, 2.0])), "terms must be three 1-D arrays of one length"),
+        ((3, ([[0]], [[1]], [[1.0]])), "terms must be three 1-D arrays of one length"),
+        ((3, ((), (), ()), 0.0, ["a", "b"]), "expected 3 labels, got 2"),
+    ], ids=["negative-size", "unequal-lengths", "2-D", "label-count"])
+    def test_malformed_fields_rejected(self, cls, size, args, message):
+        with pytest.raises(ValueError) as err:
+            cls(*args)
+        assert str(err.value) == message.format(size=size)
 
     @pytest.mark.parametrize("cls", [QuboModel, IsingModel])
     @pytest.mark.parametrize("terms", [([True, 1], [1, 2], [1.0, 1.0]),

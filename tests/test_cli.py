@@ -824,6 +824,23 @@ BOUNDARY_ERRORS = {
                         ["solve", "@m.qubo"], "line 5: duplicate label for variable 0"),
     "incomplete labels": ({"m.qubo": "qubo-v1\nvars 3\noffset 0.0\nlabel 1 a\n"},
                           ["solve", "@m.qubo"], "label table incomplete: missing [0, 2]"),
+    "M zero": ({"c.json": changed_config("penalty", "M", 0)}, ["build", "@c.json", "@m.qubo"],
+               "config error at 'penalty.M': penalty weight M must be finite and positive"),
+    "M negative": ({"c.json": changed_config("penalty", "M", -3.0)},
+                   ["build", "@c.json", "@m.qubo"],
+                   "config error at 'penalty.M': penalty weight M must be finite and positive"),
+    "z1 above 0": ({"c.json": changed_config("penalty", "z1", expansion(6, 4.0, 1.0))},
+                   ["build", "@c.json", "@m.qubo"],
+                   "config error at 'penalty.z1': z1 expansion must have lower bound exactly 0"),
+    "z2 below 0": ({"c.json": changed_config("penalty", "z2", expansion(6, 4.0, -0.5))},
+                   ["build", "@c.json", "@m.qubo"],
+                   "config error at 'penalty.z2': z2 expansion must have lower bound exactly 0"),
+    "cost not an object": ({"c.json": json.dumps(config_negative_range() | {"cost": 5})},
+                           ["build", "@c.json", "@m.qubo"],
+                           "config error at 'cost': expected an object"),
+    "w not an object": ({"c.json": changed_config("model", "w", 5)},
+                        ["build", "@c.json", "@m.qubo"],
+                        "config error at 'model.w': expected an object {depth, alpha, beta}"),
 }
 
 
@@ -834,8 +851,8 @@ def test_boundary_error_exits_2(tmp_path, capsys, files, argv, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     code = main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert message in err
 
@@ -885,6 +902,17 @@ class TestKernelBuild:
         for argv in (["build", cfg, str(tmp_path / "b.qubo")], ["solve", model],
                      ["verify", cfg], ["sweep", cfg, "--grid=-1:0:0.5"]):
             assert main(argv) == 0, argv  # a build would fail here, with no compiler
+
+    def test_failing_compiler_fails_sa_alone(self, tmp_path, monkeypatch, capsys, model):
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(solvers, "_CACHE_DIR", str(cache))
+        monkeypatch.setattr(solvers, "_CC", (*solvers._CC, "--no-such-flag"))
+        assert main(["solve", model, *self.SA]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: 'cc' could not compile {solvers._KERNEL_SOURCE} (exit 1): ")
+        assert os.listdir(cache) == []  # the failed build's temporary file is gone
+        assert main(["solve", model]) == 0  # exhaustive needs no kernel
 
     def test_unwritable_cache_builds_in_a_private_directory(self, tmp_path, monkeypatch, capsys,
                                                             model):

@@ -1,32 +1,42 @@
 """Tests for the uniform binary expansion of continuous variables."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import all_assignments
 
-from reluqubo.encoding import BinaryExpansion, delta
+from reluqubo.encoding import BinaryExpansion
 
 
 class TestDelta:
+    """The bit weights alpha * delta(k), delta(k) = 2^(k-1) / (2^d - 1) for
+    k = 1..d, as BinaryExpansion.weights lists them from the LSB."""
+
     def test_depth_three_weights(self):
-        assert delta(1, 3) == pytest.approx(1 / 7)
-        assert delta(2, 3) == pytest.approx(2 / 7)
-        assert delta(3, 3) == pytest.approx(4 / 7)
+        assert BinaryExpansion(3, 1.0, 0.0).weights == pytest.approx((1 / 7, 2 / 7, 4 / 7))
 
     def test_depth_one(self):
-        assert delta(1, 1) == 1.0
+        assert BinaryExpansion(1, 1.0, 0.0).weights == (1.0,)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 53])
     def test_weights_sum_to_one(self, d):
-        assert sum(delta(k, d) for k in range(1, d + 1)) == pytest.approx(1.0, abs=1e-14)
+        # every weight is 2^k / (2^d - 1) rounded once, so each is within
+        # half an ulp of exact and their sum within d ulps of 1
+        assert sum(BinaryExpansion(d, 1.0, 0.0).weights) == pytest.approx(1.0, abs=d * 2 ** -52)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            delta(0, 3)
-        with pytest.raises(ValueError):
-            delta(4, 3)
+    @pytest.mark.parametrize("depth, alpha", [(1, 1.0), (3, 2.0), (6, 8.0), (7, 0.3),
+                                              (33, 2.225073858507e-311), (53, 1e300)])
+    def test_the_old_formula_floats_summing_to_alpha(self, depth, alpha):
+        exp = BinaryExpansion(depth, alpha, -1.0)
+        old = tuple(alpha * (float(1 << (k - 1)) / float((1 << depth) - 1))
+                    for k in range(1, depth + 1))
+        assert exp.weights == old
+        # a subnormal weight is rounded to a multiple of 2^-1074
+        assert math.isclose(sum(exp.weights), alpha, rel_tol=depth * 2 ** -52,
+                            abs_tol=depth * 2 ** -1074)
 
 
 class TestConstruction:
@@ -42,6 +52,12 @@ class TestConstruction:
     def test_depth_of_another_type_rejected(self, depth):
         with pytest.raises(ValueError, match="depth must be a positive integer"):
             BinaryExpansion(depth, 1.0, 0.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 0.0), (math.nan, 0.0), (1.0, -math.inf),
+                                             (1.0, math.nan)])
+    def test_non_finite_alpha_or_beta_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
+            BinaryExpansion(3, alpha, beta)
 
     def test_depth_capped_at_double_precision(self):
         top = BinaryExpansion(53, 1.0, 0.0)
@@ -83,6 +99,11 @@ class TestDecode:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             BinaryExpansion(3, 1.0, 0.0).decode([0, 1])
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5])
+    def test_non_binary_bit_rejected(self, bit):
+        with pytest.raises(ValueError, match=f"^bits must be 0 or 1, got {bit!r}$"):
+            BinaryExpansion(3, 1.0, 0.0).decode([0, bit, 1])
 
 
 class TestGridProperties:
@@ -132,6 +153,11 @@ class TestQuantize:
             best = grid[np.argmin(np.abs(grid - v))]
             assert abs(snapped - v) <= abs(best - v) + 1e-12
             assert abs(snapped - v) <= exp.resolution / 2 + 1e-12
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^value must be finite, got {value!r}$"):
+            BinaryExpansion(3, 1.0, 0.0).quantize(value)
 
     def test_midpoint_ties_round_down(self):
         exp = BinaryExpansion(2, 3.0, 0.0)  # grid 0, 1, 2, 3

@@ -24,13 +24,14 @@ from reluqubo.algebra import (
     export_qubo,
     quadratic_to_model,
 )
-from reluqubo.encoding import BinaryExpansion, delta
+from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import (
     LinearModelSpec,
     ReluPenaltySpec,
     build_cost_plus_relu,
     build_from_config,
     build_linear_model_expr,
+    read_config,
     recommend_M,
     ConfigError,
 )
@@ -63,6 +64,55 @@ def value(expr, pattern):
     return expr.constant + sum(c for i, c in enumerate(expr.coeffs) if pattern[i])
 
 
+def small_config():
+    """8 variables: w of depth 2 on [0, 2] with inputs [1], t, z1, z2 of depth 2."""
+    return {
+        "cost": {"kind": "quadratic", "target": 0.0, "scale": 0.0},
+        "model": {"inputs": [1.0],
+                  "w": {"depth": 2, "alpha": 2.0, "beta": 0.0}},
+        "penalty": {"t": {"depth": 2, "alpha": 1.0, "beta": -1.0},
+                    "z1": {"depth": 2, "alpha": 2.0, "beta": 0.0},
+                    "z2": {"depth": 2, "alpha": 2.0, "beta": 0.0},
+                    "M": 4.0},
+    }
+
+
+def direct_build(cfg):
+    """cfg built through the library's specs alone, without read_config."""
+    pen = cfg["penalty"]
+    spec = ReluPenaltySpec(*(BinaryExpansion(**pen[k]) for k in ("t", "z1", "z2")), pen["M"])
+    lin = LinearModelSpec(cfg["model"]["inputs"], BinaryExpansion(**cfg["model"]["w"]))
+    return build_cost_plus_relu(spec, lin)
+
+
+def changing(section, key, value):
+    def change(cfg):
+        cfg[section][key] = value
+    return change
+
+
+# id, change to small_config(), the key refused and its message
+REFUSALS = [
+    ("M-zero", changing("penalty", "M", 0.0), "penalty.M",
+     "penalty weight M must be finite and positive, got 0.0"),
+    ("M-negative", changing("penalty", "M", -3.0), "penalty.M",
+     "penalty weight M must be finite and positive, got -3.0"),
+    ("z1-beta", changing("penalty", "z1", {"depth": 2, "alpha": 2.0, "beta": 1.0}), "penalty.z1",
+     "z1 expansion must have lower bound exactly 0, got beta = 1.0"),
+    ("z2-beta", changing("penalty", "z2", {"depth": 2, "alpha": 2.0, "beta": -0.5}),
+     "penalty.z2", "z2 expansion must have lower bound exactly 0, got beta = -0.5"),
+    ("zero-input", changing("model", "inputs", [1.0, 0.0]), "model.inputs[1]",
+     "must be nonzero, got 0.0"),
+    ("negative-zero-input", changing("model", "inputs", [-0.0, 1.0]), "model.inputs[0]",
+     "must be nonzero, got -0.0"),
+    ("underflowing-input", lambda cfg: cfg["model"].update(
+        inputs=[1.0, 5e-324], w={"depth": 6, "alpha": 4.0, "beta": -4.0}), "model.inputs[1]",
+     "5e-324 times the weight step 0.06349206349206349 is 0, so its weight bits drop out of m"),
+    ("over-the-cap", changing("model", "inputs", [1.0] * 2046), "model.inputs",
+     "the model would have 4098 variables, more than the cap of 4096"),
+]
+
+
 class TestSpecValidation:
     def test_z_lower_bound_zero(self):
         with pytest.raises(ValueError):
@@ -77,6 +127,22 @@ class TestSpecValidation:
             LinearModelSpec((), Z_UNIT)
         with pytest.raises(ValueError):
             LinearModelSpec((float("nan"),), Z_UNIT)
+
+    @pytest.mark.parametrize("case", REFUSALS, ids=[c[0] for c in REFUSALS])
+    def test_refusal_names_one_key_from_config_or_spec(self, case):
+        # read_config reads the config; direct_build builds its specs with no
+        # product allowed, so the cap, too, is refused before any is formed
+        _, change, path, message = case
+        cfg = small_config()
+        change(cfg)
+        with pytest.raises(ConfigError) as from_config:
+            read_config(cfg)
+        with mock.patch.object(formulation, "affine_mul", side_effect=AssertionError("built")):
+            with pytest.raises(ConfigError) as from_spec:
+                direct_build(cfg)
+        assert from_config.value.path == from_spec.value.path == path
+        assert str(from_config.value) == str(from_spec.value) == \
+            f"config error at '{path}': {message}"
 
 
 class TestBuildReluPenalty:
@@ -154,7 +220,7 @@ class TestBuildLinearModelExpr:
         xs = tuple(float(x) for x in rng.uniform(-2, 2, size=dims))
         spec = LinearModelSpec(xs, w)
         groups = [range(d * d_w, (d + 1) * d_w) for d in range(dims)]
-        assert spec.groups() == {f"w[{d}]": g for d, g in enumerate(groups)}
+        assert formulation._layout(spec) == {f"w[{d}]": g for d, g in enumerate(groups)}
         expr = build_linear_model_expr(spec)
         for pattern in all_assignments(dims * d_w):
             expected = sum(x * w.decode(pattern[g.start:g.stop]) for x, g in zip(xs, groups))
@@ -369,15 +435,7 @@ def test_pinned_minimum_is_f_with_r_zero_at_every_w_grid_point(built):
 
 class TestBuildFromConfig:
     def config(self):
-        return {
-            "cost": {"kind": "quadratic", "target": 0.0, "scale": 0.0},
-            "model": {"inputs": [1.0],
-                      "w": {"depth": 2, "alpha": 2.0, "beta": 0.0}},
-            "penalty": {"t": {"depth": 2, "alpha": 1.0, "beta": -1.0},
-                        "z1": {"depth": 2, "alpha": 2.0, "beta": 0.0},
-                        "z2": {"depth": 2, "alpha": 2.0, "beta": 0.0},
-                        "M": 4.0},
-        }
+        return small_config()
 
     def test_minimal_config_builds_eight_vars(self):
         built = build_from_config(self.config())
@@ -495,7 +553,8 @@ def reference_scaled(a, scale):
 
 def reference_expansion(exp, start):
     """exp's affine form over bits start .. start + depth - 1, LSB first."""
-    terms = {start + k - 1: exp.alpha * delta(k, exp.depth) for k in range(1, exp.depth + 1)}
+    top = float((1 << exp.depth) - 1)
+    terms = {start + k: exp.alpha * (float(1 << k) / top) for k in range(exp.depth)}
     return _clean(terms), float(exp.beta)
 
 

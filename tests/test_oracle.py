@@ -41,6 +41,11 @@ class TestGrid1D:
         pts = Grid1D(-10.0, 10.0, 0.01).points()
         assert pts[1000] == 0.0
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_non_finite_endpoint_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="^grid endpoints must be finite$"):
+            Grid1D(lo, hi, 0.1)
+
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             Grid1D(1.0, 0.0, 0.1)
@@ -72,6 +77,11 @@ class TestQLossReference:
 
     def test_quadratic_region(self):
         assert qloss_reference(0.0, -2.0) == 1.0
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(ValueError, match=f"^m must be finite, got {m!r}$"):
+            qloss_reference(m, -2.0)
 
     def test_nonnegative_q_rejected(self):
         with pytest.raises(ValueError):
@@ -144,6 +154,11 @@ class TestWolfeDualAnalytic:
 
     def test_positive_m(self):
         assert wolfe_dual_analytic(2.0) == (0.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("m", [math.nan, -math.inf])
+    def test_non_finite_m_rejected(self, m):
+        with pytest.raises(ValueError, match=f"^m must be finite, got {m!r}$"):
+            wolfe_dual_analytic(m)
 
     def test_negated_value_equals_hinge_exactly(self):
         rng = np.random.default_rng(23)
