@@ -51,6 +51,8 @@ def _load_model(path: str) -> QuboModel:
             return parse_qubo(fh.read())
     except OSError as exc:
         raise QuboParseError(f"cannot read model {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise QuboParseError(f"cannot read model {path!r}: not UTF-8 text: {exc}") from None
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -114,26 +116,26 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     Every m pins the same w bits, so one family solve covers them all and
     each distinct w pattern is folded and enumerated once.  m is the
     requested point and every other column belongs to the pinned grid
-    point m_hat: qubo_min excludes the configured quadratic cost C(m_hat),
-    so the row isolates the penalty part, and reference is f(m_hat).
-    The model has D = 1 with inputs [1]; _build_one_input refuses others.
+    point m_hat: qubo_min excludes the configured cost C(m_hat), so the row
+    isolates the penalty, and reference is f(m_hat) of the spec's t interval.
+    D = 1, so m = x*w pins w at quantize(m / x), held in float range.
     """
-    lin = built.m
-    w_range = built.var_ranges["w[0]"]
-    fixes = [dict(zip(w_range, lin.w_exp.quantize(m))) for m in ms]
+    lin, (a, b) = built.m, built.penalty_spec.t_exp.bounds
+    (x,), w_range, big = lin.inputs, built.var_ranges["w[0]"], sys.float_info.max
+    fixes = [dict(zip(w_range, lin.w_exp.quantize(min(max(m / x, -big), big)))) for m in ms]
     cost_target, cost_scale = built.cost_params
     tails: dict[tuple[int, ...], tuple[tuple[float, float, float, float], bool]] = {}
     rows, misses = [], 0
     for m, result in zip(ms, exhaustive_solve_many(built.model, fixes)):
-        a = result.assignment
-        if a not in tails:  # one row tail per distinct result
-            m_hat, _, _, _, residual = built.decode(a)
+        bits = result.assignment
+        if bits not in tails:  # one row tail per distinct result
+            m_hat, _, _, _, residual = built.decode(bits)
             cost = cost_scale * (m_hat - cost_target) ** 2
-            qubo_min, f_hat = result.energy - cost, relu_reference(m_hat)
+            qubo_min, f_hat = result.energy - cost, relu_reference(m_hat, a, b)
             error = abs(qubo_min - f_hat)
-            tails[a] = ((qubo_min, f_hat, error, residual),
-                        error <= 1e-9 * max(1.0, abs(f_hat), abs(cost)))
-        tail, within = tails[a]
+            tails[bits] = ((qubo_min, f_hat, error, residual),
+                           error <= 1e-9 * max(1.0, abs(f_hat), abs(cost)))
+        tail, within = tails[bits]
         misses += not within
         rows.append((m, *tail))
     return rows, misses
@@ -160,12 +162,11 @@ def _verify_points(cfg: object) -> list[float]:
 
 
 def _build_one_input(cfg: object) -> BuiltModel:
-    """build_from_config(cfg) for verify/sweep, which need D = 1 with inputs
-    [1]; the rule is judged on read_config's checked specs, so a config
-    refused for its inputs costs no build."""
-    if read_config(cfg)[1].inputs != (1.0,):
-        raise ConfigError("model.inputs", "verify/sweep need D=1 with inputs [1] "
-                          "so m maps one-to-one onto the weight grid")
+    """build_from_config(cfg) for verify/sweep, which need D = 1, judged on
+    read_config's checked specs, so a config refused for it costs no build."""
+    if read_config(cfg)[1].dim != 1:
+        raise ConfigError("model.inputs", "verify/sweep need D=1 so m maps one-to-one "
+                          "onto the weight grid")
     return build_from_config(cfg)
 
 
@@ -207,7 +208,7 @@ def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reluqubo",
         description="Build, solve, and verify two-body models embedding the "
-                    "hinge penalty -min(0, m).")
+                    "ReLU-type penalty max(a*m, b*m) of a t interval [a, b].")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a model from a JSON config")
@@ -230,7 +231,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser(
-        "verify", help="check the built model against the hinge reference at "
+        "verify", help="check the built model against max(a*m, b*m) at "
                        "the config's verify.m_points")
     p_verify.add_argument("config")
     p_verify.set_defaults(func=cmd_verify)

@@ -10,9 +10,9 @@ bits and fresh auxiliary variables t, z1, z2:
 whose penalty part equals a*m + (b - a)*z2 - (t - a)*r + M*r^2.  Once
 a large M drives r to zero, any t is optimal and the minimum over the
 z grid is max(a*m, b*m): the t interval [-1, 0] of ReluPenaltySpec
-gives the hinge max(0, -m), [-1, 1] gives |m| and [0, 1] ReLU.  The
-JSON config builds the hinge only.  Every product is affine times
-affine, so the result is structurally two-body.  Builders are pure
+gives the hinge max(0, -m), [-1, 1] gives |m| and [0, 1] ReLU, from a
+spec or a JSON config alike.  Every product is affine times affine, so
+the result is structurally two-body.  Builders are pure
 functions over immutable specs and are safe to call concurrently.
 """
 
@@ -80,12 +80,12 @@ class LinearModelSpec:
 
     def __post_init__(self) -> None:
         if len(self.inputs) < 1:
-            raise ValueError("need at least one input dimension")
+            raise ConfigError("model.inputs", "expected a non-empty array of numbers")
         object.__setattr__(self, "inputs", tuple(float(x) for x in self.inputs))
         step = self.w_exp.weights[0]  # bit k of w[d] enters m as weights[k] * x_d
         for d, x in enumerate(self.inputs):
             if not math.isfinite(x):
-                raise ValueError(f"input x[{d}] must be finite, got {x!r}")
+                raise ConfigError(f"model.inputs[{d}]", "must be finite")
             if x == 0.0:
                 raise ConfigError(f"model.inputs[{d}]", f"must be nonzero, got {x!r}")
             if step * x == 0.0:
@@ -238,9 +238,9 @@ def recommend_M(m_lo: float, m_hi: float,
 #   "model":   {"inputs": [x_1, ..., x_D], "w": {expansion}},
 #   "penalty": {"t": {expansion}, "z1": {expansion}, "z2": {expansion},
 #               "M": number | "auto"} }
-# with {expansion} = {"depth": d, "alpha": a, "beta": b}.  t covers
-# exactly [-1, 0]: a config builds the hinge.  "M": "auto" applies
-# recommend_M to the reachable m range.
+# with {expansion} = {"depth": d, "alpha": a, "beta": b}.  t's interval
+# [a, b] is the function max(a*m, b*m).  "M": "auto" is (b - a) times
+# recommend_M of the reachable m range, as ReluPenaltySpec's bound asks.
 
 
 def _require(cfg: Mapping, key: str, path: str) -> object:
@@ -306,14 +306,12 @@ def read_config(cfg: Mapping) -> tuple[ReluPenaltySpec, LinearModelSpec,
     _layout(lin_spec, (t_exp, z1_exp, z2_exp))
     m_value = _require(pen_cfg, "M", "penalty")
     if m_value == "auto":
-        M = recommend_M(*lin_spec.m_range(), z1_exp, z2_exp)
+        a, b = t_exp.bounds
+        M = (b - a) * recommend_M(*lin_spec.m_range(), z1_exp, z2_exp)
         if not math.isfinite(M):
             raise ConfigError("penalty.M", "the automatic M overflows float64")
     else:
         M = _number(m_value, "penalty.M")
-    if t_exp.bounds != (-1.0, 0.0):  # verify, sweep and auto M assume the hinge
-        raise ConfigError("penalty.t", f"must cover exactly [-1, 0], the hinge's t "
-                                       f"interval, got {t_exp.bounds}")
     return ReluPenaltySpec(t_exp, z1_exp, z2_exp, M), lin_spec, (target, scale)
 
 

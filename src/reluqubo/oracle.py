@@ -1,9 +1,9 @@
 """Continuous-domain reference functions and numerical checks.
 
 These are the independent yardsticks the QUBO construction is verified
-against: the hinge penalty f(m) = -min(0, m) = max(0, -m), the q-loss
-and its single-variable min form, a grid-based convex conjugate, and the
-closed-form optimum of the dual problem that motivates the z variables.
+against: the ReLU-type f(m) = max(a*m, b*m), by default the hinge
+max(0, -m), the q-loss and its single-variable min form, a grid-based
+convex conjugate, and the closed-form dual optimum behind the z variables.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ class Grid1D:
         return self.lo + self.step * np.arange(self.n_points)
 
 
-def relu_reference(m: float) -> float:
-    """Hinge penalty f(m) = -min(0, m): linear on m < 0, zero on m >= 0."""
+def relu_reference(m: float, a: float = -1.0, b: float = 0.0) -> float:
+    """f(m) = max(a*m, b*m) of the t interval [a, b], never -0.0; [-1, 0] is the hinge."""
     if not math.isfinite(m):
         raise ValueError(f"m must be finite, got {m!r}")
-    return max(0.0, -m)
+    return max(a * m, b * m) + 0.0
 
 
 def qloss_reference(m: float, q: float) -> float:

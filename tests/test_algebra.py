@@ -495,6 +495,15 @@ def flawed_terms(draw, kind):
 
 
 class TestModelValidation:
+    def test_a_model_equals_no_other_type(self):
+        model = QuboModel(2, ((0, 0), (0, 1), (1.5, -2.0)), 0.5)
+        ising = IsingModel(2, model.terms, model.offset)
+        assert all(map(np.array_equal, ising.terms, model.terms))
+        assert (ising.offset, ising.labels) == (model.offset, model.labels)
+        for other in (5, None, ising):
+            assert model != other and not model == other
+            assert other != model and not other == model
+
     @settings(max_examples=200, deadline=None)
     @given(qubo_models(), st.data())
     def test_term_order_and_zero_terms_leave_the_model_canonical(self, m, data):

@@ -276,6 +276,17 @@ class TestSolve:
         assert main(["build", write_config(tmp_path, cfg), str(out)]) == 0
         return out
 
+    @pytest.mark.parametrize("data", [b"\xff\xfequbo-v1\nvars 1\noffset 0.0\n",
+                                      b"qubo-v1\nvars 1\noffset 0.0\nlabel 0 w\xe9\n"],
+                             ids=["first-byte", "label-line"])
+    def test_non_utf8_model_names_its_path(self, tmp_path, capsys, data):
+        path = tmp_path / "m.qubo"
+        path.write_bytes(data)
+        assert main(["solve", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read model {str(path)!r}: not UTF-8 text: ")
+
     def test_trivial_model_solves_to_offset(self, tmp_path, capsys):
         path = tmp_path / "m.qubo"
         path.write_text("qubo-v1\nvars 2\noffset 1.25\n")
@@ -707,13 +718,14 @@ class TestOneInputRule:
         return main([command, write_config(tmp_path, cfg), *self.ARGS[command]])
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
-    @pytest.mark.parametrize("inputs", [[1.0] * 600, [1.0, 1.0], [2], [0.5], [-1]])
+    @pytest.mark.parametrize("inputs", [[1.0] * 600, [1.0, 1.0], [2, 2], [0.5, -1],
+                                        [1.0, 2.0, -3.0]])
     def test_other_inputs_are_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
                                                        command, inputs):
         assert self.run(tmp_path, monkeypatch, command, inputs, build=False) == 2
         captured = capsys.readouterr()
         assert captured.err == ("error: config error at 'model.inputs': verify/sweep need D=1 "
-                                "with inputs [1] so m maps one-to-one onto the weight grid\n")
+                                "so m maps one-to-one onto the weight grid\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
@@ -736,6 +748,22 @@ class TestOneInputRule:
     def test_one_unit_input_passes(self, tmp_path, capsys, monkeypatch, command, inputs):
         assert self.run(tmp_path, monkeypatch, command, inputs) == 0
 
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("inputs", [[2], [0.5], [-1]])
+    def test_any_one_nonzero_input_passes(self, tmp_path, capsys, monkeypatch, command, inputs):
+        # m pins w at quantize(m / x); here each m_hat = x * w_hat lies on the z grid
+        assert self.run(tmp_path, monkeypatch, command, inputs) == 0
+
+    def test_m_over_x_past_float_range_pins_a_w_grid_end(self, tmp_path, capsys):
+        # +-1e308 / 0.5 overflows to +-inf; the pin is the w grid's end, as for any far m
+        cfg = config_negative_range()
+        cfg["model"]["inputs"] = [0.5]
+        cfg["verify"] = {"m_points": [1e308, -1e308]}
+        assert main(["verify", write_config(tmp_path, cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert [row["reference"] for row in read_tsv(out)] == [0.0, 2.0]  # m_hat 0 and -2
+        assert err.startswith("verify: 1/2 points within")
+
     @pytest.mark.parametrize("inputs, message", [
         ([], "'model.inputs': expected a non-empty array of numbers"),
         ("1", "'model.inputs': expected a non-empty array of numbers"),
@@ -747,6 +775,40 @@ class TestOneInputRule:
                                                      inputs, message):
         assert self.run(tmp_path, monkeypatch, "verify", inputs) == 2
         assert f"config error at {message}" in capsys.readouterr().err
+
+
+class TestReluTypeIntervals:
+    """t on [a, b] builds max(a*m, b*m) through the CLI, with the auto M
+    scaled by b - a, on the README grids at every w grid point."""
+
+    @pytest.mark.parametrize("t, M", [((2.0, -1.0), 504.0), ((1.0, 0.0), 252.0),
+                                      ((0.75, 0.25), 189.0)], ids=["abs", "relu", "leaky-relu"])
+    def test_build_prints_the_scaled_m_and_verify_passes(self, tmp_path, capsys, t, M):
+        cfg = readme_config()
+        cfg["penalty"]["t"] = expansion(4, *t)
+        path = write_config(tmp_path, cfg)
+        assert main(["build", path, str(tmp_path / "m.qubo")]) == 0
+        assert capsys.readouterr().out.endswith(f"M={M!r}\n")
+        assert main(["verify", path]) == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("verify: 64/64 points within")
+        a, b = t[1], t[0] + t[1]
+        w_exp = build_from_config(cfg).m.w_exp
+        for row in read_tsv(out):
+            m_hat = w_exp.decode(w_exp.quantize(row["m"]))
+            assert row["reference"] == max(a * m_hat, b * m_hat) + 0.0
+
+    def test_abs_sweep_reference_is_abs_m_hat_within_the_verify_rule(self, tmp_path, capsys):
+        cfg = readme_config()
+        cfg["penalty"]["t"] = expansion(4, 2.0, -1.0)
+        assert main(["sweep", write_config(tmp_path, cfg), f"--grid=-4:4:{8 / 63!r}"]) == 0
+        rows = read_tsv(capsys.readouterr().out)
+        w_exp = build_from_config(cfg).m.w_exp
+        m_hats = [w_exp.decode(w_exp.quantize(row["m"])) for row in rows]
+        assert sorted(m_hats) == sorted(w_exp.grid().tolist())
+        for row, m_hat in zip(rows, m_hats):
+            assert row["reference"] == abs(m_hat)
+            assert row["abs_error"] <= 1e-9 * max(1.0, row["reference"])
 
 
 def pointwise_tsv(built, ms):

@@ -110,6 +110,12 @@ REFUSALS = [
      "5e-324 times the weight step 0.06349206349206349 is 0, so its weight bits drop out of m"),
     ("over-the-cap", changing("model", "inputs", [1.0] * 2046), "model.inputs",
      "the model would have 4098 variables, more than the cap of 4096"),
+    ("empty-inputs", changing("model", "inputs", []), "model.inputs",
+     "expected a non-empty array of numbers"),
+    ("nan-input", changing("model", "inputs", [1.0, float("nan")]), "model.inputs[1]",
+     "must be finite"),
+    ("infinite-input", changing("model", "inputs", [-float("inf")]), "model.inputs[0]",
+     "must be finite"),
 ]
 
 
@@ -464,15 +470,17 @@ class TestBuildFromConfig:
         assert err.value.path == "penalty.z1"
         assert "depth must be a positive integer, got 'six'" in str(err.value)
 
-    def test_t_off_the_hinge_interval_names_penalty_t(self):
-        # verify, sweep and auto M assume the hinge; the spec takes any [a, b]
+    def test_t_off_the_hinge_interval_builds_with_auto_m_times_its_width(self):
+        # t on [a, b] is max(a*m, b*m); auto M keeps ReluPenaltySpec's bound M * res > b - a
+        cfg = self.config()
+        cfg["penalty"]["M"] = "auto"
+        hinge_M = build_from_config(cfg).penalty_spec.M
         for alpha, beta in [(1.0, 0.0), (2.0, -1.0), (0.5, -1.0)]:
-            cfg = self.config()
             cfg["penalty"]["t"] = {"depth": 2, "alpha": alpha, "beta": beta}
-            with pytest.raises(ConfigError) as err:
-                build_from_config(cfg)
-            assert err.value.path == "penalty.t"
-            assert "must cover exactly [-1, 0]" in str(err.value)
+            built = build_from_config(cfg)
+            assert built.penalty_spec.t_exp.bounds == (beta, beta + alpha)
+            assert built.penalty_spec.M == alpha * hinge_M
+            assert built.model.n_vars == 8
 
     def test_multi_dim_allocates_per_dimension(self):
         cfg = self.config()

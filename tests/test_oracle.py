@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reluqubo.oracle import (
     Grid1D,
@@ -66,6 +68,24 @@ class TestReluReference:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             relu_reference(math.nan)
+
+    def test_default_interval_is_the_hinge_to_the_bit(self):
+        rng = np.random.default_rng(7)
+        scales = 10.0 ** rng.integers(-320, 308, 10 ** 4)
+        ms = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, *(rng.standard_normal(10 ** 4) * scales)]
+        for m in map(float, ms):
+            assert repr(relu_reference(m)) == repr(max(0.0, -m))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_any_interval_gives_max_am_bm_and_never_negative_zero(m, a, b):
+    a, b = sorted((a, b))
+    if a == b:
+        b = math.nextafter(a, math.inf)
+    f = relu_reference(m, a, b)
+    assert f == max(a * m, b * m)
+    assert math.copysign(1.0, f) == 1.0 or f != 0.0
 
 
 class TestQLossReference:
