@@ -14,7 +14,7 @@ import sys
 from typing import Sequence, TextIO
 
 from .algebra import QuboModel, QuboParseError, _parse_index, export_qubo, parse_qubo
-from .formulation import BuiltModel, ConfigError, _number, build_from_config, read_config
+from .formulation import BuiltModel, ConfigError, _number, build_from_config
 from .oracle import MAX_GRID_POINTS, Grid1D, relu_reference
 from .solvers import (
     AnnealConfig,
@@ -113,16 +113,24 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     residual), and how many rows miss, that is, have an abs_error over
     1e-9 * max(1, |f(m_hat)|, |C(m_hat)|).
 
-    Every m pins the same w bits, so one family solve covers them all and
-    each distinct w pattern is folded and enumerated once.  m is the
-    requested point and every other column belongs to the pinned grid
-    point m_hat: qubo_min excludes the configured cost C(m_hat), so the row
+    Each m pins w greedily: with rest = m, input by input, w[d] at
+    quantize(rest / x_d), held in float range, then rest -= x_d * w_hat_d;
+    for D = 1, quantize(m / x).  Every m pins the same bits, so one family
+    solve covers them all, each distinct w pattern enumerated once.  m is
+    the requested point; every other column belongs to m_hat = sum_d x_d *
+    w_hat_d: qubo_min excludes the configured cost C(m_hat), so the row
     isolates the penalty, and reference is f(m_hat) of the spec's t interval.
-    D = 1, so m = x*w pins w at quantize(m / x), held in float range.
     """
-    lin, (a, b) = built.m, built.penalty_spec.t_exp.bounds
-    (x,), w_range, big = lin.inputs, built.var_ranges["w[0]"], sys.float_info.max
-    fixes = [dict(zip(w_range, lin.w_exp.quantize(min(max(m / x, -big), big)))) for m in ms]
+    lin, (a, b), big = built.m, built.penalty_spec.t_exp.bounds, sys.float_info.max
+    w_bits = list(zip(lin.inputs, built.var_ranges.values()))  # w[0], ..., w[D-1] lead
+    fixes = []
+    for m in ms:
+        fix, rest = {}, m
+        for x, bits in w_bits:
+            pattern = lin.w_exp.quantize(min(max(rest / x, -big), big))
+            fix.update(zip(bits, pattern))
+            rest -= x * lin.w_exp.decode(pattern)
+        fixes.append(fix)
     cost_target, cost_scale = built.cost_params
     tails: dict[tuple[int, ...], tuple[tuple[float, float, float, float], bool]] = {}
     rows, misses = [], 0
@@ -130,7 +138,8 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
         bits = result.assignment
         if bits not in tails:  # one row tail per distinct result
             m_hat, _, _, _, residual = built.decode(bits)
-            cost = cost_scale * (m_hat - cost_target) ** 2
+            # C(m_hat); at scale +-0 the build leaves it out, and ** may raise OverflowError
+            cost = cost_scale * (m_hat - cost_target) ** 2 if cost_scale != 0.0 else cost_scale
             qubo_min, f_hat = result.energy - cost, relu_reference(m_hat, a, b)
             error = abs(qubo_min - f_hat)
             tails[bits] = ((qubo_min, f_hat, error, residual),
@@ -161,19 +170,10 @@ def _verify_points(cfg: object) -> list[float]:
     return [_number(m, "verify.m_points") for m in points]
 
 
-def _build_one_input(cfg: object) -> BuiltModel:
-    """build_from_config(cfg) for verify/sweep, which need D = 1, judged on
-    read_config's checked specs, so a config refused for it costs no build."""
-    if read_config(cfg)[1].dim != 1:
-        raise ConfigError("model.inputs", "verify/sweep need D=1 so m maps one-to-one "
-                          "onto the weight grid")
-    return build_from_config(cfg)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     points = _verify_points(cfg)
-    rows, misses = _report_rows(_build_one_input(cfg), points)
+    rows, misses = _report_rows(build_from_config(cfg), points)
     _emit_tsv(rows, sys.stdout)
     print(f"verify: {len(rows) - misses}/{len(rows)} points within "
           f"1e-9 * max(1, |f|, |C|) of f at the pinned grid point", file=sys.stderr)
@@ -194,7 +194,7 @@ def _parse_grid(text: str) -> Grid1D:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_json(args.config)
     grid = _parse_grid(args.grid)  # before the build, which a bad grid need not pay
-    rows, _ = _report_rows(_build_one_input(cfg), [float(m) for m in grid.points()])
+    rows, _ = _report_rows(build_from_config(cfg), [float(m) for m in grid.points()])
     if args.out is None:
         _emit_tsv(rows, sys.stdout)
     else:
@@ -231,8 +231,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser(
-        "verify", help="check the built model against max(a*m, b*m) at "
-                       "the config's verify.m_points")
+        "verify", help="check the built model against max(a*m, b*m) at the grid "
+                       "point each of the config's verify.m_points pins the w bits to")
     p_verify.add_argument("config")
     p_verify.set_defaults(func=cmd_verify)
 

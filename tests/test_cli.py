@@ -10,7 +10,10 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reluqubo
 from reluqubo.algebra import energy, parse_qubo
@@ -18,8 +21,10 @@ from reluqubo.cli import main
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import build_from_config, recommend_M
 from reluqubo.oracle import Grid1D, relu_reference
-from reluqubo import cli, solvers
+from reluqubo import cli, formulation, solvers
 from reluqubo.solvers import AnnealConfig, exhaustive_solve
+
+from helpers import all_assignments
 
 
 def expansion(depth, alpha, beta):
@@ -617,13 +622,26 @@ class TestVerify:
         assert captured.err == f"error: config error at 'verify.m_points': {message}\n"
         assert captured.out == ""
 
-    def test_multi_dim_model_rejected(self, tmp_path, capsys):
+    def test_multi_dim_model_verifies(self, tmp_path, capsys):
         cfg = config_negative_range()
         cfg["model"]["inputs"] = [1.0, 1.0]
         cfg["verify"] = {"m_points": [0.0]}
-        code = main(["verify", write_config(tmp_path, cfg)])
-        assert code == 2
-        assert "model.inputs" in capsys.readouterr().err
+        assert main(["verify", write_config(tmp_path, cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert read_tsv(out)[0]["reference"] == 0.0  # both weights pinned at 0
+        assert err.startswith("verify: 1/1 points within")
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_cost_of_scale_zero_is_never_evaluated(self, tmp_path, capsys, command):
+        # scale * (m_hat - 1e300) ** 2 would raise OverflowError; the build leaves it out
+        args = {"verify": [], "sweep": ["--grid=-4:4:0.5"]}[command]
+        outs = []
+        for target in (1e300, 0.0):
+            cfg = readme_config()
+            cfg["cost"]["target"] = target
+            assert main([command, write_config(tmp_path, cfg), *args]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 class TestSweep:
@@ -701,32 +719,21 @@ class TestSweep:
 
 
 class TestOneInputRule:
-    """verify and sweep judge the D = 1 rule on read_config's checked specs,
-    before the build."""
+    """verify and sweep read model.inputs as build does, any number of them:
+    build_from_config checks the whole config before it forms a product."""
 
     ARGS = {"verify": [], "sweep": ["--grid=-1:0:0.5"]}
 
     def run(self, tmp_path, monkeypatch, command, inputs, build=True, cost_kind="quadratic"):
         if not build:
-            def no_build(cfg):
-                raise AssertionError("the model was built before the D = 1 rule was checked")
-            monkeypatch.setattr(cli, "build_from_config", no_build)
+            def no_product(a, b):
+                raise AssertionError("a product was formed before the config was checked")
+            monkeypatch.setattr(formulation, "affine_mul", no_product)
         cfg = config_negative_range()
         cfg["cost"]["kind"] = cost_kind
         cfg["model"]["inputs"] = inputs
         cfg["verify"] = {"m_points": [-1.0, 0.0]}
         return main([command, write_config(tmp_path, cfg), *self.ARGS[command]])
-
-    @pytest.mark.parametrize("command", ["verify", "sweep"])
-    @pytest.mark.parametrize("inputs", [[1.0] * 600, [1.0, 1.0], [2, 2], [0.5, -1],
-                                        [1.0, 2.0, -3.0]])
-    def test_other_inputs_are_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
-                                                       command, inputs):
-        assert self.run(tmp_path, monkeypatch, command, inputs, build=False) == 2
-        captured = capsys.readouterr()
-        assert captured.err == ("error: config error at 'model.inputs': verify/sweep need D=1 "
-                                "so m maps one-to-one onto the weight grid\n")
-        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("inputs, cost_kind, message", [
@@ -851,6 +858,141 @@ class TestFamilyRows:
         cfg["verify"] = {"m_points": ms}
         main(["verify", write_config(tmp_path, cfg)])
         assert capsys.readouterr().out == pointwise_tsv(build_from_config(cfg), ms)
+
+
+def two_input_config(w_depth):
+    """The README t and z grids with m = w[0] + w[1], w on [-2, 2]."""
+    cfg = readme_config()
+    cfg["model"] = {"inputs": [1.0, 1.0], "w": expansion(w_depth, 4.0, -2.0)}
+    return cfg
+
+
+def three_input_config():
+    """m = w[0] + 2 w[1] - 3 w[2] on [-6, 6], w depth 3 on [-1, 1], while the
+    z grids cover [0, 4]; a cost 0.3 (m - 0.7)^2 and auto M = 186."""
+    return {"cost": {"kind": "quadratic", "target": 0.7, "scale": 0.3},
+            "model": {"inputs": [1.0, 2.0, -3.0], "w": expansion(3, 2.0, -1.0)},
+            "penalty": {"t": expansion(3, 1.0, -1.0), "z1": expansion(5, 4.0, 0.0),
+                        "z2": expansion(5, 4.0, 0.0), "M": "auto"}}
+
+
+class TestMultiInput:
+    """verify and sweep with D > 1 inputs, at every m of each config's m
+    lattice lo + k * step, pinned by the greedy rule of cli._report_rows."""
+
+    CASES = {
+        # w's step 4/63 is the z step, so every lattice m is on the z grids
+        "two-inputs-depth-6": (two_input_config(6), [-4 + 4 * k / 63 for k in range(127)],
+                               "127/127", 0.0),
+        # m spans [-6, 6] and the z grids [0, 4]: at |m| = 6, r is 2 at best
+        "three-inputs": (three_input_config(), [-6 + 2 * k / 7 for k in range(43)],
+                         "2/43", 742.0),
+        # w's step 4/15 meets the z step 4/63 only at every fifth m
+        "two-inputs-depth-4": (two_input_config(4), [-4 + 4 * k / 15 for k in range(31)],
+                               "7/31", 0.1625),
+    }
+
+    @pytest.mark.parametrize("cfg, ms, within, worst", CASES.values(), ids=CASES.keys())
+    def test_verify_reports_each_lattice_point(self, tmp_path, capsys, cfg, ms, within, worst):
+        code = main(["verify", write_config(tmp_path, {**cfg, "verify": {"m_points": ms}})])
+        out, err = capsys.readouterr()
+        assert code == (0 if worst == 0.0 else 1)
+        assert err.startswith(f"verify: {within} points within ")
+        rows = read_tsv(out)
+        assert [row["m"] for row in rows] == ms
+        errors = [row["abs_error"] for row in rows]
+        assert max(errors) == pytest.approx(worst, abs=1e-4)
+        if worst == 742.0:
+            assert errors[-1] == max(errors)  # at m = 6, pinned to m_hat = 6 with r = -2
+
+    def test_wide_config_misses_every_w_point(self, tmp_path, capsys):
+        # the benchmark's D = 32 build: M = 8064 and an offset near 1.3e8
+        cfg = readme_config()
+        cfg["model"]["inputs"] = [1.0] * 32
+        assert main(["verify", write_config(tmp_path, cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("verify: 0/64 points within ")
+        rows = read_tsv(out)
+        past_z = [row for row in rows if row["abs_error"] > 1.0]
+        assert [row["m"] for row in past_z] == [4.0]  # m_hat ~ 4.06 > 4, z2's top
+        assert past_z[0]["residual_at_min"] == pytest.approx(-4 / 63, abs=1e-12)
+        rounding = [row["abs_error"] for row in rows if row["abs_error"] <= 1.0]
+        assert 4e-8 < min(rounding) and max(rounding) < 3e-7
+
+    @pytest.mark.parametrize("cfg, ms, within, worst", CASES.values(), ids=CASES.keys())
+    def test_sweep_rows_are_verify_rows(self, tmp_path, capsys, cfg, ms, within, worst):
+        points = [float(m) for m in Grid1D(ms[0], ms[-1], 0.5).points()]
+        path = write_config(tmp_path, {**cfg, "verify": {"m_points": points}})
+        assert main(["sweep", path, f"--grid={ms[0]}:{ms[-1]}:0.5"]) == 0
+        swept = capsys.readouterr().out
+        main(["verify", path])
+        assert capsys.readouterr().out == swept
+
+
+@st.composite
+def pinned_configs(draw):
+    """Configs of 1-3 nonzero inputs and depths 1-4, with any t interval,
+    cost and M, and up to four requested m in and around the reachable range."""
+    def expansion(alpha, beta):
+        return {"depth": draw(st.integers(1, 4)), "alpha": alpha, "beta": beta}
+
+    real = st.floats(-3.0, 3.0, allow_subnormal=False)
+    number = st.one_of(st.integers(-3, 3).map(float), real)
+    positive = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.1, 4.0))
+    cfg = {"cost": {"kind": "quadratic", "target": draw(number),
+                    "scale": draw(st.one_of(st.just(0.0), number))},
+           "model": {"inputs": draw(st.lists(number.filter(bool), min_size=1, max_size=3)),
+                     "w": expansion(draw(positive), draw(number))},
+           "penalty": {"t": expansion(draw(positive), draw(number)),
+                       "z1": expansion(draw(positive), 0.0),
+                       "z2": expansion(draw(positive), 0.0),
+                       "M": draw(st.one_of(st.just("auto"), st.floats(0.5, 300.0)))}}
+    w = cfg["model"]["w"]
+    reach = sum(abs(x) for x in cfg["model"]["inputs"]) * (abs(w["beta"]) + w["alpha"])
+    ms = draw(st.lists(st.floats(-reach - 1.0, reach + 1.0), min_size=1, max_size=4))
+    return cfg, ms
+
+
+@settings(max_examples=60, deadline=None)
+@given(pinned_configs())
+def test_rows_follow_the_greedy_pin_rule(case):
+    cfg, ms = case
+    built = build_from_config(cfg)
+    lin, ranges, (a, b) = built.m, built.var_ranges, built.penalty_spec.t_exp.bounds
+    target, scale = built.cost_params
+    big, families = sys.float_info.max, []
+
+    def solve_many(model, fixes):
+        families.append(fixes)
+        return solvers.exhaustive_solve_many(model, fixes)
+
+    with mock.patch.object(cli, "exhaustive_solve_many", solve_many):
+        rows, _ = cli._report_rows(built, ms)
+    # every state of the free t, z1, z2 bits, as rows of a 0/1 matrix
+    free = [i for name in ("t", "z1", "z2") for i in ranges[name]]
+    states = np.zeros((1 << len(free), built.model.n_vars))
+    states[:, free] = list(all_assignments(len(free)))
+    q = np.zeros((built.model.n_vars,) * 2)
+    for i, c in built.model.linear.items():
+        q[i, i] = c
+    for (i, j), c in built.model.quadratic.items():
+        q[i, j] = c
+    for m, row, fixes in zip(ms, rows, families[0]):
+        pins, rest, m_hat = {}, m, 0.0
+        for d, x in enumerate(lin.inputs):
+            pattern = lin.w_exp.quantize(min(max(rest / x, -big), big))
+            pins.update(zip(ranges[f"w[{d}]"], pattern))
+            w_hat = lin.w_exp.decode(pattern)
+            rest -= x * w_hat
+            m_hat += x * w_hat
+        assert fixes == pins
+        if lin.dim == 1:
+            assert tuple(pins.values()) == lin.w_exp.quantize(min(max(m / x, -big), big))
+        assert row[0] == m and row[2] == relu_reference(m_hat, a, b)
+        states[:, list(pins)] = list(pins.values())
+        brute = built.model.offset + np.einsum("si,ij,sj->s", states, q, states).min()
+        cost = scale * (m_hat - target) ** 2
+        assert abs(row[1] - (brute - cost)) <= 1e-9 * max(1.0, abs(row[2]), abs(cost))
 
 
 def changed_config(section, key, value):

@@ -22,11 +22,12 @@ def test_output_hashes_cover_every_workload_and_repeat():
             for _ in range(2)]
     hashes = json.loads(runs[0].stdout)
     assert sorted(hashes) == ["anneal_pinned", "anneal_wide", "exhaustive_full",
-                              "sweep_pinned"]
+                              "multi_input", "sweep_pinned"]
     for by_seed in hashes.values():
         assert sorted(by_seed) == ["1", "2"]
         assert all(re.fullmatch("[0-9a-f]{64}", h) for h in by_seed.values())
     assert hashes["anneal_wide"]["1"] != hashes["anneal_wide"]["2"]  # the SA seed is hashed
+    assert hashes["multi_input"]["1"] == hashes["multi_input"]["2"]  # no seed, no workload
     assert runs[1].stdout == runs[0].stdout
 
 

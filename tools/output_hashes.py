@@ -11,6 +11,9 @@ directory.  stderr carries timings, so it is left out.  Prints one JSON
 object {workload: {seed: sha256}}; run it on two trees and compare.
 Seeds are given space- or comma-separated (`--seeds -5 4294967296`,
 `--seeds=1,2,3`); the default is 1, 2 and 3.
+
+One more entry, multi_input, is no benchmark workload: `verify` and
+`sweep` on two configs of several inputs, the same at every seed and size.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, Workload, expansion, readme_config  # noqa: E402
 
 
 def run_cli(main, argv: list[str]) -> tuple[int, str]:
@@ -48,8 +51,26 @@ def seed_list(token: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected integers, got {token!r}") from None
 
 
-def workload_hash(main, name: str, seed: int, smoke: bool) -> str:
-    workload = WORKLOADS[name](seed, smoke)
+def multi_input() -> Workload:
+    """m = w[0] + w[1] with w depth 6 on [-2, 2], where every m is on the z
+    grids, and m = w[0] + 2 w[1] - 3 w[2] with w depth 3 on [-1, 1], where
+    most m are not, each verified at its m lattice and swept."""
+    two = readme_config(2)
+    two["model"]["w"] = expansion(6, 4.0, -2.0)
+    two["verify"] = {"m_points": [-4 + 4 * k / 63 for k in range(127)]}
+    three = {"cost": {"kind": "quadratic", "target": 0.7, "scale": 0.3},
+             "model": {"inputs": [1.0, 2.0, -3.0], "w": expansion(3, 2.0, -1.0)},
+             "penalty": {"t": expansion(3, 1.0, -1.0), "z1": expansion(5, 4.0, 0.0),
+                         "z2": expansion(5, 4.0, 0.0), "M": "auto"},
+             "verify": {"m_points": [-6 + 2 * k / 7 for k in range(43)]}}
+    commands = [["verify", "two.json"], ["sweep", "two.json", "--grid=-4:4:0.0625"],
+                ["verify", "three.json"], ["sweep", "three.json", "--grid=-6:6:0.125"]]
+    # no benchmark run reads the work count or the check
+    return Workload("multi_input", {"two.json": two, "three.json": three}, commands,
+                    0, "points", (), None)
+
+
+def workload_hash(main, workload: Workload) -> str:
     digest = hashlib.sha256()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -85,8 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         raise SystemExit(f"reluqubo.cli imported from {cli.__file__}, not {src}")
 
-    hashes = {name: {str(seed): workload_hash(cli.main, name, seed, args.smoke)
-                     for seed in seeds} for name in WORKLOADS}
+    hashes = {name: {str(seed): workload_hash(cli.main, make(seed, args.smoke))
+                     for seed in seeds} for name, make in WORKLOADS.items()}
+    hashes["multi_input"] = dict.fromkeys(map(str, seeds), workload_hash(cli.main, multi_input()))
     print(json.dumps(hashes, indent=1, sort_keys=True))
     return 0
 
