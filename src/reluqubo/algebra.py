@@ -111,18 +111,12 @@ def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
 
     b_i * b_i collapses to b_i, so the result stays degree <= 2.  The
     pair (i, j) gets a_i*b_j + a_j*b_i; the diagonal gets a_i*b_i, then
-    a_i*b.constant, then a.constant*b_i, each only when that constant is
-    nonzero.
+    a_i*b.constant, then a.constant*b_i.
     """
     u, v = _aligned(a.coeffs, b.coeffs)
     outer = np.multiply.outer(u, v)
     matrix = np.triu(outer + outer.T, 1)
-    linear = outer.diagonal().copy()
-    if b.constant != 0.0:
-        linear += u * b.constant
-    if a.constant != 0.0:
-        linear += a.constant * v
-    np.fill_diagonal(matrix, linear)
+    np.fill_diagonal(matrix, outer.diagonal() + u * b.constant + a.constant * v)
     return QuadraticExpr(matrix, a.constant * b.constant)
 
 

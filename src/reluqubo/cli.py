@@ -113,28 +113,16 @@ def _report_rows(built: BuiltModel, ms: Sequence[float]
     residual), and how many rows miss, that is, have an abs_error over
     1e-9 * max(1, |f(m_hat)|, |C(m_hat)|).
 
-    Each m pins w greedily: with rest = m, input by input, w[d] at
-    quantize(rest / x_d), held in float range, then rest -= x_d * w_hat_d;
-    for D = 1, quantize(m / x).  Every m pins the same bits, so one family
-    solve covers them all, each distinct w pattern enumerated once.  m is
-    the requested point; every other column belongs to m_hat = sum_d x_d *
-    w_hat_d: qubo_min excludes the configured cost C(m_hat), so the row
+    Each m pins the same w bits, by the model's rule (built.pins), so one
+    family solve covers them all, each distinct w pattern enumerated once.
+    m is the requested point; every other column belongs to the pinned
+    m_hat: qubo_min excludes the configured cost C(m_hat), so the row
     isolates the penalty, and reference is f(m_hat) of the spec's t interval.
     """
-    lin, (a, b), big = built.m, built.penalty_spec.t_exp.bounds, sys.float_info.max
-    w_bits = list(zip(lin.inputs, built.var_ranges.values()))  # w[0], ..., w[D-1] lead
-    fixes = []
-    for m in ms:
-        fix, rest = {}, m
-        for x, bits in w_bits:
-            pattern = lin.w_exp.quantize(min(max(rest / x, -big), big))
-            fix.update(zip(bits, pattern))
-            rest -= x * lin.w_exp.decode(pattern)
-        fixes.append(fix)
-    cost_target, cost_scale = built.cost_params
+    (a, b), (cost_target, cost_scale) = built.penalty_spec.t_exp.bounds, built.cost_params
     tails: dict[tuple[int, ...], tuple[tuple[float, float, float, float], bool]] = {}
     rows, misses = [], 0
-    for m, result in zip(ms, exhaustive_solve_many(built.model, fixes)):
+    for m, result in zip(ms, exhaustive_solve_many(built.model, built.pins(ms))):
         bits = result.assignment
         if bits not in tails:  # one row tail per distinct result
             m_hat, _, _, _, residual = built.decode(bits)

@@ -3,9 +3,10 @@
 A variable with expansion (depth d, multiplier alpha, offset beta) takes
 the values  beta + alpha * j / (2^d - 1)  for j = 0 .. 2^d - 1, i.e. the
 uniform grid on [beta, alpha + beta].  Bit k (0-based, LSB first) carries
-the weight alpha * 2^k / (2^d - 1), weights[k].  An expansion refuses an
-alpha that gives a bit weight or the grid step of 0, so every bit enters
-a model and every grid has a positive step.
+the weight alpha * 2^k / (2^d - 1), weights[k], which formulation places
+on model bits.  An expansion refuses an alpha that gives a bit weight or
+the grid step of 0, so every bit enters a model and every grid has a
+positive step.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .algebra import AffineExpr
 
 # j / (2^depth - 1) is formed in doubles, whose 53-bit significand holds
 # every j exactly only up to depth 53; past it, neighbouring grid values
@@ -102,15 +101,6 @@ class BinaryExpansion:
             if j < top and level(j + 1) - value < value - level(j):
                 j += 1
         return tuple((j >> k) & 1 for k in range(self.depth))
-
-    def to_affine(self, bits: range) -> AffineExpr:
-        """Affine form beta + sum weights[k]*b_k over the model bits in bits,
-        which lists the LSB first."""
-        if len(bits) != self.depth:
-            raise ValueError(f"expected {self.depth} bits, got {len(bits)}")
-        coeffs = np.zeros(bits.stop)
-        coeffs[bits] = self.weights
-        return AffineExpr(coeffs, self.beta)
 
     def grid(self) -> np.ndarray:
         """All 2^depth grid values in increasing order."""

@@ -19,6 +19,7 @@ functions over immutable specs and are safe to call concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -127,9 +128,17 @@ def _layout(m: LinearModelSpec | float,
     return ranges
 
 
+def _placed(exp: BinaryExpansion, bits: range) -> AffineExpr:
+    """Affine form beta + sum weights[k]*b_k of exp over the model bits in
+    bits, which lists the LSB first."""
+    coeffs = np.zeros(bits.stop)
+    coeffs[bits] = exp.weights
+    return AffineExpr(coeffs, exp.beta)
+
+
 @dataclass(frozen=True)
 class BuiltModel:
-    """A built QUBO plus the specs it was built from, to decode its bits.
+    """A built QUBO plus the specs it was built from, to decode and pin its bits.
 
     m is the LinearModelSpec of the weight bits, or the constant m of a
     model without them, and cost_params the (target, scale) of the cost
@@ -164,11 +173,29 @@ class BuiltModel:
         t, z1, z2 = value("t", spec.t_exp), value("z1", spec.z1_exp), value("z2", spec.z2_exp)
         return m, t, z1, z2, -m - z1 + z2
 
+    def pins(self, ms: Sequence[float]) -> list[dict[int, int]]:
+        """The w bits each m pins, model index to bit, taken greedily: with
+        rest = m, input by input, w[d] at quantize(rest / x_d), held in
+        float range, then rest -= x_d * w_hat_d; for D = 1, quantize(m / x).
+        A model of constant m has no w bits: a ValueError."""
+        lin = self.m
+        if not isinstance(lin, LinearModelSpec):
+            raise ValueError(f"the model of constant m = {lin!r} has no w bits to pin")
+        w_bits, big, pins = list(zip(lin.inputs, _layout(lin).values())), sys.float_info.max, []
+        for m in ms:
+            fix, rest = {}, m
+            for x, bits in w_bits:
+                pattern = lin.w_exp.quantize(min(max(rest / x, -big), big))
+                fix.update(zip(bits, pattern))
+                rest -= x * lin.w_exp.decode(pattern)
+            pins.append(fix)
+        return pins
+
 
 def build_linear_model_expr(spec: LinearModelSpec) -> AffineExpr:
     """Affine form of m = sum_d x_d * w_d over the weight bits of _layout(spec)."""
     terms = zip(spec.inputs, _layout(spec).values())
-    return sum((spec.w_exp.to_affine(bits).scaled(x) for x, bits in terms), AffineExpr())
+    return sum((_placed(spec.w_exp, bits).scaled(x) for x, bits in terms), AffineExpr())
 
 
 def _finite(expr: QuadraticExpr, path: str) -> QuadraticExpr:
@@ -208,7 +235,7 @@ def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
             shifted = m_expr - target
             square = _finite(affine_mul(shifted, shifted), "model")
             cost_expr = _finite(quad_scale_add(cost_expr, square, scale), "cost.scale")
-        t, z1, z2 = (exp.to_affine(ranges[name]) for name, exp in zip(("t", "z1", "z2"), exps))
+        t, z1, z2 = (_placed(exp, ranges[name]) for name, exp in zip(("t", "z1", "z2"), exps))
         a, b = spec.t_exp.bounds
         residual = -m_expr - z1 + z2
         dual = m_expr.scaled(a) + z2.scaled(b - a)  # linear, so all on the diagonal

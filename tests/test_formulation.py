@@ -263,6 +263,11 @@ class TestBuildCostPlusRelu:
                 -0.75, lambda m: 0.0)
             assert energy(built.model, pattern) == pytest.approx(penalty, abs=1e-12)
 
+    def test_constant_m_has_no_w_bits_to_pin(self):
+        built = build_cost_plus_relu(ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, 8.0), -0.75)
+        with pytest.raises(ValueError, match="no w bits"):
+            built.pins([-0.75])
+
     def test_quadratic_cost_minimum_at_representable_m(self):
         # C(m) = (m - 1)^2 over w grid [-1, 2] (step 0.2); both m = 1 and
         # z2 = 1 are representable, so the joint minimum is 0 at m = 1
@@ -532,6 +537,19 @@ def test_unreachable_r_build_is_refused_or_exact():
         return
     best = reachable_cost_plus_f_min(built.m, *built.cost_params)
     assert abs(exhaustive_solve(built.model).energy - best) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the greedy pins reach only 8 of the 43 lattice m, at 27 distinct "
+                          "m_hat (ROADMAP item 21)")
+def test_pins_reach_every_lattice_m():
+    built = build_from_config(unreachable_r_config())
+    lin, ranges = built.m, built.var_ranges
+    ms = [-6 + 2 * k / 7 for k in range(43)]
+    m_hats = [sum(x * lin.w_exp.decode([pins[i] for i in ranges[f"w[{d}]"]])
+                  for d, x in enumerate(lin.inputs)) for pins in built.pins(ms)]
+    assert [(m, m_hat) for m, m_hat in zip(ms, m_hats)
+            if abs(m_hat - m) > 1e-9 * max(1.0, abs(m))] == []
 
 
 # --- reference: the dict-keyed float algebra -------------------------------

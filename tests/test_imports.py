@@ -56,6 +56,30 @@ def test_no_unused_module_imports(path):
     assert unused == [], f"{path.name} imports {unused} without using them"
 
 
+def package_imports(source):
+    """Modules of the package that the source imports, relatively or by name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    return [name for name in names if name.startswith(".") or name.split(".")[0] == "reluqubo"]
+
+
+def test_guard_flags_a_package_import():
+    source = "import math\nfrom .algebra import A\nfrom . import oracle\nimport reluqubo.cli\n"
+    assert package_imports(source) == [".algebra", ".", "reluqubo.cli"]
+
+
+@pytest.mark.parametrize("stem", ["encoding", "oracle"])
+def test_leaf_modules_import_no_package_module(stem):
+    # expansions know grids and the oracle plain floats; formulation places
+    # the weights on model bits
+    imported = package_imports((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    assert imported == [], f"{stem}.py imports {imported}"
+
+
 def private_definitions(source):
     """Names of the module-level functions and classes whose names start
     with an underscore, in source order."""
