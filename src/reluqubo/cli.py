@@ -147,7 +147,9 @@ def _emit_tsv(rows: Sequence[tuple[float, ...]], out: TextIO) -> None:
 def _verify_points(cfg: object) -> list[float]:
     """The config's verify.m_points as floats; read before the model is
     built, so a config refused for its points costs no build."""
-    verify_cfg = cfg.get("verify") if isinstance(cfg, dict) else None
+    if not isinstance(cfg, dict):  # read_config's first check
+        raise ConfigError("", "top-level config must be an object")
+    verify_cfg = cfg.get("verify")
     if not isinstance(verify_cfg, dict) or "m_points" not in verify_cfg:
         raise ConfigError("verify.m_points", "missing required key")
     points = verify_cfg["m_points"]

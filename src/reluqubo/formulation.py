@@ -111,21 +111,22 @@ class LinearModelSpec:
 MAX_BUILD_VARS = 4096  # a build's n x n forms peak near 70 B per n^2: 1.2 GB at the cap
 
 
-def _layout(m: LinearModelSpec | float,
-            penalty: Sequence[BinaryExpansion] = ()) -> dict[str, range]:
-    """Model bits of each group: w[d] the depth bits from d * depth on (none
-    for a constant m), then t, z1, z2 those of the expansions in penalty.
+def _layout(m: LinearModelSpec | float, penalty: Sequence[BinaryExpansion] = ()
+            ) -> dict[str, tuple[BinaryExpansion, range]]:
+    """Each model group's expansion and bits: w[d] the weight expansion on
+    the depth bits from d * depth on (none for a constant m), then t, z1,
+    z2 those of the expansions in penalty, each on the bits that follow.
     Over MAX_BUILD_VARS bits in all, a ConfigError naming 'model.inputs'."""
-    dim, depth = (m.dim, m.w_exp.depth) if isinstance(m, LinearModelSpec) else (0, 0)
-    n_vars = dim * depth + sum(exp.depth for exp in penalty)
+    exps = [(f"w[{d}]", m.w_exp) for d in range(m.dim)] if isinstance(m, LinearModelSpec) else []
+    exps += zip(("t", "z1", "z2"), penalty)
+    n_vars = sum(exp.depth for _, exp in exps)
     if n_vars > MAX_BUILD_VARS:
         raise ConfigError("model.inputs", f"the model would have {n_vars} variables, "
                                           f"more than the cap of {MAX_BUILD_VARS}")
-    ranges = {f"w[{d}]": range(d * depth, (d + 1) * depth) for d in range(dim)}
-    k = dim * depth
-    for name, exp in zip(("t", "z1", "z2"), penalty):
-        ranges[name], k = range(k, k + exp.depth), k + exp.depth
-    return ranges
+    groups, k = {}, 0
+    for name, exp in exps:
+        groups[name], k = (exp, range(k, k + exp.depth)), k + exp.depth
+    return groups
 
 
 def _placed(exp: BinaryExpansion, bits: range) -> AffineExpr:
@@ -150,27 +151,28 @@ class BuiltModel:
     m: LinearModelSpec | float
     cost_params: tuple[float, float]
 
+    def _groups(self) -> dict[str, tuple[BinaryExpansion, range]]:
+        """_layout's table of this model: each group's expansion and bits."""
+        spec = self.penalty_spec
+        return _layout(self.m, (spec.t_exp, spec.z1_exp, spec.z2_exp))
+
     @property
     def var_ranges(self) -> dict[str, range]:
         """Model indices of each group ('w[0]', 't', 'z1', 'z2'), as the build laid them out."""
-        spec = self.penalty_spec
-        return _layout(self.m, (spec.t_exp, spec.z1_exp, spec.z2_exp))
+        return {name: bits for name, (_, bits) in self._groups().items()}
 
     def decode(self, assignment: Sequence[int]) -> tuple[float, float, float, float, float]:
         """(m, t, z1, z2, r) at the given assignment, r = -m - z1 + z2; m is
         sum_d x_d * w_d of the decoded weights, or the constant m.
         The assignment must be model.n_vars entries of 0 or 1."""
         _check_bits(assignment, self.model.n_vars)
-        ranges, spec, m = self.var_ranges, self.penalty_spec, self.m
-
-        def value(name: str, exp: BinaryExpansion) -> float:
-            return exp.decode([assignment[i] for i in ranges[name]])
-
+        *ws, t, z1, z2 = (exp.decode([assignment[i] for i in bits])
+                          for exp, bits in self._groups().values())
+        m = self.m
         if isinstance(m, LinearModelSpec):
-            lin, m = m, 0.0
-            for d, x in enumerate(lin.inputs):
-                m += x * value(f"w[{d}]", lin.w_exp)
-        t, z1, z2 = value("t", spec.t_exp), value("z1", spec.z1_exp), value("z2", spec.z2_exp)
+            xs, m = m.inputs, 0.0
+            for x, w in zip(xs, ws):
+                m += x * w
         return m, t, z1, z2, -m - z1 + z2
 
     def pins(self, ms: Sequence[float]) -> list[dict[int, int]]:
@@ -181,21 +183,15 @@ class BuiltModel:
         lin = self.m
         if not isinstance(lin, LinearModelSpec):
             raise ValueError(f"the model of constant m = {lin!r} has no w bits to pin")
-        w_bits, big, pins = list(zip(lin.inputs, _layout(lin).values())), sys.float_info.max, []
+        w_groups, big, pins = list(zip(lin.inputs, _layout(lin).values())), sys.float_info.max, []
         for m in ms:
             fix, rest = {}, m
-            for x, bits in w_bits:
-                pattern = lin.w_exp.quantize(min(max(rest / x, -big), big))
+            for x, (exp, bits) in w_groups:
+                pattern = exp.quantize(min(max(rest / x, -big), big))
                 fix.update(zip(bits, pattern))
-                rest -= x * lin.w_exp.decode(pattern)
+                rest -= x * exp.decode(pattern)
             pins.append(fix)
         return pins
-
-
-def build_linear_model_expr(spec: LinearModelSpec) -> AffineExpr:
-    """Affine form of m = sum_d x_d * w_d over the weight bits of _layout(spec)."""
-    terms = zip(spec.inputs, _layout(spec).values())
-    return sum((_placed(spec.w_exp, bits).scaled(x) for x, bits in terms), AffineExpr())
 
 
 def _finite(expr: QuadraticExpr, path: str) -> QuadraticExpr:
@@ -221,12 +217,12 @@ def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
     one naming 'penalty.M', and the scaled cost one naming 'cost.scale'.
     """
     target, scale = cost
-    exps = (spec.t_exp, spec.z1_exp, spec.z2_exp)
-    ranges = _layout(m, exps)
+    groups = _layout(m, (spec.t_exp, spec.z1_exp, spec.z2_exp))
     # an overflowing product is a ConfigError naming its key, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        *ws, t, z1, z2 = (_placed(exp, bits) for exp, bits in groups.values())
         if isinstance(m, LinearModelSpec):
-            m_expr = build_linear_model_expr(m)
+            m_expr = sum((w.scaled(x) for x, w in zip(m.inputs, ws)), AffineExpr())
         else:
             m = float(m)
             m_expr = AffineExpr(constant=m)
@@ -235,7 +231,6 @@ def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
             shifted = m_expr - target
             square = _finite(affine_mul(shifted, shifted), "model")
             cost_expr = _finite(quad_scale_add(cost_expr, square, scale), "cost.scale")
-        t, z1, z2 = (_placed(exp, ranges[name]) for name, exp in zip(("t", "z1", "z2"), exps))
         a, b = spec.t_exp.bounds
         residual = -m_expr - z1 + z2
         dual = m_expr.scaled(a) + z2.scaled(b - a)  # linear, so all on the diagonal
@@ -244,7 +239,7 @@ def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
         square = _finite(affine_mul(residual, residual), "model")
         penalty = _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
         total = _finite(quad_scale_add(cost_expr, penalty, 1.0), "cost.scale")
-        labels = [f"{name}[{i}]" for name, bits in ranges.items() for i in range(len(bits))]
+        labels = [f"{name}[{i}]" for name, (_, bits) in groups.items() for i in range(len(bits))]
         return BuiltModel(quadratic_to_model(total, labels), spec, m, (target, scale))
 
 

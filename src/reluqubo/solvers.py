@@ -200,12 +200,12 @@ def _subset_sums(V: np.ndarray, S: np.ndarray) -> None:
 
 
 def _energies(Q: np.ndarray) -> np.ndarray:
-    """b·Q·bᵀ of all 2^n states b in integer order, Q upper-triangular."""
+    """b·Q·bᵀ of all 2^n states b in integer order, Q strictly upper-triangular."""
     F = np.zeros((1 << len(Q), len(Q)))
     _subset_sums(Q, F)  # F[k, j] = sum_{i<j} b_i Q_ij for k < 2^j
     E = np.zeros(len(F))
     for j in range(len(Q)):
-        np.add(E[:1 << j], Q[j, j] + F[:1 << j, j], out=E[1 << j:2 << j])
+        np.add(E[:1 << j], F[:1 << j, j], out=E[1 << j:2 << j])
     return E
 
 

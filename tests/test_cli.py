@@ -252,10 +252,10 @@ class TestBuild:
         cfg = config_negative_range()
         cfg["model"]["inputs"] = [1.0] * 700
         out = tmp_path / "m.qubo"
-        with mock.patch("reluqubo.formulation.build_linear_model_expr") as build:
+        with mock.patch("reluqubo.formulation.affine_mul") as mul:
             code = main(["build", write_config(tmp_path, cfg), str(out)])
         assert code == 2
-        assert not build.called and not out.exists()
+        assert not mul.called and not out.exists()
         err = capsys.readouterr().err
         assert "config error at 'model.inputs': the model would have 4216 variables" in err
 
@@ -620,6 +620,15 @@ class TestVerify:
         assert main(["verify", write_config(tmp_path, cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: config error at 'verify.m_points': {message}\n"
+        assert captured.out == ""
+
+    def test_non_object_config_is_refused_as_build_refuses_it(self, tmp_path, capsys):
+        # read_config's key and message, not a missing verify.m_points
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: config error at '': top-level config must be an object\n"
         assert captured.out == ""
 
     def test_multi_dim_model_verifies(self, tmp_path, capsys):

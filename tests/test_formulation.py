@@ -30,7 +30,6 @@ from reluqubo.formulation import (
     ReluPenaltySpec,
     build_cost_plus_relu,
     build_from_config,
-    build_linear_model_expr,
     read_config,
     recommend_M,
     ConfigError,
@@ -205,18 +204,6 @@ class TestBuildReluPenalty:
 
 
 class TestBuildLinearModelExpr:
-    def test_single_dim_all_zero_bits(self):
-        w = BinaryExpansion(3, 2.0, 0.5)
-        spec = LinearModelSpec((1.0,), w)
-        expr = build_linear_model_expr(spec)
-        assert value(expr, (0, 0, 0)) == 0.5
-
-    def test_two_dims_cancel(self):
-        w = BinaryExpansion(2, 1.0, 0.25)
-        spec = LinearModelSpec((1.0, -1.0), w)
-        expr = build_linear_model_expr(spec)
-        assert value(expr, (0, 0, 0, 0)) == 0.0
-
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_decoded_sum(self, seed):
         rng = np.random.default_rng(seed)
@@ -224,10 +211,12 @@ class TestBuildLinearModelExpr:
         dims = int(rng.integers(1, 4))
         w = BinaryExpansion(d_w, float(rng.uniform(0.5, 3)), float(rng.uniform(-2, 2)))
         xs = tuple(float(x) for x in rng.uniform(-2, 2, size=dims))
-        spec = LinearModelSpec(xs, w)
         groups = [range(d * d_w, (d + 1) * d_w) for d in range(dims)]
-        assert formulation._layout(spec) == {f"w[{d}]": g for d, g in enumerate(groups)}
-        expr = build_linear_model_expr(spec)
+        table = formulation._layout(LinearModelSpec(xs, w))
+        assert table == {f"w[{d}]": (w, g) for d, g in enumerate(groups)}
+        terms = zip(xs, table.values())
+        expr = sum((formulation._placed(exp, bits).scaled(x) for x, (exp, bits) in terms),
+                   AffineExpr())
         for pattern in all_assignments(dims * d_w):
             expected = sum(x * w.decode(pattern[g.start:g.stop]) for x, g in zip(xs, groups))
             assert value(expr, pattern) == pytest.approx(expected, abs=1e-12)
@@ -550,6 +539,54 @@ def test_pins_reach_every_lattice_m():
                   for d, x in enumerate(lin.inputs)) for pins in built.pins(ms)]
     assert [(m, m_hat) for m, m_hat in zip(ms, m_hats)
             if abs(m_hat - m) > 1e-9 * max(1.0, abs(m))] == []
+
+
+@st.composite
+def small_builds(draw):
+    """Builds of 1-3 inputs or of a constant m, every group of depth 1-3."""
+    def expansion(alpha, beta):
+        return BinaryExpansion(draw(st.integers(1, 3)), alpha, beta)
+
+    spec = ReluPenaltySpec(expansion(1.0, -1.0), expansion(2.0, 0.0), expansion(3.0, 0.0), 4.0)
+    if draw(st.booleans()):
+        return build_cost_plus_relu(spec, draw(st.floats(-2.0, 2.0)))
+    inputs = draw(st.lists(st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 0.01),
+                           min_size=1, max_size=3))
+    return build_cost_plus_relu(spec, LinearModelSpec(inputs, expansion(4.0, -2.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_builds(), st.data())
+def test_group_table_readers_agree(built, data):
+    # the builder's labels, var_ranges, decode and pins all read one table
+    spec, lin, n = built.penalty_spec, built.m, built.model.n_vars
+    dim = lin.dim if isinstance(lin, LinearModelSpec) else 0
+    own = {**{f"w[{d}]": lin.w_exp for d in range(dim)},
+           "t": spec.t_exp, "z1": spec.z1_exp, "z2": spec.z2_exp}
+    ranges = built.var_ranges
+    assert list(ranges) == list(own)
+    assert [i for bits in ranges.values() for i in bits] == list(range(n))
+    labels = built.model.labels
+    assert {label: i for i, label in enumerate(labels)} == {
+        f"{g}[{k}]": i for g, bits in ranges.items() for k, i in enumerate(bits)}
+
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    values = {g: own[g].decode([bits[i] for i in ranges[g]]) for g in own}
+    m = lin
+    if dim:
+        m = 0.0
+        for d, x in enumerate(lin.inputs):
+            m += x * values[f"w[{d}]"]
+    r = -m - values["z1"] + values["z2"]
+    assert built.decode(bits) == (m, values["t"], values["z1"], values["z2"], r)
+
+    ms = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+    if not dim:
+        with pytest.raises(ValueError, match="has no w bits to pin"):
+            built.pins(ms)
+        return
+    w_bits = {i for d in range(dim) for i in ranges[f"w[{d}]"]}
+    assert all(fix.keys() == w_bits for fix in built.pins(ms))
 
 
 # --- reference: the dict-keyed float algebra -------------------------------
