@@ -1,17 +1,13 @@
 """Two-body QUBO/Ising models embedding ReLU-type penalties max(a*m, b*m)."""
 
 from .algebra import (
-    AffineExpr,
     IsingModel,
-    QuadraticExpr,
     QuboModel,
     QuboParseError,
-    affine_mul,
     energy,
     export_qubo,
     ising_from_qubo,
     parse_qubo,
-    quadratic_to_model,
     qubo_from_ising,
 )
 from .encoding import BinaryExpansion
@@ -47,7 +43,6 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineExpr",
     "AnnealConfig",
     "BinaryExpansion",
     "BitCapExceeded",
@@ -56,13 +51,11 @@ __all__ = [
     "Grid1D",
     "IsingModel",
     "LinearModelSpec",
-    "QuadraticExpr",
     "QuboModel",
     "QuboParseError",
     "ReluPenaltySpec",
     "SolveResult",
     "WolfeDualOptimum",
-    "affine_mul",
     "build_cost_plus_relu",
     "build_from_config",
     "energy",
@@ -75,7 +68,6 @@ __all__ = [
     "parse_qubo",
     "qloss_min_form",
     "qloss_reference",
-    "quadratic_to_model",
     "qubo_from_ising",
     "read_config",
     "recommend_M",

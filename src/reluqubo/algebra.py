@@ -5,8 +5,8 @@ coefficient vector plus a constant; a QuadraticExpr is one upper-triangular
 matrix plus a constant, with the linear terms on its diagonal (b*b = b on
 {0, 1}) and the coupling of bits i < j at [i, j].  Pair terms can only be
 created by multiplying two affine forms, so everything stays two-body by
-construction.  A form shorter than another leaves the later bits out; the
-operations zero-pad both operands to one length.
+construction.  The operations take forms of one length and pad nothing:
+every form a build makes spans all of the model's bits.
 
 A QuboModel or IsingModel is its (i, j, c) term arrays: i == j marks a
 linear term (a field), i < j a coupling.  They are checked and put in
@@ -39,7 +39,7 @@ hardware vendor convention is implied by this choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -55,17 +55,11 @@ class QuboParseError(ValueError):
     """Raised when a qubo-v1 text model cannot be parsed."""
 
 
-def _aligned(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors or square matrices u and v, zero-padded to one size."""
-    n = max(len(u), len(v))
-    return np.pad(u, (0, n - len(u))), np.pad(v, (0, n - len(v)))
-
-
 @dataclass(eq=False)
 class AffineExpr:
     """Degree <= 1 polynomial over model bits: constant + sum coeffs[i]*b_i."""
 
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    coeffs: np.ndarray
     constant: float = 0.0
 
     def __post_init__(self) -> None:
@@ -76,8 +70,7 @@ class AffineExpr:
         return AffineExpr(self.coeffs * scale, self.constant * scale)
 
     def __add__(self, other: "AffineExpr") -> "AffineExpr":
-        u, v = _aligned(self.coeffs, other.coeffs)
-        return AffineExpr(u + v, self.constant + other.constant)
+        return AffineExpr(self.coeffs + other.coeffs, self.constant + other.constant)
 
     def __neg__(self) -> "AffineExpr":
         return self.scaled(-1.0)
@@ -85,8 +78,7 @@ class AffineExpr:
     def __sub__(self, other: "AffineExpr | float") -> "AffineExpr":
         if isinstance(other, (int, float)):
             return AffineExpr(self.coeffs, self.constant - other)
-        u, v = _aligned(self.coeffs, other.coeffs)
-        return AffineExpr(u - v, self.constant - other.constant)
+        return AffineExpr(self.coeffs - other.coeffs, self.constant - other.constant)
 
 
 @dataclass(eq=False)
@@ -98,7 +90,7 @@ class QuadraticExpr:
     product of two quadratics; they only scale and add (quad_scale_add).
     """
 
-    matrix: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    matrix: np.ndarray
     constant: float = 0.0
 
     def __post_init__(self) -> None:
@@ -113,7 +105,7 @@ def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
     pair (i, j) gets a_i*b_j + a_j*b_i; the diagonal gets a_i*b_i, then
     a_i*b.constant, then a.constant*b_i.
     """
-    u, v = _aligned(a.coeffs, b.coeffs)
+    u, v = a.coeffs, b.coeffs
     outer = np.multiply.outer(u, v)
     matrix = np.triu(outer + outer.T, 1)
     np.fill_diagonal(matrix, outer.diagonal() + u * b.constant + a.constant * v)
@@ -121,12 +113,9 @@ def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
 
 
 def quad_scale_add(dst: QuadraticExpr, src: QuadraticExpr, scale: float) -> QuadraticExpr:
-    """dst + scale * src; dst itself when scale is 0."""
+    """dst + scale * src."""
     scale = float(scale)
-    if scale == 0.0:
-        return dst
-    d, s = _aligned(dst.matrix, src.matrix)
-    return QuadraticExpr(d + scale * s, dst.constant + scale * src.constant)
+    return QuadraticExpr(dst.matrix + scale * src.matrix, dst.constant + scale * src.constant)
 
 
 def _as_float(x: object, name: str) -> float:

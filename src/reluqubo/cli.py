@@ -14,7 +14,7 @@ import sys
 from typing import Sequence, TextIO
 
 from .algebra import QuboModel, QuboParseError, _parse_index, export_qubo, parse_qubo
-from .formulation import BuiltModel, ConfigError, _number, build_from_config
+from .formulation import BuiltModel, ConfigError, _number, _require, build_from_config
 from .oracle import MAX_GRID_POINTS, Grid1D, relu_reference
 from .solvers import (
     AnnealConfig,
@@ -149,10 +149,7 @@ def _verify_points(cfg: object) -> list[float]:
     built, so a config refused for its points costs no build."""
     if not isinstance(cfg, dict):  # read_config's first check
         raise ConfigError("", "top-level config must be an object")
-    verify_cfg = cfg.get("verify")
-    if not isinstance(verify_cfg, dict) or "m_points" not in verify_cfg:
-        raise ConfigError("verify.m_points", "missing required key")
-    points = verify_cfg["m_points"]
+    points = _require(cfg.get("verify", {}), "m_points", "verify")
     if not isinstance(points, list) or not points:
         raise ConfigError("verify.m_points", "expected a non-empty array of numbers")
     if len(points) > MAX_GRID_POINTS:  # --grid's cap

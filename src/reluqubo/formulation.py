@@ -108,7 +108,7 @@ class LinearModelSpec:
         return (lo, hi)
 
 
-MAX_BUILD_VARS = 4096  # a build's n x n forms peak near 70 B per n^2: 1.2 GB at the cap
+MAX_BUILD_VARS = 4096  # a build's n x n forms peak near 67 B per n^2: 1.1 GB at the cap
 
 
 def _layout(m: LinearModelSpec | float, penalty: Sequence[BinaryExpansion] = ()
@@ -129,10 +129,10 @@ def _layout(m: LinearModelSpec | float, penalty: Sequence[BinaryExpansion] = ()
     return groups
 
 
-def _placed(exp: BinaryExpansion, bits: range) -> AffineExpr:
-    """Affine form beta + sum weights[k]*b_k of exp over the model bits in
-    bits, which lists the LSB first."""
-    coeffs = np.zeros(bits.stop)
+def _placed(exp: BinaryExpansion, bits: range, n: int) -> AffineExpr:
+    """Affine form beta + sum weights[k]*b_k of exp over n model bits, with
+    exp's bits at the indices in bits, which lists the LSB first."""
+    coeffs = np.zeros(n)
     coeffs[bits] = exp.weights
     return AffineExpr(coeffs, exp.beta)
 
@@ -204,41 +204,43 @@ def _finite(expr: QuadraticExpr, path: str) -> QuadraticExpr:
 
 def build_cost_plus_relu(spec: ReluPenaltySpec, m: LinearModelSpec | float,
                          cost: tuple[float, float] = (0.0, 0.0)) -> BuiltModel:
-    """C(m) = scale*(m - target)^2 of cost = (target, scale), plus the gadget
-    formed as a*m + (b - a)*z2 - (t - a)*r + M*r^2.
+    """The gadget, formed as a*m + (b - a)*z2 - (t - a)*r + M*r^2, plus
+    C(m) = scale*(m - target)^2 of cost = (target, scale).
 
     [a, b] are the spec's t bounds.  Its two products, (t - a)*(-r) and
     r*r, give each coefficient the same float as the primal form's four:
     each entry sums the same products, plus zeros.  m is a LinearModelSpec,
     whose weight bits come first, or a constant; t, z1, z2 bits follow
     (_layout, which refuses a model over MAX_BUILD_VARS bits before any
-    product).  Bit i of group g is labeled g[i].  An overflowing product
-    of forms is a ConfigError naming 'model', M times the squared residual
-    one naming 'penalty.M', and the scaled cost one naming 'cost.scale'.
+    product).  Every form spans all n model bits, and one form, total,
+    takes the gadget, then the cost, which a scale of 0 leaves out.  Bit i
+    of group g is labeled g[i].  The stages are checked in that order: an
+    overflowing product of forms is a ConfigError naming 'model', M times
+    the squared residual one naming 'penalty.M', and the scaled cost one
+    naming 'cost.scale'.
     """
     target, scale = cost
     groups = _layout(m, (spec.t_exp, spec.z1_exp, spec.z2_exp))
+    n = sum(len(bits) for _, bits in groups.values())
     # an overflowing product is a ConfigError naming its key, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        *ws, t, z1, z2 = (_placed(exp, bits) for exp, bits in groups.values())
+        *ws, t, z1, z2 = (_placed(exp, bits, n) for exp, bits in groups.values())
         if isinstance(m, LinearModelSpec):
-            m_expr = sum((w.scaled(x) for x, w in zip(m.inputs, ws)), AffineExpr())
+            m_expr = sum((w.scaled(x) for x, w in zip(m.inputs, ws)), AffineExpr(np.zeros(n)))
         else:
             m = float(m)
-            m_expr = AffineExpr(constant=m)
-        cost_expr = QuadraticExpr()
-        if scale != 0.0:  # quad_scale_add would discard the whole product
-            shifted = m_expr - target
-            square = _finite(affine_mul(shifted, shifted), "model")
-            cost_expr = _finite(quad_scale_add(cost_expr, square, scale), "cost.scale")
+            m_expr = AffineExpr(np.zeros(n), m)
         a, b = spec.t_exp.bounds
         residual = -m_expr - z1 + z2
         dual = m_expr.scaled(a) + z2.scaled(b - a)  # linear, so all on the diagonal
         dual = QuadraticExpr(np.diag(dual.coeffs), dual.constant)
-        penalty = _finite(quad_scale_add(affine_mul(t - a, -residual), dual, 1.0), "model")
+        total = _finite(quad_scale_add(affine_mul(t - a, -residual), dual, 1.0), "model")
         square = _finite(affine_mul(residual, residual), "model")
-        penalty = _finite(quad_scale_add(penalty, square, spec.M), "penalty.M")
-        total = _finite(quad_scale_add(cost_expr, penalty, 1.0), "cost.scale")
+        total = _finite(quad_scale_add(total, square, spec.M), "penalty.M")
+        if scale != 0.0:  # a far target at scale 0 must not overflow a product
+            shifted = m_expr - target
+            square = _finite(affine_mul(shifted, shifted), "model")
+            total = _finite(quad_scale_add(total, square, scale), "cost.scale")
         labels = [f"{name}[{i}]" for name, (_, bits) in groups.items() for i in range(len(bits))]
         return BuiltModel(quadratic_to_model(total, labels), spec, m, (target, scale))
 

@@ -41,9 +41,8 @@ def value(expr, pattern):
 
 
 def random_affine(rng, n):
-    """A form over the first 0..n bits, about a fifth of its coefficients 0."""
-    k = int(rng.integers(0, n + 1))
-    coeffs = np.where(rng.random(k) < 0.8, rng.uniform(-3, 3, k), 0.0)
+    """A form over n bits, about a fifth of its coefficients 0."""
+    coeffs = np.where(rng.random(n) < 0.8, rng.uniform(-3, 3, n), 0.0)
     return AffineExpr(coeffs, float(rng.uniform(-2, 2)))
 
 
@@ -61,7 +60,7 @@ class TestAffineExpr:
 
     def test_add_zero_is_identity(self):
         a = AffineExpr([1.5, 0.0, -0.5], 2.0)
-        out = a + AffineExpr()
+        out = a + AffineExpr(np.zeros(3))
         assert out.coeffs.tolist() == a.coeffs.tolist()
         assert out.constant == a.constant
 
@@ -76,12 +75,12 @@ class TestAffineExpr:
 
     def test_operator_sugar(self):
         # the builders' forms: -m - z1 + z2, m - target and t - a
-        a, b = AffineExpr([1.0], 2.0), AffineExpr([0.0, 3.0], 0.5)
+        a, b = AffineExpr([1.0, 0.0], 2.0), AffineExpr([0.0, 3.0], 0.5)
         out = -a - b + a.scaled(2.0)
         assert out.coeffs.tolist() == [1.0, -3.0]
         assert out.constant == 1.5
         out = a - 1.0
-        assert out.coeffs.tolist() == [1.0]
+        assert out.coeffs.tolist() == [1.0, 0.0]
         assert out.constant == 1.0
 
 
@@ -93,7 +92,7 @@ class TestAffineMul:
 
     def test_expansion(self):
         # (b0 + 1)(b1 - 1) = b0 b1 - b0 + b1 - 1
-        out = affine_mul(AffineExpr([1.0], 1.0), AffineExpr([0.0, 1.0], -1.0))
+        out = affine_mul(AffineExpr([1.0, 0.0], 1.0), AffineExpr([0.0, 1.0], -1.0))
         assert out.matrix.tolist() == [[-1.0, 1.0], [0.0, 1.0]]
         assert out.constant == -1.0
 
@@ -108,29 +107,21 @@ class TestAffineMul:
 
     def test_pair_keys_normalized(self):
         # b1 * 2 b0 is stored once, above the diagonal
-        out = affine_mul(AffineExpr([0.0, 1.0]), AffineExpr([2.0]))
+        out = affine_mul(AffineExpr([0.0, 1.0]), AffineExpr([2.0, 0.0]))
         assert out.matrix.tolist() == [[0.0, 2.0], [0.0, 0.0]]
 
     def test_no_quadratic_times_quadratic(self):
         # the type split is the degree guard: quadratics only scale
-        q = affine_mul(AffineExpr([1.0]), AffineExpr([0.0, 1.0]))
+        q = affine_mul(AffineExpr([1.0, 0.0]), AffineExpr([0.0, 1.0]))
         with pytest.raises(TypeError):
             q * q  # noqa: B018
 
 
 class TestQuadScaleAdd:
     def test_accumulate_coupler(self):
-        src = affine_mul(AffineExpr([1.0]), AffineExpr([0.0, 1.0]))
-        out = quad_scale_add(QuadraticExpr(), src, -16.0)
+        src = affine_mul(AffineExpr([1.0, 0.0]), AffineExpr([0.0, 1.0]))
+        out = quad_scale_add(QuadraticExpr(np.zeros((2, 2))), src, -16.0)
         assert out.matrix.tolist() == [[0.0, -16.0], [0.0, 0.0]]
-
-    def test_scale_zero_is_identity(self):
-        rng = np.random.default_rng(3)
-        dst = random_quadratic(rng, 4)
-        src = random_quadratic(rng, 4)
-        out = quad_scale_add(dst, src, 0.0)
-        assert out.matrix.tolist() == dst.matrix.tolist()
-        assert out.constant == dst.constant
 
     def test_matches_pointwise(self):
         rng = np.random.default_rng(5)
@@ -429,7 +420,7 @@ class TestQuboFormat:
 
 class TestQuadraticToModel:
     def test_expression_to_model_and_back(self):
-        expr = affine_mul(AffineExpr([1.0, 2.0], 0.5), AffineExpr([0.0, 0.0, -1.0], 1.0))
+        expr = affine_mul(AffineExpr([1.0, 2.0, 0.0], 0.5), AffineExpr([0.0, 0.0, -1.0], 1.0))
         model = quadratic_to_model(expr, ["a", "b", "c"])
         assert model.n_vars == 3
         assert model.labels == ["a", "b", "c"]

@@ -600,26 +600,34 @@ class TestVerify:
         cfg["verify"]["m_points"].pop()
         assert main(["verify", write_config(tmp_path, cfg)]) == 0
 
-    @pytest.mark.parametrize("verify_cfg, message", [
-        (None, "missing required key"),
-        ({"m_points": "none"}, "expected a non-empty array of numbers"),
-        ({"m_points": []}, "expected a non-empty array of numbers"),
-        ({"m_points": [0.0, -1.0, -2.0, -3.0]}, "has more than 3 points"),
-        ({"m_points": [0.0, "x"]}, "expected a number, got 'x'"),
-    ], ids=["missing", "not-a-list", "empty", "over-the-cap", "not-a-number"])
+    # a section that is not an object is named as read_config names one
+    @pytest.mark.parametrize("section, key, message", [
+        ({}, "verify.m_points", "missing required key"),
+        ({"verify": {"m_points": "none"}}, "verify.m_points",
+         "expected a non-empty array of numbers"),
+        ({"verify": {"m_points": []}}, "verify.m_points",
+         "expected a non-empty array of numbers"),
+        ({"verify": {"m_points": [0.0, -1.0, -2.0, -3.0]}}, "verify.m_points",
+         "has more than 3 points"),
+        ({"verify": {"m_points": [0.0, "x"]}}, "verify.m_points", "expected a number, got 'x'"),
+        ({"verify": [1]}, "verify", "expected an object"),
+        ({"verify": 3}, "verify", "expected an object"),
+        ({"verify": None}, "verify", "expected an object"),
+        ({"verify": "x"}, "verify", "expected an object"),
+    ], ids=["missing", "not-a-list", "empty", "over-the-cap", "not-a-number",
+            "section-a-list", "section-a-number", "section-null", "section-a-string"])
     def test_points_are_refused_before_the_build(self, tmp_path, capsys, monkeypatch,
-                                                 verify_cfg, message):
+                                                 section, key, message):
         def no_build(cfg):
             raise AssertionError("the model was built before the points were checked")
 
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 3)
         monkeypatch.setattr(cli, "build_from_config", no_build)
         cfg = config_negative_range()
-        if verify_cfg is not None:
-            cfg["verify"] = verify_cfg
+        cfg.update(section)
         assert main(["verify", write_config(tmp_path, cfg)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: config error at 'verify.m_points': {message}\n"
+        assert captured.err == f"error: config error at '{key}': {message}\n"
         assert captured.out == ""
 
     def test_non_object_config_is_refused_as_build_refuses_it(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ is the coefficient algebra inside the built expressions and models.
 """
 
 import itertools
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -211,13 +212,14 @@ class TestBuildLinearModelExpr:
         dims = int(rng.integers(1, 4))
         w = BinaryExpansion(d_w, float(rng.uniform(0.5, 3)), float(rng.uniform(-2, 2)))
         xs = tuple(float(x) for x in rng.uniform(-2, 2, size=dims))
+        n = dims * d_w
         groups = [range(d * d_w, (d + 1) * d_w) for d in range(dims)]
         table = formulation._layout(LinearModelSpec(xs, w))
         assert table == {f"w[{d}]": (w, g) for d, g in enumerate(groups)}
         terms = zip(xs, table.values())
-        expr = sum((formulation._placed(exp, bits).scaled(x) for x, (exp, bits) in terms),
-                   AffineExpr())
-        for pattern in all_assignments(dims * d_w):
+        expr = sum((formulation._placed(exp, bits, n).scaled(x) for x, (exp, bits) in terms),
+                   AffineExpr(np.zeros(n)))
+        for pattern in all_assignments(n):
             expected = sum(x * w.decode(pattern[g.start:g.stop]) for x, g in zip(xs, groups))
             assert value(expr, pattern) == pytest.approx(expected, abs=1e-12)
 
@@ -297,8 +299,11 @@ class TestBuildCostPlusRelu:
         m_hat = built.decode(result.assignment)[0]
         assert abs(m_hat - (-0.5)) <= w.resolution
 
+    # with both M and the cost scale overflowing, the gadget's stage, checked
+    # first, is named
     @pytest.mark.parametrize("M, cost, path", [(1.7e308, (0.0, 0.0), "penalty.M"),
-                                               (8.0, (0.0, 1.7e308), "cost.scale")])
+                                               (8.0, (0.0, 1.7e308), "cost.scale"),
+                                               (1.7e308, (0.0, 1.7e308), "penalty.M")])
     def test_overflow_is_config_error_not_warning(self, M, cost, path):
         spec = ReluPenaltySpec(T2, Z_UNIT, Z_PAIR, M)
         lin = LinearModelSpec((1.0,), BinaryExpansion(2, 4.0, -2.0))
@@ -805,7 +810,7 @@ def test_dual_form_matches_primal_reference_bytes(t_exp, inputs, data):
 
 
 class TestLayerCalls:
-    @pytest.mark.parametrize("scale, products, sums", [(0.0, 2, 3), (1.0, 3, 4)])
+    @pytest.mark.parametrize("scale, products, sums", [(0.0, 2, 2), (1.0, 3, 3)])
     def test_build_calls_each_layer(self, scale, products, sums):
         # perfbench times these three layers by wrapping them in formulation
         calls = dict.fromkeys(("affine_mul", "quad_scale_add", "quadratic_to_model"), 0)
@@ -824,3 +829,18 @@ class TestLayerCalls:
             build_from_config(cfg)
         assert calls == {"affine_mul": products, "quad_scale_add": sums,
                          "quadratic_to_model": 1}
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_build_peak_stays_under_72_bytes_per_n_squared(self, scale):
+        # 100 inputs at the README depths: 616 bits, whose n x n forms are
+        # most of the peak; tracemalloc counts are the same on every run
+        cfg = readme_config(100)
+        cfg["cost"]["scale"] = scale
+        tracemalloc.start()
+        try:
+            n = build_from_config(cfg).model.n_vars
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 616
+        assert peak < 72 * n * n
