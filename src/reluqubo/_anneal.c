@@ -127,10 +127,13 @@ void walk(uint32_t *mt, int64_t n, int64_t sweeps, double beta0, double ratio,
                 if (bde > 40.0 || random53(mt) >= exp(-bde))
                     continue;
             }
-            b[i] ^= 1;
             e += de;
-            for (k = start[i]; k < start[i + 1]; k++)
-                f[nbr[k]] += b[i] ? coef[k] : -coef[k];
+            if ((b[i] ^= 1))
+                for (k = start[i]; k < start[i + 1]; k++)
+                    f[nbr[k]] += coef[k];
+            else
+                for (k = start[i]; k < start[i + 1]; k++)
+                    f[nbr[k]] -= coef[k];
             if (e < best_e) {
                 best_e = e;
                 memcpy(best, b, n);

@@ -5,8 +5,8 @@ coefficient vector plus a constant; a QuadraticExpr is one upper-triangular
 matrix plus a constant, with the linear terms on its diagonal (b*b = b on
 {0, 1}) and the coupling of bits i < j at [i, j].  Pair terms can only be
 created by multiplying two affine forms, so everything stays two-body by
-construction.  The operations take forms of one length and pad nothing:
-every form a build makes spans all of the model's bits.
+construction.  The operations refuse forms of different lengths, which
+numpy would broadcast: every form a build makes spans all of the model's bits.
 
 A QuboModel or IsingModel is its (i, j, c) term arrays: i == j marks a
 linear term (a field), i < j a coupling.  They are checked and put in
@@ -14,6 +14,7 @@ canonical order once, at construction.  Producers (quadratic_to_model,
 parse_qubo, the Ising conversions, the solvers' fold) hand over arrays,
 and readers (energy, export_qubo, the solvers) read them; the dict views
 linear/quadratic and h/J exist for callers and are built on access.
+parse_qubo reads export_qubo's exact layout in bulk, other text line by line.
 
 Built models equal, to the bit, those of the dict-keyed reference
 algebra in tests/test_formulation.py: every entry gets the same float
@@ -39,6 +40,7 @@ hardware vendor convention is implied by this choice.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
@@ -53,6 +55,11 @@ Terms = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 class QuboParseError(ValueError):
     """Raised when a qubo-v1 text model cannot be parsed."""
+
+
+def _same_length(x: np.ndarray, y: np.ndarray) -> None:
+    if x.shape != y.shape:  # numpy would broadcast a form of length 1
+        raise ValueError(f"forms over {len(x)} and {len(y)} bits")
 
 
 @dataclass(eq=False)
@@ -70,6 +77,7 @@ class AffineExpr:
         return AffineExpr(self.coeffs * scale, self.constant * scale)
 
     def __add__(self, other: "AffineExpr") -> "AffineExpr":
+        _same_length(self.coeffs, other.coeffs)
         return AffineExpr(self.coeffs + other.coeffs, self.constant + other.constant)
 
     def __neg__(self) -> "AffineExpr":
@@ -78,7 +86,7 @@ class AffineExpr:
     def __sub__(self, other: "AffineExpr | float") -> "AffineExpr":
         if isinstance(other, (int, float)):
             return AffineExpr(self.coeffs, self.constant - other)
-        return AffineExpr(self.coeffs - other.coeffs, self.constant - other.constant)
+        return self + -other  # x - y is x + (-y) in IEEE
 
 
 @dataclass(eq=False)
@@ -106,6 +114,7 @@ def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
     a_i*b.constant, then a.constant*b_i.
     """
     u, v = a.coeffs, b.coeffs
+    _same_length(u, v)
     outer = np.multiply.outer(u, v)
     matrix = np.triu(outer + outer.T, 1)
     np.fill_diagonal(matrix, outer.diagonal() + u * b.constant + a.constant * v)
@@ -114,6 +123,7 @@ def affine_mul(a: AffineExpr, b: AffineExpr) -> QuadraticExpr:
 
 def quad_scale_add(dst: QuadraticExpr, src: QuadraticExpr, scale: float) -> QuadraticExpr:
     """dst + scale * src."""
+    _same_length(dst.matrix, src.matrix)
     scale = float(scale)
     return QuadraticExpr(dst.matrix + scale * src.matrix, dst.constant + scale * src.constant)
 
@@ -253,10 +263,8 @@ class QuboModel(_TermModel):
     """Sparse QUBO over variables 0..n_vars-1.
 
     The model is its terms, in the canonical form of _checked_terms, so
-    two models with identical energies on every assignment compare equal.
-    energy, export_qubo and the solvers read them; no code changes a model
-    after construction.  linear {i: c} and quadratic {(i, j): c} are
-    read-only dict views, built on each access.
+    two models with identical energies on every assignment compare equal;
+    linear {i: c} and quadratic {(i, j): c} are read-only dict views.
     """
 
     n_vars: int
@@ -382,6 +390,8 @@ def qubo_from_ising(model: IsingModel) -> QuboModel:
 
 FORMAT_MAGIC = "qubo-v1"
 MAX_VARS = 10 ** 6  # parse_qubo refuses larger files before allocating per-variable labels
+# a line but '<i> <j> <c>': indices of <= 19 digits, read alike by int() and numpy's intp
+_ODD_TERM = re.compile(r"\n(?![0-9]{1,19} [0-9]{1,19} [-+.e0-9]+$)", re.MULTILINE)
 
 
 def export_qubo(model: QuboModel) -> str:
@@ -403,8 +413,31 @@ def _parse_index(token: str, where: str) -> int:
         raise QuboParseError(f"{where}: bad integer {token[:20]!r}{more}") from None
 
 
+def _read_canonical(text: str) -> QuboModel | None:
+    """export_qubo's exact layout read by one np.loadtxt, or None for any other or refused text."""
+    try:
+        _, vars_line, offset_line, body = text.split("\n", 3)
+        n, offset = int(vars_line[5:]), float(offset_line[7:])
+        start = len(text) - len(body)  # the first term line
+        cut = max(text.find("\nlabel ", start - 1), start - 1)  # the newline after them
+        lines = text[cut + 1:].split("\n")
+        labels = [line.partition(" ")[2].partition(" ")[2] for line in lines[:-1]]
+        if not (text[:start] == f"{FORMAT_MAGIC}\nvars {n}\noffset {offset!r}\n" and n <= MAX_VARS
+                and len(labels) == n and text.isascii()
+                and lines == [*(f"label {k} {s}" for k, s in enumerate(labels)), ""]
+                and not _ODD_TERM.search(text, start - 1, cut)):
+            return None
+        return QuboModel(n, ((), (), ()) if cut <= start else np.loadtxt(
+            text[start:cut].split("\n"), "intp,intp,f8", delimiter=" ", comments=None,
+            ndmin=1, unpack=True), offset, labels)
+    except ValueError:
+        return None
+
+
 def parse_qubo(text: str) -> QuboModel:
     """Parse the qubo-v1 text format; inverse of export_qubo."""
+    if (model := _read_canonical(text)) is not None:
+        return model
     rows = ((lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
             if line and not line.startswith("#"))  # one pass: header, then the rest
     try:
@@ -450,25 +483,18 @@ def parse_qubo(text: str) -> QuboModel:
         si, sj, sc = parts
         if not (si.isdigit() and sj.isdigit()):
             raise QuboParseError(f"line {lineno}: bad indices in {line!r}")
-        # int() inline; _parse_index runs only to word a failure.  QuboModel
-        # checks each term's range, order, value and uniqueness by its key.
-        try:
-            i, j = int(si), int(sj)
-        except ValueError:
-            i, j = _parse_index(si, f"line {lineno}"), _parse_index(sj, f"line {lineno}")
+        ti.append(_parse_index(si, f"line {lineno}"))
+        tj.append(_parse_index(sj, f"line {lineno}"))
         try:
             tc.append(float(sc))
         except ValueError:
             raise QuboParseError(f"line {lineno}: bad float {sc!r}") from None
-        ti.append(i)
-        tj.append(j)
 
     if labels and len(labels) != n:
         missing = sorted(set(range(n)) - set(labels))
         raise QuboParseError(f"label table incomplete: missing {missing}")
-    try:  # index arrays, which the model's check need not scan for bools
-        return QuboModel(n, (np.asarray(ti), np.asarray(tj), tc), offset,
-                         [s for _, s in sorted(labels.items())] or None)
+    try:
+        return QuboModel(n, (ti, tj, tc), offset, [s for _, s in sorted(labels.items())] or None)
     except ValueError as exc:
         raise QuboParseError(str(exc)) from None
 

@@ -1,5 +1,5 @@
 """Test-only helpers: every {0, 1} assignment, models written as dicts,
-and the benchmark's modules loaded from perfbench/."""
+the benchmark's README configs, and its modules loaded from perfbench/."""
 
 import importlib.util
 import sys
@@ -21,6 +21,21 @@ def qubo(n, linear, quadratic, offset=0.0, labels=None):
     keys = [(i, i) for i in linear] + list(quadratic)
     return QuboModel(n, ([i for i, _ in keys], [j for _, j in keys],
                          [*linear.values(), *quadratic.values()]), offset, labels)
+
+
+def readme_config(dim=1):
+    """The README config with dim all-ones inputs (perfbench's models)."""
+    def expansion(depth, alpha, beta):
+        return {"depth": depth, "alpha": alpha, "beta": beta}
+
+    return {
+        "cost": {"kind": "quadratic", "target": 0.0, "scale": 0.0},
+        "model": {"inputs": [1.0] * dim, "w": expansion(6, 8.0, -4.0)},
+        "penalty": {"t": expansion(4, 1.0, -1.0),
+                    "z1": expansion(6, 4.0, 0.0),
+                    "z2": expansion(6, 4.0, 0.0),
+                    "M": "auto"},
+    }
 
 
 def load(name):

@@ -3,13 +3,15 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import all_assignments, qubo
+from helpers import all_assignments, qubo, readme_config
 
+from reluqubo import algebra
 from reluqubo.algebra import (
     FORMAT_MAGIC,
     MAX_VARS,
@@ -27,6 +29,7 @@ from reluqubo.algebra import (
     quadratic_to_model,
     qubo_from_ising,
 )
+from reluqubo.formulation import build_from_config
 
 
 def value(expr, pattern):
@@ -82,6 +85,20 @@ class TestAffineExpr:
         out = a - 1.0
         assert out.coeffs.tolist() == [1.0, 0.0]
         assert out.constant == 1.0
+
+
+class TestFormLengths:
+    """Forms over different bits are refused, not broadcast."""
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        affine_mul,
+        lambda a, b: quad_scale_add(affine_mul(a, a), affine_mul(b, b), 1.0),
+    ], ids=["add", "sub", "affine_mul", "quad_scale_add"])
+    def test_length_mismatch_is_value_error(self, op):
+        with pytest.raises(ValueError, match="^forms over 2 and 1 bits$"):
+            op(AffineExpr([0.0, 1.0]), AffineExpr([2.0]))
 
 
 class TestAffineMul:
@@ -299,6 +316,35 @@ class TestIsingConversion:
         assert all(i < j for i, j in ising.J)
 
 
+def parse_by_lines(text):
+    """parse_qubo with the bulk read switched off: its line loop alone."""
+    with mock.patch.object(algebra, "_read_canonical", lambda text: None):
+        return parse_qubo(text)
+
+
+def assert_parses_as_lines(text):
+    """parse_qubo gives the line loop's model, with equal terms and dtypes
+    and a byte-equal export (so the sign of a -0.0 offset counts), or
+    raises the loop's message."""
+    try:
+        expected = parse_by_lines(text)
+    except QuboParseError as exc:
+        with pytest.raises(QuboParseError) as info:
+            parse_qubo(text)
+        assert str(info.value) == str(exc)
+        return
+    model = parse_qubo(text)
+    assert model == expected
+    assert export_qubo(model) == export_qubo(expected)
+    for ours, theirs in zip(model.terms, expected.terms):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+
+
+CANONICAL = export_qubo(qubo(3, {0: 1.5, 2: -0.25}, {(0, 1): 2.0, (1, 2): -1e-300}, 0.5,
+                             labels=["a", "b c", "d"]))
+
+
 class TestQuboFormat:
     def test_empty_model_roundtrip(self):
         m = qubo(0, {}, {}, 0.0)
@@ -416,6 +462,78 @@ class TestQuboFormat:
         except QuboParseError:
             return
         assert isinstance(model, QuboModel)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(qubo_models().map(export_qubo), qubo_texts()))
+    def test_parses_as_the_line_loop(self, text):
+        assert_parses_as_lines(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(qubo_models())
+    def test_every_ascii_export_takes_the_bulk_read(self, m):
+        text = export_qubo(m)
+        assert (algebra._read_canonical(text) is not None) == text.isascii()
+
+    @pytest.mark.parametrize("old, new, bulk", [
+        ("0 1 2.0", "0 +1 2.0", False),
+        ("1 2 -1e-300", "01 2 -1e-300", True),  # int() and numpy read it alike
+        ("0 1 2.0", "0 -1 2.0", False),
+        ("0 0 1.5", "-0 0 1.5", False),
+        ("0 1 2.0", "0 " + "7" * 5000 + " 2.0", False),
+        ("0 1 2.0", "0 " + "0" * 4999 + "1 2.0", False),  # numpy's intp would read it
+        ("0 1 2.0", "0 1 1_0", False),
+        ("0 1 2.0", "0 1 1e999", False),
+        ("0 1 2.0", "0 1 nan", False),
+        ("0 1 2.0", "0 1 -0.0", True),
+        ("offset 0.5", "offset -0.0", True),
+        ("0 1 2.0\n", "0 1 2.0 \n", False),
+        ("\n", "\r\n", False),
+        ("0 1 2.0", "0\t1 2.0", False),
+        ("0 1 2.0", "0 1 \v2.0", False),  # numpy would strip the \v; splitlines() breaks there
+        ("b c", "b\vc", False),
+        ("0 1 2.0\n", "0 1 2.0\n\n", False),
+        ("0 1 2.0\n", "0 1 2.0\n# note\n", False),
+        ("label 0 a\nlabel 1 b c\n", "label 1 b c\nlabel 0 a\n", False),
+        ("label 1 b c\n", "", False),
+        ("label 2 d\n", "label 1 x\nlabel 2 d\n", False),
+        ("vars 3", f"vars {MAX_VARS + 1}", False),
+    ], ids=["index-plus", "index-leading-zero", "index-minus", "index-minus-zero",
+            "index-5000-digits", "index-5000-digits-leading-zeros", "float-underscore",
+            "float-overflow", "float-nan", "float-minus-zero", "offset-minus-zero",
+            "trailing-space", "crlf", "tab", "vertical-tab", "label-vertical-tab",
+            "blank-line", "comment-line", "labels-out-of-order", "label-missing",
+            "label-duplicated", "vars-over-max"])
+    def test_one_line_mutation_parses_as_the_line_loop(self, old, new, bulk):
+        assert algebra._read_canonical(CANONICAL) is not None
+        text = CANONICAL.replace(old, new)
+        assert text != CANONICAL
+        assert (algebra._read_canonical(text) is not None) == bulk
+        assert_parses_as_lines(text)
+
+    def test_vars_over_cap_with_every_label_raises_the_loops_error(self):
+        with mock.patch.object(algebra, "MAX_VARS", 2):
+            with pytest.raises(QuboParseError, match="^line 2: vars 3 exceeds the limit of 2$"):
+                parse_qubo(CANONICAL)
+
+    @pytest.mark.parametrize("text", ["qubo-v1\nvars 0\noffset 0.0\n",
+                                      "qubo-v1\nvars 2\noffset -0.0\nlabel 0 a\nlabel 1 b\n"],
+                             ids=["empty-model", "labels-only"])
+    def test_no_term_lines_read_without_loadtxt(self, text):
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt ran")):
+            assert algebra._read_canonical(text) is not None
+        assert_parses_as_lines(text)
+
+    def test_wide_export_parse_peak_under_4_mib(self):
+        # the benchmark's D = 32 model: 208 vars, 21,941 lines
+        text = export_qubo(build_from_config(readme_config(32)).model)
+        tracemalloc.start()
+        try:
+            model = parse_qubo(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.n_vars == 208 and export_qubo(model) == text
+        assert peak < 4 * 2 ** 20
 
 
 class TestQuadraticToModel:

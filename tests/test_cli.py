@@ -301,6 +301,19 @@ class TestSolve:
         assert payload["energy"] == 1.25
         assert payload["assignment"] == "00"
 
+    def test_comment_and_crlf_rewrite_solves_as_the_export(self, tmp_path, capsys):
+        # the rewrite leaves export_qubo's layout, so the line loop reads it
+        path = self.build_model(tmp_path, config_negative_range())
+        text = path.read_text(encoding="utf-8")
+        rewritten = tmp_path / "rewritten.qubo"
+        rewritten.write_bytes(("# rewritten\n" + text).replace("\n", "\r\n").encode())
+        outs = []
+        for model in (path, rewritten):
+            capsys.readouterr()
+            assert main(["solve", str(model)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and json.loads(outs[0])["assignment"]
+
     def test_flags_default_to_anneal_config(self):
         args = cli._make_parser().parse_args(["solve", "m.qubo"])
         assert cli._anneal_config(args) == AnnealConfig()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import all_assignments, qubo
+from helpers import all_assignments, qubo, readme_config
 
 from reluqubo import formulation
 from reluqubo.algebra import (
@@ -691,21 +691,6 @@ def reference_gadget(lin, spec, cost_params=(0.0, 0.0)):
                                        spec.M)
     pairs, linear, offset = reference_quad_scale_add(cost, penalty, 1.0)
     return qubo(len(labels), linear, pairs, offset, labels=labels)
-
-
-def readme_config(dim=1):
-    """The README config with dim all-ones inputs (perfbench's models)."""
-    def expansion(depth, alpha, beta):
-        return {"depth": depth, "alpha": alpha, "beta": beta}
-
-    return {
-        "cost": {"kind": "quadratic", "target": 0.0, "scale": 0.0},
-        "model": {"inputs": [1.0] * dim, "w": expansion(6, 8.0, -4.0)},
-        "penalty": {"t": expansion(4, 1.0, -1.0),
-                    "z1": expansion(6, 4.0, 0.0),
-                    "z2": expansion(6, 4.0, 0.0),
-                    "M": "auto"},
-    }
 
 
 def exhaustive_full_config():
