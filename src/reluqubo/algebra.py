@@ -263,8 +263,10 @@ class QuboModel(_TermModel):
     """Sparse QUBO over variables 0..n_vars-1.
 
     The model is its terms, in the canonical form of _checked_terms, so
-    two models with identical energies on every assignment compare equal;
-    linear {i: c} and quadratic {(i, j): c} are read-only dict views.
+    two models with identical energies on every assignment compare equal.
+    energy, export_qubo and the solvers read them; no code changes a model
+    after construction.  linear {i: c} and quadratic {(i, j): c} are
+    read-only dict views, built on each access.
     """
 
     n_vars: int
