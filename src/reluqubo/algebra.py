@@ -425,7 +425,6 @@ def _read_canonical(text: str) -> QuboModel | None:
         lines = text[cut + 1:].split("\n")
         labels = [line.partition(" ")[2].partition(" ")[2] for line in lines[:-1]]
         if not (text[:start] == f"{FORMAT_MAGIC}\nvars {n}\noffset {offset!r}\n" and n <= MAX_VARS
-                and len(labels) == n and text.isascii()
                 and lines == [*(f"label {k} {s}" for k, s in enumerate(labels)), ""]
                 and not _ODD_TERM.search(text, start - 1, cut)):
             return None

@@ -483,7 +483,8 @@ def _fan_out(walk: Callable[[range], list], restarts: int, workers: int) -> list
     restarts split into the shares r = k (mod workers).  Share 0 runs in
     the calling thread and each other share on a thread of its own.  A
     share whose thread cannot start, or whose walk raises there, runs in
-    the calling thread after share 0, so any error surfaces here.  Every thread is joined before the call returns or raises.
+    the calling thread after share 0, so any error surfaces here.  Every
+    thread is joined before the call returns or raises.
     """
     shares = [range(k, restarts, workers) for k in range(workers)]
     found: list[list | None] = [None] * workers

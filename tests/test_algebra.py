@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import all_assignments, qubo, readme_config
 
@@ -470,9 +470,11 @@ class TestQuboFormat:
 
     @settings(max_examples=200, deadline=None)
     @given(qubo_models())
-    def test_every_ascii_export_takes_the_bulk_read(self, m):
-        text = export_qubo(m)
-        assert (algebra._read_canonical(text) is not None) == text.isascii()
+    @example(qubo(1, {0: 1.0}, {}, 0.0, labels=["\u00e9"]))
+    @example(qubo(1, {}, {}, 0.0, labels=["a\u3000b"]))
+    @example(qubo(2, {}, {(0, 1): -2.0}, 0.0, labels=["\u65e5\u672c", "x\u200b"]))
+    def test_every_export_takes_the_bulk_read(self, m):
+        assert algebra._read_canonical(export_qubo(m)) is not None
 
     @pytest.mark.parametrize("old, new, bulk", [
         ("0 1 2.0", "0 +1 2.0", False),
@@ -493,6 +495,7 @@ class TestQuboFormat:
         ("b c", "b\vc", False),
         ("0 1 2.0\n", "0 1 2.0\n\n", False),
         ("0 1 2.0\n", "0 1 2.0\n# note\n", False),
+        ("label 0 a", "label 0 \u00e9", True),
         ("label 0 a\nlabel 1 b c\n", "label 1 b c\nlabel 0 a\n", False),
         ("label 1 b c\n", "", False),
         ("label 2 d\n", "label 1 x\nlabel 2 d\n", False),
@@ -501,8 +504,8 @@ class TestQuboFormat:
             "index-5000-digits", "index-5000-digits-leading-zeros", "float-underscore",
             "float-overflow", "float-nan", "float-minus-zero", "offset-minus-zero",
             "trailing-space", "crlf", "tab", "vertical-tab", "label-vertical-tab",
-            "blank-line", "comment-line", "labels-out-of-order", "label-missing",
-            "label-duplicated", "vars-over-max"])
+            "blank-line", "comment-line", "label-non-ascii", "labels-out-of-order",
+            "label-missing", "label-duplicated", "vars-over-max"])
     def test_one_line_mutation_parses_as_the_line_loop(self, old, new, bulk):
         assert algebra._read_canonical(CANONICAL) is not None
         text = CANONICAL.replace(old, new)

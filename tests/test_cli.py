@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reluqubo
-from reluqubo.algebra import energy, parse_qubo
+from reluqubo.algebra import QuboModel, energy, export_qubo, parse_qubo
 from reluqubo.cli import main
 from reluqubo.encoding import BinaryExpansion
 from reluqubo.formulation import build_from_config, recommend_M
 from reluqubo.oracle import Grid1D, relu_reference
-from reluqubo import cli, formulation, solvers
+from reluqubo import algebra, cli, formulation, solvers
 from reluqubo.solvers import AnnealConfig, exhaustive_solve
 
 from helpers import all_assignments
@@ -313,6 +313,21 @@ class TestSolve:
             assert main(["solve", str(model)]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and json.loads(outs[0])["assignment"]
+
+    def test_non_ascii_label_export_takes_the_bulk_read(self, tmp_path, capsys):
+        model = build_from_config(readme_config()).model
+        model = QuboModel(model.n_vars, model.terms, model.offset,
+                          ["w\u00e9[0][0]", *model.labels[1:]])
+        path = tmp_path / "model.qubo"
+        path.write_text(export_qubo(model), encoding="utf-8")
+        assert algebra._read_canonical(path.read_text(encoding="utf-8")) is not None
+        argv = ["solve", str(path), "--solver", "exhaustive"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        bulk = capsys.readouterr().out
+        with mock.patch.object(algebra, "_read_canonical", lambda text: None):
+            assert main(argv) == 0
+        assert capsys.readouterr().out == bulk and json.loads(bulk)["assignment"]
 
     def test_flags_default_to_anneal_config(self):
         args = cli._make_parser().parse_args(["solve", "m.qubo"])

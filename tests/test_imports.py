@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, every
 module-level private function or class is referenced in the package, and
 every public name is used by the package, the README or the benchmark;
-importing the CLI loads no process-pool module."""
+importing the CLI loads no process-pool module; no source line is longer
+than 100 characters."""
 
 import ast
 import re
@@ -171,3 +172,13 @@ def test_cli_import_loads_no_process_pool_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_no_source_line_over_100_characters():
+    src = ROOT / "src" / "reluqubo"
+    paths = [*sorted(src.glob("*.py")), src / "_anneal.c",
+             *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "tools").glob("*.py"))]
+    long = [f"{path.relative_to(ROOT)}:{k}" for path in paths
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == [], f"lines over 100 characters: {long}"
