@@ -397,10 +397,17 @@ _ODD_TERM = re.compile(r"\n(?![0-9]{1,19} [0-9]{1,19} [-+.e0-9]+$)", re.MULTILIN
 
 
 def export_qubo(model: QuboModel) -> str:
-    """Serialize to the qubo-v1 text format (deterministic byte-for-byte)."""
+    """Serialize to the qubo-v1 text format (deterministic byte-for-byte).
+
+    Each distinct coefficient and each index is formatted once.  Terms are
+    nonzero and finite, so equal floats print alike: -0.0 never meets 0.0.
+    """
     lines = [FORMAT_MAGIC, f"vars {model.n_vars}", f"offset {model.offset!r}"]
     order = np.lexsort(model.terms[1::-1])  # keys (j, i): sorts by i, then j
-    lines.extend(f"{i} {j} {c!r}" for i, j, c in zip(*(a[order].tolist() for a in model.terms)))
+    i, j, c = (a[order].tolist() for a in model.terms)
+    index = list(map(str, range(model.n_vars)))
+    text = {x: repr(x) for x in set(c)}  # not np.unique: its sort adds ~0.4 MB RSS
+    lines.extend(f"{index[a]} {index[b]} {text[x]}" for a, b, x in zip(i, j, c))
     lines.extend(f"label {i} {s}" for i, s in enumerate(model.labels))
     return "\n".join(lines) + "\n"
 

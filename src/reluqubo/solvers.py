@@ -19,15 +19,17 @@ pattern is enumerated once; exhaustive_solve is its one-pattern case.
 fix_bits is the one-pattern case of the same fold, and annealing always
 walks its reduced model, which with no pins equals the model itself.
 Annealing keeps every bit's local field, as
-single-flip annealers do (Isakov et al., arXiv:1401.1084): the C kernel
-_anneal.c sums each restart's fields over CSR neighbour lists and walks
-them, updating the fields per accepted flip, with CPython's Mersenne
-Twister, so it draws and rounds exactly as the same loop in Python
-would.  The kernel is compiled with cc at the first annealing call and
-cached next to the package's bytecode.  Restarts are independent walks,
-and the kernel runs without the GIL, so every call with two or more
-restarts walks them on threads, one per CPU of its affinity set; the
-output is the same bytes as from one thread.  The exhaustive solver runs
+single-flip annealers do (Isakov et al., arXiv:1401.1084): one call of
+the C kernel _anneal.c takes up to _BATCH restarts, seeds each with
+CPython's Mersenne Twister, sums its fields over CSR neighbour lists and
+its energy in term order, then steps all of them through each sweep
+together, updating the fields per accepted flip, so it draws and rounds
+exactly as the same loop in Python would.  The kernel is compiled with
+cc at the first annealing call and cached next to the package's
+bytecode.  Restarts are independent walks, and the kernel runs without
+the GIL, so every call with two or more restarts walks them on threads,
+one per CPU of its affinity set; the output is the same bytes as from
+one thread.  The exhaustive solver runs
 in one thread.  The fold, the annealer's CSR lists and every energy read
 the model's one term view, QuboModel.terms.
 """
@@ -60,6 +62,7 @@ _CHUNK_BITS = 16  # the working block and its temp: 2^17 entries
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_anneal.c")
 _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _CACHE_DIR = os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__")
+_BATCH = 64  # restarts per kernel call, which bounds its scratch
 
 
 class BitCapExceeded(RuntimeError):
@@ -410,10 +413,10 @@ def _build(path: str) -> None:
 def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.seed_bits.argtypes = (p, ctypes.c_char_p, i64, p, i64)
     lib.fields.argtypes = (i64, p, p, p, p, p, p)
-    lib.walk.argtypes = (p, i64, i64, f64, f64, p, p, p, p, p, f64, p)
-    lib.seed_bits.restype = lib.fields.restype = lib.walk.restype = None
+    lib.anneal.argtypes = (i64, ctypes.c_char_p, p, i64, i64, f64, f64, p, p, p, p, f64,
+                           p, p, p, p, p, p)
+    lib.fields.restype = lib.anneal.restype = None
     return lib
 
 
@@ -456,23 +459,29 @@ def _restarts(kernel: ctypes.CDLL, model: QuboModel, config: AnnealConfig,
               restarts: Iterable[int]) -> list[tuple[float, tuple[int, ...]]]:
     """(energy, bits) of the best state of each restart r in restarts: the
     kernel's walk seeded as random.Random(config.seed + r), over the lists
-    of _csr(model), from the kernel's fields and the energy of energy()."""
+    of _csr(model), with energies summed as energy() sums them.  The
+    restarts go to the kernel _BATCH at a time, each batch stepped through
+    the sweeps together, so the scratch is O(_BATCH * n) words."""
     n = model.n_vars
     beta0, ratio = config.ladder()
     start, nbr, coef, lin = (a.ctypes.data for a in csr)
+    restarts = list(restarts)
     found = []
-    for r in restarts:
-        seed = config.seed + r  # as random.Random seeds: |int|, or a float's hash as unsigned
-        seed = hash(seed) % 2 ** 64 if isinstance(seed, float) else abs(operator.index(seed))
-        words = max(1, (seed.bit_length() + 31) // 32)
-        mt = (ctypes.c_uint32 * 625)()  # MT19937's 624 words and its read position
-        b, best, f = np.empty(n, np.uint8), np.empty(n, np.uint8), np.empty(n)
-        kernel.seed_bits(mt, seed.to_bytes(4 * words, "little"), words, b.ctypes.data, n)
-        kernel.fields(n, start, nbr, coef, lin, b.ctypes.data, f.ctypes.data)
-        kernel.walk(mt, n, config.sweeps, beta0, ratio, start, nbr, coef, b.ctypes.data,
-                    f.ctypes.data, energy(model, b.tolist()), best.ctypes.data)
-        best_b = tuple(best.tolist())
-        found.append((energy(model, best_b), best_b))
+    for k in range(0, len(restarts), _BATCH):
+        keys = []
+        for r in restarts[k:k + _BATCH]:
+            seed = config.seed + r  # as random.Random seeds: |int|, or a float's hash as unsigned
+            seed = hash(seed) % 2 ** 64 if isinstance(seed, float) else abs(operator.index(seed))
+            keys.append(seed.to_bytes(4 * max(1, (seed.bit_length() + 31) // 32), "little"))
+        count = len(keys)
+        nkey = np.array([len(key) // 4 for key in keys], np.int64)
+        mt = np.empty((count, 625), np.uint32)  # MT19937's 624 words and its read position
+        b, best = np.empty((2, count, n), np.uint8)
+        f, (best_e, e) = np.empty((count, n)), np.empty((2, count))
+        bufs = (mt, b, f, best, best_e, e)
+        kernel.anneal(count, b"".join(keys), nkey.ctypes.data, n, config.sweeps, beta0, ratio,
+                      start, nbr, coef, lin, model.offset, *(a.ctypes.data for a in bufs))
+        found.extend(zip(best_e.tolist(), map(tuple, best.tolist())))
     return found
 
 
@@ -528,16 +537,18 @@ def simulated_anneal(model: QuboModel,
     equals energy(model, assignment) exactly.  An empty model takes the
     same path: no sweep flips anything.
 
-    The walk runs in the compiled kernel (_kernel), built at the first
+    The walks run in the compiled kernel (_kernel), built at the first
     call in a process, before any thread starts; a missing C compiler
-    raises OSError.  It draws the initial bits as random.Random(seed + r)
-    does with randrange(2), sums the fields over the CSR rows of _csr,
-    built once per call with int32 neighbour indices, starts from the
-    energy of energy(), and runs the loop of tests/test_solvers.py's
-    reference_anneal: an accepted flip of bit i adds +-c to the local
-    field of each neighbour in i's row.  The betas are computed one sweep
-    at a time from AnnealConfig.ladder(), so memory does not grow with
-    config.sweeps.
+    raises OSError.  For each restart it draws the initial bits as
+    random.Random(seed + r) does with randrange(2), sums the fields over
+    the CSR rows of _csr, built once per call with int32 neighbour
+    indices, sums the start energy as energy() does, and runs the loop of
+    tests/test_solvers.py's reference_anneal: an accepted flip of bit i
+    adds +-c to the local field of each neighbour in i's row.  One kernel
+    call walks up to _BATCH restarts through each sweep together, so its
+    scratch does not grow with config.restarts.  The betas are computed
+    one sweep at a time from AnnealConfig.ladder(), once per sweep of a
+    call, so memory does not grow with config.sweeps.
 
     The restarts are split over w = min(CPUs in this process's affinity
     set, restarts) workers: the calling thread and w - 1 threads

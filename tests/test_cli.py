@@ -1135,7 +1135,7 @@ class TestKernelBuild:
         assert [out for out, _ in outs] == [want, want]
         built = os.listdir(cache)
         assert len(built) == 1 and built[0].startswith("_anneal-") and built[0].endswith(".so")
-        assert ctypes.CDLL(str(cache / built[0])).walk  # complete: it loads
+        assert ctypes.CDLL(str(cache / built[0])).anneal  # complete: it loads
 
     def test_no_compiler_fails_sa_alone(self, tmp_path, monkeypatch, capsys, model):
         cache = tmp_path / "cache"

@@ -937,6 +937,103 @@ class TestFanOut:
         assert len(res.restart_energies) == restarts
 
 
+def kernel_start(model, seeds):
+    """(start bits, start energy, best energy) of each seed's restart after
+    one kernel.anneal call with no sweep: the best state is the start."""
+    kernel = solvers._kernel(solvers._CACHE_DIR)
+    n, count = model.n_vars, len(seeds)
+    keys = [s.to_bytes(4 * max(1, (s.bit_length() + 31) // 32), "little") for s in seeds]
+    nkey = np.array([len(key) // 4 for key in keys], np.int64)
+    mt = np.empty((count, 625), np.uint32)
+    b, best, f = (np.empty((count, n), t) for t in (np.uint8, np.uint8, float))
+    best_e, e = np.empty(count), np.empty(count)
+    csr = solvers._csr(model)  # held: the kernel reads it by pointer
+    start, nbr, coef, lin = (a.ctypes.data for a in csr)
+    kernel.anneal(count, b"".join(keys), nkey.ctypes.data, n, 0, 1.0, 1.0, start, nbr, coef,
+                  lin, model.offset, *(a.ctypes.data for a in (mt, b, f, best, best_e, e)))
+    assert best.tolist() == b.tolist()
+    return b.tolist(), e.tolist(), best_e.tolist()
+
+
+class CountedKernel:
+    """The kernel, recording the restart count of every anneal call."""
+
+    def __init__(self, lib):
+        self.lib, self.counts = lib, []
+
+    def anneal(self, count, *args):
+        self.counts.append(count)
+        return self.lib.anneal(count, *args)
+
+
+class TestAnnealKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(anneal_cases(), st.sampled_from([None, 0.0, -0.0]),
+           st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=5))
+    def test_energies_equal_energy_in_hex(self, case, offset, seeds):
+        # the start and best energies are summed in the kernel, from the
+        # offset in term order; hex() also tells -0.0 from 0.0
+        model = case[0]
+        if offset is not None:
+            model = qubo(model.n_vars, model.linear, model.quadratic, offset)
+        starts, start_e, best_e = kernel_start(model, seeds)
+        for seed, bits, e, e_best in zip(seeds, starts, start_e, best_e):
+            rng = random.Random(seed)
+            assert bits == [rng.randrange(2) for _ in range(model.n_vars)]
+            assert e.hex() == e_best.hex() == energy(model, bits).hex()
+
+    @settings(max_examples=40, deadline=None)
+    @given(anneal_cases(), st.sampled_from([0.0, -0.0]))
+    def test_restart_energies_equal_energy_in_hex(self, case, offset):
+        model, _, config = case
+        model = qubo(model.n_vars, model.linear, model.quadratic, offset)
+        kernel = solvers._kernel(solvers._CACHE_DIR)
+        found = solvers._restarts(kernel, model, config, solvers._csr(model),
+                                  range(config.restarts))
+        assert [e.hex() for e, _ in found] == [energy(model, b).hex() for _, b in found]
+        ref = reference_anneal(model, config)
+        assert [e.hex() for e, _ in found] == [e.hex() for e in ref.restart_energies]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("past_cap", [-1, 0, 1])
+    def test_shares_about_the_cap_match_reference_bytes(self, monkeypatch, cpus, past_cap):
+        # every share holds _BATCH - 1, _BATCH or _BATCH + 1 restarts: a call
+        # takes at most _BATCH of them, so its scratch does not grow with more
+        share = solvers._BATCH + past_cap
+        model = random_model(np.random.default_rng(cpus), 8)
+        config = AnnealConfig(sweeps=6, restarts=cpus * share, seed=-3)
+        kernel = CountedKernel(solvers._kernel(solvers._CACHE_DIR))
+        monkeypatch.setattr(solvers, "_kernel", lambda cache_dir: kernel)
+        fan_out_on(monkeypatch, cpus)
+        res = simulated_anneal(model, config)
+        ref = reference_anneal(model, config)
+        assert json.dumps(res.to_json_dict()) == json.dumps(ref.to_json_dict())
+        calls = [solvers._BATCH] * (share // solvers._BATCH) + [share % solvers._BATCH]
+        assert sorted(kernel.counts) == sorted([c for c in calls if c] * cpus)
+
+    @pytest.mark.parametrize("model", [qubo(0, {}, {}, -0.0), qubo(0, {}, {}, 1.5),
+                                       qubo(1, {}, {}, -0.0), qubo(1, {0: -1.5}, {}, 0.25),
+                                       qubo(1, {0: 2.0}, {}, -0.0)],
+                             ids=["empty-neg-zero", "empty", "one-no-term-neg-zero",
+                                  "one-negative", "one-positive-neg-zero"])
+    @pytest.mark.parametrize("restarts", [1, 65])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_empty_and_one_variable_models(self, monkeypatch, model, restarts, cpus):
+        fan_out_on(monkeypatch, cpus)
+        config = AnnealConfig(sweeps=7, restarts=restarts, seed=9)
+        res = simulated_anneal(model, config)
+        ref = reference_anneal(model, config)
+        assert json.dumps(res.to_json_dict()) == json.dumps(ref.to_json_dict())
+        assert [e.hex() for e in res.restart_energies] == \
+            [e.hex() for e in ref.restart_energies]
+
+    def test_empty_model_runs_no_sweep(self):
+        # no bit to flip: the kernel skips the schedule, however long
+        config = AnnealConfig(sweeps=2 ** 63 - 1, restarts=3, seed=2)
+        res = simulated_anneal(qubo(0, {}, {}, -0.0), config)
+        assert [e.hex() for e in res.restart_energies] == [(-0.0).hex()] * 3
+
+
 class TestInitialFields:
     @settings(max_examples=100, deadline=None)
     @given(anneal_cases(), st.integers(0, 2 ** 32))

@@ -27,9 +27,18 @@ def run_workload(name, seed, tmp_path, monkeypatch, capsys):
 
 # anneal_wide at ten seeds: its check reads the SA energy against the ground
 # energy 0 with an absolute 1e-9, and the model's ground states round to about
-# +-2e-7, so a change to its coefficients or walks can fail at some seeds only
+# +-2e-7, so a change to its coefficients or walks can fail at some seeds only.
+# At seed 701 the walks reach a ground state that reads -4.415e-8, below the
+# check's bound: a scaled tolerance takes the mark off.
+ROUNDED_BELOW_ZERO = pytest.mark.xfail(
+    strict=True, reason="anneal_wide's ground state reads -4.415e-8 at seed 701, "
+                        "and its check refuses any energy below -1e-9")
+
+
 @pytest.mark.parametrize("name, seed", [("sweep_pinned", 1), ("exhaustive_full", 1),
-                                        *(("anneal_wide", s) for s in range(1, 11))])
+                                        *(("anneal_wide", s) for s in range(1, 11)),
+                                        pytest.param("anneal_wide", 701,
+                                                     marks=ROUNDED_BELOW_ZERO)])
 def test_checks_pass(tmp_path, monkeypatch, capsys, name, seed):
     run_workload(name, seed, tmp_path, monkeypatch, capsys)
 
