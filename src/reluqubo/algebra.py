@@ -404,10 +404,12 @@ def export_qubo(model: QuboModel) -> str:
     """
     lines = [FORMAT_MAGIC, f"vars {model.n_vars}", f"offset {model.offset!r}"]
     order = np.lexsort(model.terms[1::-1])  # keys (j, i): sorts by i, then j
-    i, j, c = (a[order].tolist() for a in model.terms)
     index = list(map(str, range(model.n_vars)))
-    text = {x: repr(x) for x in set(c)}  # not np.unique: its sort adds ~0.4 MB RSS
-    lines.extend(f"{index[a]} {index[b]} {text[x]}" for a, b, x in zip(i, j, c))
+    # set, not np.unique, whose sort pages in ~0.4 MB of SIMD code (RSS)
+    text = {x: repr(x) for x in set(model.terms[2].tolist())}
+    # the sorted term lists live as long as the zip, not through the join below (~1 MB)
+    lines.extend(f"{index[i]} {index[j]} {text[c]}"
+                 for i, j, c in zip(*(a[order].tolist() for a in model.terms)))
     lines.extend(f"label {i} {s}" for i, s in enumerate(model.labels))
     return "\n".join(lines) + "\n"
 

@@ -454,6 +454,18 @@ class TestQuboFormat:
             assert ours.dtype == theirs.dtype
             assert np.array_equal(ours, theirs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(qubo_models())
+    @example(qubo(3, {0: 0.1, 2: 0.1}, {(0, 1): 0.1, (1, 2): -0.1, (0, 2): 1e-300}, -0.0))
+    def test_term_lines_are_each_terms_repr(self, m):
+        # export formats each distinct coefficient once: every line still reads
+        # as its own term's indices and repr, sorted by key
+        i, j, c = m.terms
+        want = sorted(zip(i.tolist(), j.tolist(), c.tolist()))
+        lines = export_qubo(m).split("\n")
+        assert lines[2] == f"offset {m.offset!r}"
+        assert lines[3:3 + len(want)] == [f"{a} {b} {x!r}" for a, b, x in want]
+
     @settings(max_examples=500, deadline=None)
     @given(qubo_texts())
     def test_any_text_parses_or_raises_parse_error(self, text):
@@ -525,6 +537,19 @@ class TestQuboFormat:
         with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt ran")):
             assert algebra._read_canonical(text) is not None
         assert_parses_as_lines(text)
+
+    def test_wide_export_peak_under_3_5_mib(self):
+        # the D = 32 model's 21,941 lines: the sorted term lists (~1 MiB) are
+        # freed before the lines are joined into the text
+        model = build_from_config(readme_config(32)).model
+        tracemalloc.start()
+        try:
+            text = export_qubo(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text.splitlines()) == 21_941
+        assert peak < 3.5 * 2 ** 20
 
     def test_wide_export_parse_peak_under_4_mib(self):
         # the benchmark's D = 32 model: 208 vars, 21,941 lines
